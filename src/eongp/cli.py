@@ -4,7 +4,7 @@ Commands
     run                  route and assign one scenario
                          (allocation.csv, validation.json, trace.json)
     sweep-margin         one pipeline run per margin floor (curves.csv)
-    compare-rto          one run per routing method, formulation fixed
+    compare-rto          one run per routing method at the --gpsa formulation
     compare-gpsa         one run per assignment formulation 1..6
     characterize-approx  approximation error curves (curves.csv)
     count-formulations   closed-form problem sizes (sizes.csv)
@@ -37,8 +37,8 @@ from .gp import STATUS_INFEASIBLE
 from .heuristic import HeuristicError
 from .model import (
     InstanceError, ModulationTable, NetworkInstance, PhysicsConstants,
-    RTO_METHODS, ScenarioConfig, demands_from_matrix, load_topology,
-    load_traffic,
+    RTO_METHODS, ScenarioConfig, demands_from_matrix, load_config,
+    load_topology, load_traffic,
 )
 
 EXIT_IO = 3
@@ -65,46 +65,6 @@ def _resolve_input(value: str, registry: dict[str, str], what: str) -> Path:
     known = ", ".join(sorted(registry))
     raise FileNotFoundError(
         f"{what} {value!r} is neither a file nor a bundled name ({known})")
-
-
-# --------------------------------------------------------------------------
-# configuration layering: defaults, then --constants, then --config,
-# then individual flags
-# --------------------------------------------------------------------------
-
-def _merge_section(current, mapping, what: str):
-    known = {f.name for f in fields(current)}
-    unknown = set(mapping) - known
-    if unknown:
-        raise InstanceError(f"unknown {what} keys: {sorted(unknown)}")
-    try:
-        return replace(current, **mapping)
-    except TypeError as exc:
-        raise InstanceError(f"bad {what} section: {exc}") from None
-
-
-def _apply_config_file(path, phys, scen, table):
-    with open(path) as fh:
-        try:
-            raw = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise InstanceError(f"{path}: invalid JSON: {exc}") from None
-    if not isinstance(raw, dict):
-        raise InstanceError(f"{path}: top level must be an object")
-    extra = set(raw) - {"physics", "scenario", "modulations"}
-    if extra:
-        raise InstanceError(f"{path}: unknown sections {sorted(extra)}")
-    if "physics" in raw:
-        phys = _merge_section(phys, raw["physics"], "physics")
-    if "scenario" in raw:
-        section = dict(raw["scenario"])
-        if section.get("num_requests") is not None:
-            section["num_requests"] = int(section["num_requests"])
-        scen = _merge_section(scen, section, "scenario")
-    if "modulations" in raw:
-        table = ModulationTable(tuple((float(c), float(o))
-                                      for c, o in raw["modulations"]))
-    return phys, scen, table
 
 
 @dataclass(frozen=True)
@@ -404,7 +364,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--margins", default="1,2,4",
                    help="comma-separated margin floors")
     common(sub.add_parser("compare-rto",
-                          help="run per routing method, formulation fixed"))
+                          help="run per routing method at the --gpsa "
+                               "formulation"))
     common(sub.add_parser("compare-gpsa",
                           help="run per assignment formulation"))
     common(sub.add_parser("characterize-approx",
@@ -428,10 +389,11 @@ def _parse_margins(text: str) -> tuple[float, ...]:
 
 
 def resolve_manifest(args: argparse.Namespace) -> RunManifest:
+    # layering: defaults, then --constants, then --config, then single flags
     phys, scen, table = PhysicsConstants(), ScenarioConfig(), ModulationTable()
     for path in (args.constants, args.config):
         if path:
-            phys, scen, table = _apply_config_file(path, phys, scen, table)
+            phys, scen, table = load_config(path, (phys, scen, table))
     overrides = {}
     if args.rto is not None:
         overrides["rto_method"] = args.rto

@@ -16,6 +16,7 @@ no randomness is used anywhere.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, field
 
@@ -284,6 +285,24 @@ class ConvexForm:
         sums = np.add.reduceat(e, self.ptr[:-1])
         return zmax + np.log(sums), e / sums[self.seg]
 
+    def with_slack(self) -> "ConvexForm":
+        """Phase-1 form over (u, s): minimize s subject to F_i(u) - s <= 0.
+
+        The objective is the single monomial s, so this is an ordinary
+        compiled program and runs through the same solver as phase 2.
+        """
+        ext = copy.copy(self)
+        ext.variables = self.variables + ("<slack>",)
+        ext.n = self.n + 1
+        ext.obj_A = sp.csr_matrix(([1.0], ([0], [self.n])), shape=(1, ext.n))
+        ext.obj_b = np.zeros(1)
+        rows = self.con_A.shape[0]
+        extra = sp.csr_matrix(
+            (-np.ones(rows), (np.arange(rows), np.zeros(rows))),
+            shape=(rows, 1))
+        ext.con_A = sp.hstack([self.con_A, extra]).tocsr()
+        return ext
+
     def jacobian(self, sigma):
         """Constraint gradients (m x n, sparse) from the term weights."""
         return (self.S @ sp.diags(sigma) @ self.con_A).tocsr()
@@ -323,29 +342,14 @@ _BACKTRACK = 0.5
 _MAX_STEP = 20.0  # cap on the infinity norm of a Newton step in log space
 
 
-class _Linear:
-    """Linear objective c'u used by the phase-1 problem."""
-
-    def __init__(self, c):
-        self.c = np.asarray(c, dtype=float)
-
-    def objective_eval(self, u):
-        return float(self.c @ u), self.c, None
-
-
-def _hessian(form: ConvexForm, obj, u, sigma0, lam, F, sigma, J):
-    if isinstance(obj, _Linear):
-        H = np.zeros((len(u), len(u)))
-    else:
-        H = (form.obj_A.T @ sp.diags(sigma0) @ form.obj_A).toarray()
-        g0 = form.obj_A.T @ sigma0
-        H -= np.outer(g0, g0)
-    if form.m:
-        w = lam[form.seg] * sigma
-        H += (form.con_A.T @ sp.diags(w) @ form.con_A).toarray()
-        Jd = J.toarray()
-        coefs = lam * (1.0 / (-F) - 1.0)
-        H += (Jd * coefs[:, None]).T @ Jd
+def _hessian(form: ConvexForm, sigma0, g0, lam, F, sigma, J):
+    H = (form.obj_A.T @ sp.diags(sigma0) @ form.obj_A).toarray()
+    H -= np.outer(g0, g0)
+    w = lam[form.seg] * sigma
+    H += (form.con_A.T @ sp.diags(w) @ form.con_A).toarray()
+    Jd = J.toarray()
+    coefs = lam * (1.0 / (-F) - 1.0)
+    H += (Jd * coefs[:, None]).T @ Jd
     return H
 
 
@@ -384,28 +388,29 @@ def _trust_region_step(H, rhs):
     return None
 
 
-def _pdipm(form: ConvexForm, obj, u, gap_tol, feas_tol, max_iter,
+def _pdipm(form: ConvexForm, u, gap_tol, feas_tol, max_iter,
            early_stop=None):
     """Primal-dual interior point from a strictly feasible u.
 
     Returns (u, lam, status, iterations, kkt).  `early_stop(u, F)` may end the
-    run as soon as the phase-1 goal is reached.
+    run as soon as the phase-1 goal is reached.  A program without
+    constraints runs the same loop with empty duals: it reduces to damped
+    Newton on the objective.
     """
     m = form.m
     F, sigma = form.constraint_eval(u)
-    if m and F.max() >= 0:
+    if (F >= 0).any():
         raise GpError("interior-point start is not strictly feasible")
-    lam = -1.0 / F if m else np.empty(0)
+    lam = -1.0 / F
     kkt = math.inf
     resets = 2
     for it in range(1, max_iter + 1):
-        F0, g0, sigma0 = obj.objective_eval(u)
-        J = form.jacobian(sigma) if m else None
-        jt_lam = J.T @ lam if m else 0.0
+        F0, g0, sigma0 = form.objective_eval(u)
+        J = form.jacobian(sigma)
+        jt_lam = J.T @ lam
         r_dual = g0 + jt_lam
-        eta = float(-(F @ lam)) if m else 0.0
-        scale = max(1.0, float(np.abs(g0).max()),
-                    float(np.abs(jt_lam).max()) if m else 0.0)
+        eta = float(-(F @ lam))
+        scale = max(1.0, float(np.abs(g0).max()), float(np.abs(jt_lam).max()))
         dual_rel = float(np.abs(r_dual).max()) / scale
         gap_rel = eta / max(1.0, abs(F0))
         kkt = max(dual_rel, gap_rel)
@@ -413,37 +418,28 @@ def _pdipm(form: ConvexForm, obj, u, gap_tol, feas_tol, max_iter,
             return u, lam, STATUS_OPTIMAL, it, kkt
         if dual_rel <= max(feas_tol, 1e-12) and gap_rel <= max(gap_tol, 1e-12):
             return u, lam, STATUS_OPTIMAL, it, kkt
-        if m:
-            t = _MU * m / eta
-            rhs = -g0 - (J.T @ (1.0 / (t * (-F))))
-            H = _hessian(form, obj, u, sigma0, lam, F, sigma, J)
-        else:
-            rhs = -g0
-            H = _hessian(form, obj, u, sigma0, lam, F, sigma, None)
-        du = _trust_region_step(H, rhs)
+        t = _MU * m / eta if m else math.inf
+        rhs = -g0 - (J.T @ (1.0 / (t * (-F))))
+        du = _trust_region_step(_hessian(form, sigma0, g0, lam, F, sigma, J),
+                                rhs)
         if du is None:
             return u, lam, STATUS_NUMERICAL, it, kkt
-        if m:
-            dlam = -lam - 1.0 / (t * F) - (lam / F) * (J @ du)
-            step = 1.0
-            neg = dlam < 0
-            if neg.any():
-                step = min(1.0, 0.99 * float((-lam[neg] / dlam[neg]).min()))
-        else:
-            dlam = np.empty(0)
-            step = 1.0
+        dlam = -lam - 1.0 / (t * F) - (lam / F) * (J @ du)
+        step = 1.0
+        neg = dlam < 0
+        if neg.any():
+            step = min(1.0, 0.99 * float((-lam[neg] / dlam[neg]).min()))
 
         def residual_norm(uu, ll):
             Fn, sig = form.constraint_eval(uu)
-            if m and Fn.max() >= 0:
+            if (Fn >= 0).any():
                 return math.inf, Fn, sig
-            F0n, g0n, _ = obj.objective_eval(uu)
-            Jn = form.jacobian(sig) if m else None
-            rd = g0n + (Jn.T @ ll if m else 0.0)
-            rc = (-ll * Fn - 1.0 / t) if m else np.empty(0)
+            _, g0n, _ = form.objective_eval(uu)
+            rd = g0n + form.jacobian(sig).T @ ll
+            rc = -ll * Fn - 1.0 / t
             return float(np.sqrt(np.sum(rd ** 2) + np.sum(rc ** 2))), Fn, sig
 
-        r_cent = (-lam * F - 1.0 / t) if m else np.empty(0)
+        r_cent = -lam * F - 1.0 / t
         base = float(np.sqrt(np.sum(r_dual ** 2) + np.sum(r_cent ** 2)))
         accepted = False
         while step > 1e-13:
@@ -471,38 +467,18 @@ def _pdipm(form: ConvexForm, obj, u, gap_tol, feas_tol, max_iter,
     return u, lam, STATUS_MAX_ITER, max_iter, kkt
 
 
-class _Phase1Form(ConvexForm):
-    """Constraints F_i(u) - s <= 0 over the extended point (u, s)."""
-
-    def __init__(self, base: ConvexForm):
-        self.base = base
-        self.n = base.n + 1
-        self.m = base.m
-        self.ptr = base.ptr
-        self.seg = base.seg
-        self.S = base.S
-        extra = sp.csr_matrix(
-            (-np.ones(base.con_A.shape[0]),
-             (np.arange(base.con_A.shape[0]), np.zeros(base.con_A.shape[0]))),
-            shape=(base.con_A.shape[0], 1))
-        self.con_A = sp.hstack([base.con_A, extra]).tocsr()
-        self.con_b = base.con_b
-
-
 def _solve_phase1(form: ConvexForm, u0, feas_tol, max_iter):
     """Find a strictly feasible point or certify infeasibility."""
     F, _ = form.constraint_eval(u0)
-    if F.max() < -1e-9:
+    if (F < -1e-9).all():  # also when there are no constraints
         return u0, STATUS_OPTIMAL, 0
-    ext = _Phase1Form(form)
     u = np.append(u0, F.max() + 1.0)
-    obj = _Linear(np.append(np.zeros(form.n), 1.0))
 
     def reached(uu, Fext):
         # constraint values of the original program are F_ext + s
         return float((Fext + uu[-1]).max()) <= -1e-6
 
-    u, _, status, iters, _ = _pdipm(ext, obj, u, gap_tol=1e-9,
+    u, _, status, iters, _ = _pdipm(form.with_slack(), u, gap_tol=1e-9,
                                     feas_tol=feas_tol, max_iter=max_iter,
                                     early_stop=reached)
     F, _ = form.constraint_eval(u[:-1])
@@ -530,24 +506,19 @@ def solve(program: GpProgram, x0=None, *, gap_tol: float = 1e-8,
                     raise GpError(f"start value for {v} must be positive")
                 u0[i] = math.log(x0[v])
 
-    total_iters = 0
-    if form.m:
-        u0, p1_status, p1_iters = _solve_phase1(form, u0, feas_tol,
-                                                max_iterations)
-        total_iters += p1_iters
-        if p1_status == STATUS_INFEASIBLE:
-            return GpSolution(STATUS_INFEASIBLE, {}, math.inf, (), (),
-                              total_iters, math.inf,
-                              "phase 1 found no strictly feasible point")
-        if p1_status != STATUS_OPTIMAL:
-            return GpSolution(p1_status, {}, math.inf, (), (), total_iters,
-                              math.inf, "phase 1 did not converge")
+    u0, p1_status, p1_iters = _solve_phase1(form, u0, feas_tol,
+                                            max_iterations)
+    if p1_status == STATUS_INFEASIBLE:
+        return GpSolution(STATUS_INFEASIBLE, {}, math.inf, (), (), p1_iters,
+                          math.inf, "phase 1 found no strictly feasible point")
+    if p1_status != STATUS_OPTIMAL:
+        return GpSolution(p1_status, {}, math.inf, (), (), p1_iters,
+                          math.inf, "phase 1 did not converge")
 
-    u, lam, status, iters, kkt = _pdipm(form, form, u0, gap_tol, feas_tol,
+    u, lam, status, iters, kkt = _pdipm(form, u0, gap_tol, feas_tol,
                                         max_iterations)
-    total_iters += iters
     x = {v: math.exp(u[i]) if u[i] < 709.0 else math.inf
          for i, v in enumerate(form.variables)}
     objective, con_vals = evaluate(program, x)
     return GpSolution(status, x, objective, tuple(lam),
-                      tuple(con_vals.values()), total_iters, kkt)
+                      tuple(con_vals.values()), p1_iters + iters, kkt)

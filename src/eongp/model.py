@@ -375,21 +375,32 @@ def demands_from_matrix(matrix: np.ndarray, topology: NetworkTopology,
     return tuple(demands)
 
 
-def _from_mapping(cls, mapping, what):
-    known = {f.name for f in fields(cls)}
+def _merge_section(current, mapping, what: str):
+    if not isinstance(mapping, dict):
+        raise InstanceError(f"bad {what} section: not an object")
+    known = {f.name for f in fields(current)}
     unknown = set(mapping) - known
     if unknown:
         raise InstanceError(f"unknown {what} keys: {sorted(unknown)}")
-    if "num_requests" in mapping and mapping["num_requests"] is not None:
+    if mapping.get("num_requests") is not None:
         mapping = dict(mapping, num_requests=int(mapping["num_requests"]))
     try:
-        return cls(**mapping)
+        return replace(current, **mapping)
     except TypeError as exc:
         raise InstanceError(f"bad {what} section: {exc}") from None
 
 
-def load_config(path) -> tuple[PhysicsConstants, ScenarioConfig, ModulationTable]:
-    """Read the constants/config file (JSON with physics/scenario sections)."""
+def load_config(path, base=None
+                ) -> tuple[PhysicsConstants, ScenarioConfig, ModulationTable]:
+    """Layer a config file onto `base`, a (physics, scenario, modulations)
+    triple that defaults to the built-in values.
+
+    The file is JSON with optional physics/scenario/modulations sections;
+    whatever it leaves out keeps its `base` value.
+    """
+    if base is None:
+        base = PhysicsConstants(), ScenarioConfig(), ModulationTable()
+    phys, scen, table = base
     with open(path) as fh:
         try:
             raw = json.load(fh)
@@ -400,13 +411,11 @@ def load_config(path) -> tuple[PhysicsConstants, ScenarioConfig, ModulationTable
     extra = set(raw) - {"physics", "scenario", "modulations"}
     if extra:
         raise InstanceError(f"{path}: unknown sections {sorted(extra)}")
-    phys = _from_mapping(PhysicsConstants, raw.get("physics", {}), "physics")
-    scen = _from_mapping(ScenarioConfig, raw.get("scenario", {}), "scenario")
+    phys = _merge_section(phys, raw.get("physics", {}), "physics")
+    scen = _merge_section(scen, raw.get("scenario", {}), "scenario")
     if "modulations" in raw:
         table = ModulationTable(tuple((float(c), float(o))
                                       for c, o in raw["modulations"]))
-    else:
-        table = ModulationTable()
     return phys, scen, table
 
 

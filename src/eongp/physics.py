@@ -119,6 +119,11 @@ def xci_approx(idx: int, channels, ctx: NoiseContext, order: int = 1) -> ApproxV
         if i == idx or n_shared == 0:
             continue
         spacing = abs(ch.center_hz - other.center_hz)
+        if spacing ** 3 == 0.0:
+            # coincident centers (or a spacing whose cube underflows): the
+            # kernel is singular, an overlap the fits cannot express
+            raise ChannelOverlapError(
+                f"channels {idx} and {i} share a center: spacing {spacing:g} Hz")
         ratio = other.bandwidth_hz / spacing
         if not 0.0 < ratio <= XCI_VALID_LIMIT:
             flagged.append(i)

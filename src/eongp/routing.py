@@ -22,9 +22,9 @@ from dataclasses import dataclass
 import networkx as nx
 import numpy as np
 
-from .model import ConnectionRequest, InstanceError, NetworkTopology, span_count
-
-ROUTING_METHODS = ("spr", "scpr", "scprr")
+from .model import (
+    RTO_METHODS, ConnectionRequest, InstanceError, NetworkTopology, span_count,
+)
 
 
 @dataclass(frozen=True, eq=False)
@@ -229,7 +229,7 @@ def solve_routing(topology: NetworkTopology, requests, method: str = "spr",
                   max_candidates: int = 8, exhaustive_limit: int = 200_000,
                   restarts: int = 16) -> RoutingSolution:
     """Route all requests and derive the processing order."""
-    if method not in ROUTING_METHODS:
+    if method not in RTO_METHODS:
         raise InstanceError(f"unknown routing method {method!r}")
     requests = tuple(requests)
     graph = build_graph(topology)

@@ -16,8 +16,8 @@ from dataclasses import dataclass, replace
 
 from . import gp, physics as ph, psa
 from .model import (
-    InstanceError, ModulationTable, NetworkInstance, PhysicsConstants,
-    ScenarioConfig,
+    RTO_METHODS, InstanceError, ModulationTable, NetworkInstance,
+    PhysicsConstants, ScenarioConfig,
 )
 from .routing import RoutingSolution, solve_routing
 
@@ -66,6 +66,15 @@ def _required(eff: float, fit: str, table: ModulationTable) -> float:
     return ph.required_osnr(eff, fit, table)
 
 
+def _osnr_or_nan(q: int, channels, ctx: ph.NoiseContext, mode: str) -> float:
+    """OSNR under `mode`, NaN where channels sharing spans overlap; the
+    geometry check reports the overlap itself."""
+    try:
+        return ph.osnr(q, channels, ctx, mode).value
+    except ph.ChannelOverlapError:
+        return math.nan
+
+
 def validate(allocation: psa.Allocation, routing: RoutingSolution,
              instance: NetworkInstance,
              scenario: ScenarioConfig | None = None) -> ValidationReport:
@@ -88,17 +97,13 @@ def validate(allocation: psa.Allocation, routing: RoutingSolution,
     exact, model, required, slack, gap = [], [], [], [], []
     noise = 0.0
     for q in range(n):
-        try:
-            value = ph.osnr(q, channels, ctx, "exact")
-        except ph.ChannelOverlapError:
-            value = ph.OsnrValue(math.nan, False, True)
-        exact.append(value.value)
-        model.append(ph.osnr(q, channels, ctx, mode).value)
+        exact.append(_osnr_or_nan(q, channels, ctx, "exact"))
+        model.append(_osnr_or_nan(q, channels, ctx, mode))
         need = scenario.min_margin * _required(allocation.efficiency[q], fit,
                                                instance.modulations)
         required.append(need)
         slack.append(exact[q] / need)
-        if math.isfinite(value.value) and value.value > 0:
+        if math.isfinite(exact[q]) and exact[q] > 0:
             gap.append(abs(exact[q] - model[q]) / exact[q])
             noise += allocation.power_w[q] / exact[q]
         else:
@@ -198,15 +203,15 @@ def sweep_margin(instance: NetworkInstance, margins,
     return series
 
 
-def compare_rto(instance: NetworkInstance, methods=("spr", "scpr", "scprr"),
+def compare_rto(instance: NetworkInstance, methods=RTO_METHODS,
                 scenario: ScenarioConfig | None = None):
-    """Run the heuristic per routing method with the first formulation."""
+    """Run the heuristic per routing method at the scenario's formulation."""
     from .heuristic import run
 
     scenario = instance.scenario if scenario is None else scenario
     results = []
     for method in methods:
-        cfg = replace(scenario, rto_method=method, formulation=1)
+        cfg = replace(scenario, rto_method=method)
         routing, allocation, _ = run(instance, cfg)
         results.append((method, routing, allocation,
                         validate(allocation, routing, instance, cfg)))

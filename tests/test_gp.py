@@ -196,6 +196,32 @@ def test_compiled_gradient_matches_finite_difference():
         assert np.abs(grad - fd).max() < 1e-5
 
 
+def test_with_slack_is_the_phase1_program():
+    rng = np.random.default_rng(11)
+    for _ in range(10):
+        form = ConvexForm(random_program(rng))
+        before = (form.n, form.variables, form.obj_A.toarray(),
+                  form.obj_b.copy(), form.con_A.toarray())
+        ext = form.with_slack()
+        assert ext.n == form.n + 1 and ext.m == form.m
+        u = rng.uniform(-1, 1, size=form.n)
+        s = float(rng.uniform(-2, 2))
+        point = np.append(u, s)
+        # F_ext(u, s) = F(u) - s
+        np.testing.assert_allclose(ext.constraint_values(point),
+                                   form.constraint_values(u) - s,
+                                   rtol=1e-12, atol=1e-12)
+        # the objective is the monomial s: value s, gradient e_s
+        value, grad, _ = ext.objective_eval(point)
+        assert value == s
+        assert np.array_equal(grad, np.eye(ext.n)[-1])
+        # the base form is left untouched
+        assert form.n == before[0] and form.variables == before[1]
+        assert np.array_equal(form.obj_A.toarray(), before[2])
+        assert np.array_equal(form.obj_b, before[3])
+        assert np.array_equal(form.con_A.toarray(), before[4])
+
+
 # ---------------------------------------------------------------- fixing
 
 def test_fix_variable_substitutes():

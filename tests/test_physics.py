@@ -123,6 +123,17 @@ def test_xci_approx_accuracy_and_flags():
         ph.xci_approx(0, chs, ctx, order=2)
 
 
+def test_xci_approx_rejects_coincident_centers():
+    # zero spacing on a shared span: singular kernel, reported as an overlap
+    chs = [chan(2e-3, 200e9, 25e9), chan(3e-3, 200e9, 20e9)]
+    ctx = ctx_for([4, 3], [[4, 3], [3, 3]])
+    for order in (1, 3):
+        with pytest.raises(ph.ChannelOverlapError):
+            ph.xci_approx(0, chs, ctx, order=order)
+    # without a common span the pair does not interact
+    assert ph.xci_approx(0, chs, ctx_for([4, 3]), order=1).value == 0.0
+
+
 # ---------------------------------------------------------------- SCI / ASE
 
 def test_sci_exact_oracle():

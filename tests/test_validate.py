@@ -1,11 +1,14 @@
 import math
+from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from eongp import heuristic, physics as ph, psa, validate
 from eongp.model import (
-    ConnectionRequest, InstanceError, NetworkInstance, PhysicsConstants,
-    ScenarioConfig, TrafficDemand, derived_constants, load_topology,
+    DEFAULT_MODULATIONS, ConnectionRequest, InstanceError, Link,
+    NetworkInstance, NetworkTopology, PhysicsConstants, ScenarioConfig,
+    TrafficDemand, derived_constants, load_topology,
 )
 from eongp.routing import solve_routing
 
@@ -95,6 +98,51 @@ def test_overlap_recorded_not_raised(pair_setup):
     # overlapping pair has no finite exact ratio but the report is complete
     assert all(math.isnan(x) for x in rep.exact_osnr)
     assert len(rep.model_osnr) == 2
+
+
+@pytest.fixture(scope="module")
+def line_setup():
+    # a-c shares spans with a-b and with b-c; a-b and b-c share none
+    topo = NetworkTopology(("a", "b", "c"), (Link(0, "a", "b", 400.0),
+                                             Link(1, "b", "c", 240.0)))
+    reqs = [ConnectionRequest(0, "a", "b", 100e9),
+            ConnectionRequest(1, "b", "c", 100e9),
+            ConnectionRequest(2, "a", "c", 100e9)]
+    routing = solve_routing(topo, reqs, "spr")
+    demands = tuple(TrafficDemand(r.source, r.dest, r.rate_bps) for r in reqs)
+    return routing, NetworkInstance(topo, demands, PHYS, ScenarioConfig())
+
+
+_EFFS = [eff for eff, _ in DEFAULT_MODULATIONS]
+
+
+@settings(deadline=None, derandomize=True)
+@given(power=st.lists(st.floats(1e-6, 1.0), min_size=3, max_size=3),
+       bandwidth=st.lists(st.floats(1e9, 2e11), min_size=3, max_size=3),
+       centers=st.lists(st.floats(-1e13, 1e13), min_size=3, max_size=3),
+       picks=st.lists(st.integers(0, 2), min_size=3, max_size=3),
+       efficiency=st.lists(st.sampled_from(_EFFS) | st.floats(2.0, 12.0),
+                           min_size=3, max_size=3),
+       formulation=st.integers(1, 6))
+def test_validate_never_raises(line_setup, power, bandwidth, centers, picks,
+                               efficiency, formulation):
+    routing, inst = line_setup
+    # requests draw their centers from a pool of three, so repeated picks
+    # put channels on one center frequency
+    center = tuple(centers[k] for k in picks)
+    alloc = psa.Allocation(
+        tuple(power), center, tuple(efficiency), (1.0,) * 3, tuple(bandwidth),
+        max(w + 0.5 * b for w, b in zip(center, bandwidth)), math.nan)
+    scenario = replace(inst.scenario, formulation=formulation)
+    rep = validate.validate(alloc, routing, inst, scenario)
+    assert len(rep.exact_osnr) == len(rep.model_osnr) == len(rep.slack) == 3
+    for q, i in ((0, 2), (1, 2)):
+        if center[q] == center[i]:
+            # a shared span carries both channels on one center: no OSNR
+            # under either model, and the geometry check reports it
+            assert math.isnan(rep.exact_osnr[q])
+            assert math.isnan(rep.model_osnr[q])
+            assert not rep.admissible
 
 
 def test_guard_shortfall_detected(pair_setup):
@@ -190,3 +238,11 @@ def test_compare_rto_mechanics(pair_setup):
         assert routing.method in ("spr", "scprr")
         assert len(alloc.power_w) == len(routing.requests)
         assert rep.violations == ()
+
+
+def test_compare_rto_keeps_formulation(pair_setup):
+    _, inst = pair_setup
+    scenario = replace(inst.scenario, formulation=2)
+    [(_, _, alloc, _)] = validate.compare_rto(inst, ("spr",), scenario)
+    _, expected, _ = heuristic.run(inst, replace(scenario, rto_method="spr"))
+    assert alloc.objective == expected.objective
