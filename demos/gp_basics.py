@@ -45,7 +45,7 @@ def main():
           f"{abs(again.objective - sol.objective) < 1e-9}")
 
     # pinning a variable substitutes it away, shrinking the program
-    pinned = fix_variable(box, "h", 1.0)
+    pinned = fix_variable(box, {"h": 1.0})
     sol2 = solve(pinned)
     print(f"\nwith h pinned to 1: area {sol2.objective:.6f} "
           f"(free optimum {sol.objective:.6f})")

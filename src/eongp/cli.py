@@ -36,9 +36,8 @@ from . import heuristic, physics, psa, validate
 from .gp import STATUS_INFEASIBLE
 from .heuristic import HeuristicError
 from .model import (
-    InstanceError, ModulationTable, NetworkInstance, PhysicsConstants,
-    RTO_METHODS, ScenarioConfig, demands_from_matrix, load_config,
-    load_topology, load_traffic,
+    InstanceError, ModulationTable, PhysicsConstants, RTO_METHODS,
+    ScenarioConfig, load_config, load_instance,
 )
 
 EXIT_IO = 3
@@ -184,23 +183,14 @@ def _trace_payload(trace) -> dict:
 # commands
 # --------------------------------------------------------------------------
 
-def _load_instance(man: RunManifest) -> NetworkInstance:
-    topology = load_topology(man.topology_file)
-    matrix = load_traffic(man.traffic_file)
-    demands = demands_from_matrix(matrix, topology,
-                                  man.scenario.traffic_scale_gbps)
-    return NetworkInstance(topology=topology, demands=demands,
-                           physics=man.physics, scenario=man.scenario,
-                           modulations=man.modulations)
-
-
 def _path_names(routing, topology, q: int) -> str:
     links = [topology.links[i] for i in routing.paths[q]]
     return "-".join([links[0].begin] + [l.end for l in links])
 
 
 def _cmd_run(man: RunManifest) -> None:
-    instance = _load_instance(man)
+    instance = load_instance(man.topology_file, man.traffic_file,
+                             (man.physics, man.scenario, man.modulations))
     started = time.perf_counter()
     routing, allocation, trace = heuristic.run(instance)
     runtime = time.perf_counter() - started
@@ -227,7 +217,8 @@ def _cmd_run(man: RunManifest) -> None:
 
 
 def _cmd_sweep_margin(man: RunManifest) -> None:
-    instance = _load_instance(man)
+    instance = load_instance(man.topology_file, man.traffic_file,
+                             (man.physics, man.scenario, man.modulations))
     series = validate.sweep_margin(instance, man.margins)
     rows = [(margin, report.mean_rate_per_resource, report.total_noise_w,
              report.total_power_w, report.spectrum_edge_hz,
@@ -244,7 +235,8 @@ def _cmd_sweep_margin(man: RunManifest) -> None:
 
 
 def _cmd_compare_rto(man: RunManifest) -> None:
-    instance = _load_instance(man)
+    instance = load_instance(man.topology_file, man.traffic_file,
+                             (man.physics, man.scenario, man.modulations))
     results = validate.compare_rto(instance, scenario=man.scenario)
     rows = [(method, report.total_power_w, report.total_noise_w,
              report.spectrum_edge_hz, allocation.objective, report.admissible)
@@ -260,7 +252,8 @@ def _cmd_compare_rto(man: RunManifest) -> None:
 
 
 def _cmd_compare_gpsa(man: RunManifest) -> None:
-    instance = _load_instance(man)
+    instance = load_instance(man.topology_file, man.traffic_file,
+                             (man.physics, man.scenario, man.modulations))
     rows = []
     details = []
     for formulation in sorted(psa.FORMULATION_FIT):

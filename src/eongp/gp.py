@@ -56,9 +56,6 @@ class Monomial:
     def value(self, point) -> float:
         return self.coef * math.prod(point[v] ** e for v, e in self.exponents)
 
-    def scaled(self, factor: float) -> "Monomial":
-        return Monomial(self.coef * factor, self.exponents)
-
 
 @dataclass(frozen=True)
 class Posynomial:
@@ -122,28 +119,31 @@ def program_size(program: GpProgram) -> tuple[int, int]:
     return len(program.variables), len(program.constraints)
 
 
-def fix_variable(program: GpProgram, name: str, value: float) -> GpProgram:
-    """Substitute a variable by a constant and drop it from the program.
+def fix_variable(program: GpProgram, values: dict[str, float]) -> GpProgram:
+    """Substitute variables by constants and drop them from the program.
 
+    `values` maps variable names to positive values.  Within a term the
+    pins multiply into the coefficient in the mapping's order, so one call
+    gives the same floats as a chain of single pins in that order.
     Constraints that become constant are checked and removed; a constant
     constraint above 1 means the fix is infeasible and raises GpError.
     """
-    if name not in program.variables:
-        raise GpError(f"unknown variable {name!r}")
-    if not value > 0:
-        raise GpError(f"fixed value for {name} must be positive")
+    for name, value in values.items():
+        if name not in program.variables:
+            raise GpError(f"unknown variable {name!r}")
+        if not value > 0:
+            raise GpError(f"fixed value for {name} must be positive")
+    rank = {name: k for k, name in enumerate(values)}
 
     def subst(posy: Posynomial) -> Posynomial:
         out = []
         for t in posy.terms:
-            factor = 1.0
-            kept = []
-            for v, e in t.exponents:
-                if v == name:
-                    factor *= value ** e
-                else:
-                    kept.append((v, e))
-            out.append(Monomial(t.coef * factor, tuple(kept)))
+            coef = t.coef
+            for _, v, e in sorted((rank[v], v, e) for v, e in t.exponents
+                                  if v in rank):
+                coef *= values[v] ** e
+            out.append(Monomial(coef, tuple((v, e) for v, e in t.exponents
+                                            if v not in rank)))
         return Posynomial(tuple(out))
 
     objective = subst(program.objective)
@@ -155,9 +155,10 @@ def fix_variable(program: GpProgram, name: str, value: float) -> GpProgram:
         else:
             const = new.value({})
             if const > 1.0 + 1e-9:
-                raise GpError(f"fixing {name}={value:g} violates {cname} "
+                pins = ", ".join(f"{n}={v:g}" for n, v in values.items())
+                raise GpError(f"fixing {pins} violates {cname} "
                               f"({const:.9g} > 1)")
-    variables = tuple(v for v in program.variables if v != name)
+    variables = tuple(v for v in program.variables if v not in rank)
     return GpProgram(objective, tuple(constraints), variables)
 
 
@@ -375,7 +376,7 @@ def _trust_region_step(H, rhs):
     """
     du = _solve_newton(H, rhs)
     if du is not None and np.isfinite(du).all() and \
-            float(np.abs(du).max()) <= _MAX_STEP:
+            float(np.abs(du).max(initial=0.0)) <= _MAX_STEP:
         return du
     nu = max(1e-14, 1e-6 * float(np.abs(rhs).max()) / _MAX_STEP)
     eye = np.eye(H.shape[0])
@@ -410,8 +411,9 @@ def _pdipm(form: ConvexForm, u, gap_tol, feas_tol, max_iter,
         jt_lam = J.T @ lam
         r_dual = g0 + jt_lam
         eta = float(-(F @ lam))
-        scale = max(1.0, float(np.abs(g0).max()), float(np.abs(jt_lam).max()))
-        dual_rel = float(np.abs(r_dual).max()) / scale
+        scale = max(1.0, float(np.abs(g0).max(initial=0.0)),
+                    float(np.abs(jt_lam).max(initial=0.0)))
+        dual_rel = float(np.abs(r_dual).max(initial=0.0)) / scale
         gap_rel = eta / max(1.0, abs(F0))
         kkt = max(dual_rel, gap_rel)
         if early_stop is not None and early_stop(u, F):
@@ -495,7 +497,8 @@ def solve(program: GpProgram, x0=None, *, gap_tol: float = 1e-8,
     """Solve a geometric program.
 
     x0 maps variable names to positive starting values; missing names start
-    at 1.  A strictly feasible start skips phase 1.
+    at 1 and names the program lacks are ignored.  A strictly feasible
+    start skips phase 1.
     """
     form = ConvexForm(program)
     u0 = np.zeros(form.n)

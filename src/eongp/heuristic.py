@@ -90,18 +90,12 @@ def _pick_fixes(solution_vars, unfixed, candidates, step: float):
 
 def assign(routing: RoutingSolution, physics: PhysicsConstants,
            scenario: ScenarioConfig,
-           modulations: ModulationTable | None = None,
-           formulation: int | None = None
+           modulations: ModulationTable | None = None
            ) -> tuple[psa.Allocation, HeuristicTrace]:
     """Stage 2: relax, iteratively round efficiencies, re-solve."""
     modulations = ModulationTable() if modulations is None else modulations
-    formulation = scenario.formulation if formulation is None else formulation
-    candidates = [eff for eff, _ in modulations.entries]
-
-    program = psa.build_program(routing, physics, scenario, modulations,
-                                formulation)
-    start = psa.warm_start(routing, physics, scenario, modulations,
-                           formulation)
+    program = psa.build_program(routing, physics, scenario, modulations)
+    start = psa.warm_start(routing, physics, scenario)
     tols = dict(gap_tol=scenario.gap_tol, feas_tol=scenario.feas_tol,
                 max_iterations=scenario.max_iterations)
 
@@ -117,29 +111,27 @@ def assign(routing: RoutingSolution, physics: PhysicsConstants,
     relaxed_objective = solution.objective
 
     unfixed = list(routing.order)
-    fixed: dict[int, float] = {}
+    pinned: dict[str, float] = {}
     rounds: list[RoundingRound] = []
     while unfixed:
-        batch = _pick_fixes(solution.variables, unfixed, candidates,
-                            physics.round_step)
+        batch = _pick_fixes(solution.variables, unfixed,
+                            modulations.efficiencies, physics.round_step)
         rounds.append(RoundingRound(solution.objective, tuple(batch)))
-        for rec in batch:
-            program = gp.fix_variable(program, psa.c_var(rec.request),
-                                      rec.fixed)
-            fixed[rec.request] = rec.fixed
-            unfixed.remove(rec.request)
-        start = {name: solution.variables[name] for name in program.variables}
-        partial = HeuristicTrace(routing.method, formulation, tuple(rounds),
-                                 relaxed_objective, float("nan"))
-        solution = solve_or_abort(program, start,
+        pins = {psa.c_var(rec.request): rec.fixed for rec in batch}
+        program = gp.fix_variable(program, pins)
+        pinned.update(pins)
+        unfixed = [q for q in unfixed if psa.c_var(q) not in pins]
+        partial = HeuristicTrace(routing.method, scenario.formulation,
+                                 tuple(rounds), relaxed_objective,
+                                 float("nan"))
+        solution = solve_or_abort(program, solution.variables,
                                   f"round {len(rounds)}", partial)
 
-    full = dict(solution.variables)
-    for q, value in fixed.items():
-        full[psa.c_var(q)] = value
-    allocation = psa.extract(full, routing, solution.objective)
-    trace = HeuristicTrace(routing.method, formulation, tuple(rounds),
-                           relaxed_objective, solution.objective)
+    allocation = psa.extract({**solution.variables, **pinned}, routing,
+                             solution.objective)
+    trace = HeuristicTrace(routing.method, scenario.formulation,
+                           tuple(rounds), relaxed_objective,
+                           solution.objective)
     return allocation, trace
 
 

@@ -429,14 +429,18 @@ def save_config(phys: PhysicsConstants, scen: ScenarioConfig, path) -> None:
         fh.write("\n")
 
 
-def load_instance(topology_file, traffic_file, constants_file=None) -> NetworkInstance:
-    """Assemble a network instance from its input files."""
+def load_instance(topology_file, traffic_file, config=None
+                  ) -> NetworkInstance:
+    """Assemble a network instance from its input files.
+
+    `config` is a (physics, scenario, modulations) triple such as
+    `load_config` returns; it defaults to the built-in values.
+    """
+    if config is None:
+        config = PhysicsConstants(), ScenarioConfig(), ModulationTable()
+    phys, scen, table = config
     topology = load_topology(topology_file)
-    matrix = load_traffic(traffic_file)
-    if constants_file is not None:
-        phys, scen, table = load_config(constants_file)
-    else:
-        phys, scen, table = PhysicsConstants(), ScenarioConfig(), ModulationTable()
-    demands = demands_from_matrix(matrix, topology, scen.traffic_scale_gbps)
+    demands = demands_from_matrix(load_traffic(traffic_file), topology,
+                                  scen.traffic_scale_gbps)
     return NetworkInstance(topology=topology, demands=demands, physics=phys,
                            scenario=scen, modulations=table)

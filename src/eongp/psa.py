@@ -40,6 +40,9 @@ FORMULATION_FIT = {1: "power_law", 2: "power_law",
                    5: "binomial_frac", 6: "binomial_frac"}
 FORMULATION_ORDER = {1: 1, 2: 3, 3: 1, 4: 3, 5: 1, 6: 3}
 
+# spectral efficiency (bit/s/Hz) every request starts from in warm_start
+_START_EFFICIENCY = 3.0
+
 
 def p_var(q: int) -> str:
     return f"p[{q}]"
@@ -99,14 +102,10 @@ def _times(terms, factor_terms):
 
 def build_program(routing: RoutingSolution, physics: PhysicsConstants,
                   scenario: ScenarioConfig,
-                  modulations: ModulationTable | None = None,
-                  formulation: int | None = None) -> GpProgram:
-    """Assemble the allocation program for one formulation."""
-    formulation = scenario.formulation if formulation is None else formulation
-    if formulation not in FORMULATION_FIT:
-        raise InstanceError(f"formulation must be 1..6, got {formulation}")
-    fit = FORMULATION_FIT[formulation]
-    order = FORMULATION_ORDER[formulation]
+                  modulations: ModulationTable | None = None) -> GpProgram:
+    """Assemble the allocation program for the scenario's formulation."""
+    fit = FORMULATION_FIT[scenario.formulation]
+    order = FORMULATION_ORDER[scenario.formulation]
     table = modulations or ModulationTable()
     der = derived_constants(physics)
     n = len(routing.requests)
@@ -224,31 +223,28 @@ def build_program(routing: RoutingSolution, physics: PhysicsConstants,
 
 
 def warm_start(routing: RoutingSolution, physics: PhysicsConstants,
-               scenario: ScenarioConfig,
-               modulations: ModulationTable | None = None,
-               formulation: int | None = None,
-               efficiency: float = 3.0) -> dict[str, float]:
+               scenario: ScenarioConfig) -> dict[str, float]:
     """Structural starting point: stacked spectrum, balanced powers.
 
     Strict feasibility is not guaranteed; the solver falls back to its
     phase-1 stage from here when needed.
     """
-    formulation = scenario.formulation if formulation is None else formulation
     der = derived_constants(physics)
     n = len(routing.requests)
     rates = [r.rate_bps for r in routing.requests]
     start: dict[str, float] = {}
     margin = 1.05 * scenario.min_margin
-    bw = {q: rates[q] / efficiency for q in range(n)}
+    bw = {q: rates[q] / _START_EFFICIENCY for q in range(n)}
     # stack channels in processing order with doubled guards
     edge = physics.guard_hz
     for q in routing.order:
         start[w_var(q)] = edge + 2.0 * physics.guard_hz + 0.5 * bw[q]
         edge = start[w_var(q)] + 0.5 * bw[q]
-        start[c_var(q)] = efficiency
+        start[c_var(q)] = _START_EFFICIENCY
         start[m_var(q)] = margin
-        if FORMULATION_FIT[formulation] == "binomial_frac":
-            start[t_var(q)] = 1.05 * (1.0 + OSNR_BINOM_SLOPE * efficiency)
+        if FORMULATION_FIT[scenario.formulation] == "binomial_frac":
+            start[t_var(q)] = 1.05 * (1.0 + OSNR_BINOM_SLOPE
+                                         * _START_EFFICIENCY)
         # power balancing amplifier noise against self interference
         noise_lin = der.ase * routing.span_counts[q] * bw[q]
         noise_cub = der.kerr * der.sci_shape * routing.span_counts[q]

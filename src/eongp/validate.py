@@ -143,8 +143,7 @@ def _geometry_violations(allocation, routing, physics: PhysicsConstants):
 
 def brute_force_psa(routing: RoutingSolution, physics: PhysicsConstants,
                     scenario: ScenarioConfig,
-                    modulations: ModulationTable | None = None,
-                    formulation: int | None = None
+                    modulations: ModulationTable | None = None
                     ) -> tuple[psa.Allocation, dict[int, float]]:
     """Best allocation over every table-value assignment of efficiencies.
 
@@ -153,32 +152,22 @@ def brute_force_psa(routing: RoutingSolution, physics: PhysicsConstants,
     small request sets are accepted; the grid grows as 6^|Q|.
     """
     modulations = ModulationTable() if modulations is None else modulations
-    formulation = scenario.formulation if formulation is None else formulation
     n = len(routing.requests)
     if not 0 < n <= 4:
         raise InstanceError("brute force supports 1..4 requests")
-    values = [eff for eff, _ in modulations.entries]
 
-    base = psa.build_program(routing, physics, scenario, modulations,
-                             formulation)
-    start = psa.warm_start(routing, physics, scenario, modulations,
-                           formulation)
+    base = psa.build_program(routing, physics, scenario, modulations)
+    start = psa.warm_start(routing, physics, scenario)
     best = None
-    for combo in itertools.product(values, repeat=n):
-        program = base
-        for q, value in zip(range(n), combo):
-            program = gp.fix_variable(program, psa.c_var(q), value)
-        x0 = {name: start[name] for name in program.variables}
-        sol = gp.solve(program, x0, gap_tol=scenario.gap_tol,
-                       feas_tol=scenario.feas_tol,
+    for combo in itertools.product(modulations.efficiencies, repeat=n):
+        pins = {psa.c_var(q): value for q, value in enumerate(combo)}
+        sol = gp.solve(gp.fix_variable(base, pins), start,
+                       gap_tol=scenario.gap_tol, feas_tol=scenario.feas_tol,
                        max_iterations=scenario.max_iterations)
         if sol.status != "optimal":
             continue
         if best is None or sol.objective < best[0]:
-            full = dict(sol.variables)
-            for q, value in zip(range(n), combo):
-                full[psa.c_var(q)] = value
-            best = (sol.objective, full, combo)
+            best = (sol.objective, {**sol.variables, **pins}, combo)
     if best is None:
         raise InstanceError("every efficiency combination is infeasible")
     objective, full, combo = best

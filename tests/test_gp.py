@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from eongp.gp import (
     ConvexForm, GpError, GpProgram, GpSolution, Monomial, Posynomial, assemble,
@@ -165,6 +166,48 @@ def test_solver_is_deterministic():
     assert one.iterations == two.iterations
 
 
+@settings(deadline=None, derandomize=True)
+@given(a=st.floats(0.1, 10.0), b=st.floats(0.1, 10.0),
+       alpha=st.floats(0.25, 3.0), beta=st.floats(0.25, 3.0),
+       lo_exp=st.floats(-2.0, 2.0), width_exp=st.floats(0.05, 3.0),
+       feasible=st.booleans())
+def test_one_variable_program_against_closed_form(a, b, alpha, beta, lo_exp,
+                                                  width_exp, feasible):
+    # min a x^alpha + b x^-beta  s.t.  x/hi <= 1, lo/x <= 1
+    lo = 10.0 ** lo_exp
+    hi = lo * 10.0 ** width_exp if feasible else lo / 10.0 ** width_exp
+    prog = assemble(posy(mono(a, x=alpha), mono(b, x=-beta)),
+                    [("hi", posy(mono(1.0 / hi, x=1.0))),
+                     ("lo", posy(mono(lo, x=-1.0)))])
+    sol = solve(prog)
+    if not feasible:  # lo >= 1.1 hi
+        assert sol.status == "infeasible"
+        return
+    free = (b * beta / (a * alpha)) ** (1.0 / (alpha + beta))
+    best = min(max(free, lo), hi)
+    assert sol.status == "optimal"
+    assert sol.objective == pytest.approx(a * best ** alpha
+                                          + b * best ** -beta, rel=1e-6)
+    # x itself is accurate to 1e-6 only away from the bounds: with the free
+    # optimum within a few percent of a bound the multiplier is near zero
+    # and the iterates converge in x like sqrt(gap), up to 4e-4 relative
+    if min(abs(math.log(free / lo)), abs(math.log(free / hi))) >= 0.1:
+        assert sol.value("x") == pytest.approx(best, rel=1e-6)
+
+
+@pytest.mark.parametrize("program, status, objective", [
+    (fix_variable(assemble(posy(mono(1.0, x=1.0), mono(3.0)), []),
+                  {"x": 2.0}), "optimal", 5.0),
+    (from_text("gp 1\nminimize\n  2.0\nst c\n  0.5\n"), "optimal", 2.0),
+    (from_text("gp 1\nminimize\n  2.0\nst c\n  1.5\n"), "infeasible",
+     math.inf),
+], ids=["last-variable-pinned", "constant-row-met", "constant-row-violated"])
+def test_program_without_variables(program, status, objective):
+    sol = solve(program)
+    assert sol.status == status
+    assert sol.objective == pytest.approx(objective)
+
+
 # ---------------------------------------------------------------- gradients
 
 def random_program(rng, n_vars=4, n_terms=3):
@@ -226,7 +269,7 @@ def test_with_slack_is_the_phase1_program():
 
 def test_fix_variable_substitutes():
     prog = am_gm_program()
-    fixed = fix_variable(prog, "x", 1.0)
+    fixed = fix_variable(prog, {"x": 1.0})
     assert fixed.variables == ("y",)
     sol = solve(fixed)
     assert sol.objective == pytest.approx(2.0, abs=1e-6)  # 1 + y at y = 1
@@ -236,19 +279,48 @@ def test_fix_variable_drops_satisfied_constant_rows():
     prog = assemble(posy(mono(1.0, x=1.0), mono(1.0, y=1.0)),
                     [("cap", posy(mono(0.25, x=1.0))),
                      ("link", posy(mono(1.0, x=-1.0, y=-1.0)))])
-    fixed = fix_variable(prog, "x", 2.0)
+    fixed = fix_variable(prog, {"x": 2.0})
     assert [n for n, _ in fixed.constraints] == ["link"]
     with pytest.raises(GpError):
-        fix_variable(prog, "x", 8.0)  # cap becomes 2 > 1
+        fix_variable(prog, {"x": 8.0})  # cap becomes 2 > 1
     with pytest.raises(GpError):
-        fix_variable(prog, "zz", 1.0)
+        fix_variable(prog, {"zz": 1.0})
     with pytest.raises(GpError):
-        fix_variable(prog, "x", 0.0)
+        fix_variable(prog, {"x": 0.0})
+
+
+_NAMES = ("a", "b", "x", "y")
+_term = st.builds(
+    lambda coef, exps: Monomial.make(
+        coef, [(v, e) for v, e in zip(_NAMES, exps) if e is not None]),
+    st.floats(0.1, 10.0),
+    st.lists(st.none() | st.floats(-3.0, 3.0), min_size=4, max_size=4))
+_posy = st.lists(_term, min_size=1, max_size=3).map(
+    lambda terms: Posynomial(tuple(terms)))
+
+
+@settings(deadline=None, derandomize=True)
+@given(objective=_posy, rows=st.lists(_posy, max_size=4),
+       va=st.floats(0.1, 10.0), vb=st.floats(0.1, 10.0))
+def test_one_substitution_equals_a_chain_of_pins(objective, rows, va, vb):
+    # terms may hold both pins, whose factors must multiply in the mapping's
+    # order (b before a, unlike the sorted exponents); rows on a and b alone
+    # become constant and are checked or dropped
+    prog = GpProgram(objective,
+                     tuple((f"r{k}", row) for k, row in enumerate(rows)),
+                     _NAMES)
+    try:
+        once = fix_variable(prog, {"b": vb, "a": va})
+    except GpError:
+        with pytest.raises(GpError):
+            fix_variable(fix_variable(prog, {"b": vb}), {"a": va})
+        return
+    assert once == fix_variable(fix_variable(prog, {"b": vb}), {"a": va})
 
 
 def test_fix_keeps_constant_objective_terms():
     prog = am_gm_program()
-    fixed = fix_variable(prog, "x", 5.0)
+    fixed = fix_variable(prog, {"x": 5.0})
     # objective is 5 + y; constraint 0.2/y <= 1 pushes y to 0.2
     sol = solve(fixed)
     assert sol.objective == pytest.approx(5.2, abs=1e-6)

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -35,7 +36,7 @@ def test_fixture_geometry(chain_routing):
 
 def test_program_inventory(chain_routing):
     scen = ScenarioConfig()
-    prog = psa.build_program(chain_routing, PHYS, scen, formulation=1)
+    prog = psa.build_program(chain_routing, PHYS, scen)
     pairs = psa.shared_pairs(chain_routing)
     assert len(pairs) == 6  # all three requests pairwise share spans
     want_vars = {f"{k}[{q}]" for k in "pwcm" for q in range(3)} \
@@ -52,7 +53,8 @@ def test_program_inventory(chain_routing):
     assert "band" in names
     assert sum(n.startswith("gap") for n in names) == 6
     # the fractional fit adds one auxiliary variable and row per request
-    prog5 = psa.build_program(chain_routing, PHYS, scen, formulation=5)
+    prog5 = psa.build_program(chain_routing, PHYS,
+                              replace(scen, formulation=5))
     assert set(prog5.variables) - want_vars == {"t[0]", "t[1]", "t[2]"}
     assert sum(n.startswith("aux") for n, _ in prog5.constraints) == 3
 
@@ -84,9 +86,8 @@ def point_for(routing, eff=4.0, power=3e-4, base_hz=40e9, step_hz=75e9):
 def test_qos_matches_physics_model(chain_routing, formulation):
     # the program's quality rows must equal margin * fit(c) * noise/p with
     # noise evaluated by the physics module at the same operating point
-    scen = ScenarioConfig()
-    prog = psa.build_program(chain_routing, PHYS, scen,
-                             formulation=formulation)
+    scen = ScenarioConfig(formulation=formulation)
+    prog = psa.build_program(chain_routing, PHYS, scen)
     point = point_for(chain_routing)
     ctx = ph.NoiseContext(chain_routing.span_counts,
                           chain_routing.shared_spans, DER)
@@ -134,10 +135,9 @@ def test_order_and_gap_row_structure(chain_routing):
 
 
 def solve_chain(chain_routing, formulation, scen=None):
-    scen = scen or ScenarioConfig()
-    prog = psa.build_program(chain_routing, PHYS, scen,
-                             formulation=formulation)
-    x0 = psa.warm_start(chain_routing, PHYS, scen, formulation=formulation)
+    scen = replace(scen or ScenarioConfig(), formulation=formulation)
+    prog = psa.build_program(chain_routing, PHYS, scen)
+    x0 = psa.warm_start(chain_routing, PHYS, scen)
     return prog, gp.solve(prog, x0)
 
 
@@ -218,7 +218,7 @@ def test_all_zero_weights_rejected(chain_routing):
     with pytest.raises(InstanceError):
         psa.build_program(chain_routing, PHYS, scen)
     with pytest.raises(InstanceError):
-        psa.build_program(chain_routing, PHYS, ScenarioConfig(), formulation=9)
+        psa.build_program(chain_routing, PHYS, ScenarioConfig(formulation=9))
 
 
 # ---------------------------------------------------------------- sizes
