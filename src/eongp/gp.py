@@ -5,7 +5,8 @@ monomials.  A program minimizes a posynomial subject to posynomial <= 1
 constraints.  Substituting x = exp(u) turns every posynomial into
 log-sum-exp(A u + b), a smooth convex function, and the program into a
 standard convex one.  The solver below works on that compiled form with a
-primal-dual interior-point method; a phase-1 stage finds a strictly feasible
+primal-dual interior-point method whose Newton systems are assembled and
+factored as sparse matrices; a phase-1 stage finds a strictly feasible
 start or certifies infeasibility.
 
 Contract: a solution with status "optimal" has relative KKT residual at most
@@ -18,11 +19,11 @@ from __future__ import annotations
 
 import copy
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import LinAlgError, cho_factor, cho_solve
+import scipy.sparse.linalg as spla
 
 STATUS_OPTIMAL = "optimal"
 STATUS_INFEASIBLE = "infeasible"
@@ -234,6 +235,28 @@ def from_text(text: str) -> GpProgram:
 # compiled log-space form
 # --------------------------------------------------------------------------
 
+def _indptr(major, size):
+    """Index pointer of sorted major indices (rows of CSR, columns of CSC)."""
+    return np.concatenate(([0], np.cumsum(np.bincount(major, minlength=size))))
+
+
+def _pairs(indptr):
+    """(group, first, second) entry indices of every pair first <= second
+    within each group of an index pointer; k entries give k(k+1)/2 pairs.
+
+    Pair r of a group is (r - b(b+1)/2, b) with b(b+1)/2 <= r < (b+1)(b+2)/2,
+    so b is the floor of (sqrt(8r + 1) - 1) / 2, exact in floating point
+    for any r below 2^40.
+    """
+    counts = np.diff(indptr).astype(np.int64)
+    sizes = counts * (counts + 1) // 2
+    group = np.repeat(np.arange(len(counts)), sizes)
+    r = np.arange(int(sizes.sum())) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    second = ((np.sqrt(8.0 * r + 1.0) - 1.0) // 2.0).astype(np.int64)
+    start = np.asarray(indptr, dtype=np.int64)[group]
+    return group, start + r - second * (second + 1) // 2, start + second
+
+
 class ConvexForm:
     """log-sum-exp compilation of a program over u = log x."""
 
@@ -251,9 +274,7 @@ class ConvexForm:
         self.con_A, self.con_b = self._matrix(terms, col)
         self.ptr = np.asarray(ptr)
         self.seg = np.repeat(np.arange(self.m), np.diff(self.ptr))
-        total = len(terms)
-        self.S = sp.csr_matrix(
-            (np.ones(total), (self.seg, np.arange(total))), shape=(self.m, total))
+        self._compile()
 
     def _matrix(self, terms, col):
         rows, cols, vals = [], [], []
@@ -266,6 +287,50 @@ class ConvexForm:
                 vals.append(e)
         A = sp.csr_matrix((vals, (rows, cols)), shape=(len(terms), self.n))
         return A, b
+
+    def _compile(self):
+        """Fix the sparsity patterns of the Jacobian and the Newton system.
+
+        Every entry of J = S diag(sigma) con_A (S sums the terms of each
+        constraint) and of K = [[H_s, g0], [g0^T, 1]] (see `_hessian`) is a
+        sum of weight x fixed-coefficient products.  The index arrays built
+        here say which product lands on which stored entry, so each call
+        fills J.data, or K's upper triangle, with one bincount.
+        """
+        n, N = self.n, self.n + 1
+        C = self.con_A
+        # J: entry e of con_A, in term t and column j, adds to J[seg[t], j]
+        self._con_term = np.repeat(np.arange(C.shape[0]), np.diff(C.indptr))
+        keys, self._jac_pos = np.unique(
+            self.seg[self._con_term] * n + C.indices, return_inverse=True)
+        rows, self._jac_indices = np.divmod(keys, max(n, 1))
+        self._jac_indptr = _indptr(rows, self.m)
+        # K: the term pairs of A0^T diag(sigma0) A0 and C^T diag(w) C, the
+        # row pairs of J^T diag(c) J, the g0 border and the diagonal, each
+        # summed once into K's upper triangle (CSC key: column * N + row)
+        T = sp.vstack([self.obj_A, C]).tocsr()
+        self._pair_term, p, q = _pairs(T.indptr)
+        self._pair_coef = T.data[p] * T.data[q]
+        self._jac_row, self._jac_p, self._jac_q = _pairs(self._jac_indptr)
+        self._border = np.unique(self.obj_A.indices)
+        diag = np.arange(N)
+        i = np.concatenate((T.indices[p], self._jac_indices[self._jac_p],
+                            self._border, diag))
+        j = np.concatenate((T.indices[q], self._jac_indices[self._jac_q],
+                            np.full(len(self._border), n), diag))
+        upper, self._kkt_pos = np.unique(
+            np.maximum(i, j) * N + np.minimum(i, j), return_inverse=True)
+        # the full symmetric pattern; each slot reads its upper entry
+        col, row = np.divmod(upper, N)
+        keys, first = np.unique(np.concatenate((upper, row * N + col)),
+                                return_index=True)
+        self._kkt_mirror = first % len(upper)
+        cols, self._kkt_indices = np.divmod(keys, N)
+        self._kkt_indptr = _indptr(cols, N)
+        # slots of K[j, j], j < n
+        self._kkt_diag = np.searchsorted(keys, diag[:-1] * (N + 1))
+        # K[n, n] = 1; the zeros keep every diagonal slot stored for ridges
+        self._kkt_diag_weight = np.append(np.zeros(n), 1.0)
 
     def objective_eval(self, u):
         """(value, gradient, term weights) of the compiled objective."""
@@ -302,11 +367,15 @@ class ConvexForm:
             (-np.ones(rows), (np.arange(rows), np.zeros(rows))),
             shape=(rows, 1))
         ext.con_A = sp.hstack([self.con_A, extra]).tocsr()
+        ext._compile()
         return ext
 
     def jacobian(self, sigma):
         """Constraint gradients (m x n, sparse) from the term weights."""
-        return (self.S @ sp.diags(sigma) @ self.con_A).tocsr()
+        data = np.bincount(self._jac_pos,
+                           sigma[self._con_term] * self.con_A.data)
+        return sp.csr_matrix((data, self._jac_indices, self._jac_indptr),
+                             shape=(self.m, self.n))
 
     def constraint_values(self, u):
         return self.constraint_eval(u)[0]
@@ -344,44 +413,80 @@ _MAX_STEP = 20.0  # cap on the infinity norm of a Newton step in log space
 
 
 def _hessian(form: ConvexForm, sigma0, g0, lam, F, sigma, J):
-    H = (form.obj_A.T @ sp.diags(sigma0) @ form.obj_A).toarray()
-    H -= np.outer(g0, g0)
-    w = lam[form.seg] * sigma
-    H += (form.con_A.T @ sp.diags(w) @ form.con_A).toarray()
-    Jd = J.toarray()
+    """Data of K = [[H_s, g0], [g0^T, 1]] in the form's compiled pattern.
+
+    The Newton matrix is H = H_s - g0 g0^T with
+    H_s = A0^T diag(sigma0) A0 + C^T diag(lam_seg sigma) C
+          + J^T diag(lam (1/(-F) - 1)) J.
+    Its rank-1 term is dense, so it enters K as a border instead: the Schur
+    complement of K's last entry is H, so K is positive definite exactly
+    when H is, and K [du; -g0^T du] = [rhs; 0] solves H du = rhs.  J must
+    come from `form.jacobian`, whose data is in the form's order.
+    """
+    weights = np.concatenate((sigma0, lam[form.seg] * sigma))
     coefs = lam * (1.0 / (-F) - 1.0)
-    H += (Jd * coefs[:, None]).T @ Jd
-    return H
+    upper = np.bincount(form._kkt_pos, np.concatenate((
+        weights[form._pair_term] * form._pair_coef,
+        coefs[form._jac_row] * J.data[form._jac_p] * J.data[form._jac_q],
+        g0[form._border], form._kkt_diag_weight)))
+    return upper[form._kkt_mirror]
 
 
-def _solve_newton(H, rhs):
+def _shifted(form: ConvexForm, kdata, shift):
+    """K's data with `shift` added to the diagonal of its H_s block."""
+    out = kdata.copy()
+    out[form._kkt_diag] += shift
+    return out
+
+
+def _factor(K):
+    """SuperLU factor of a symmetric CSC matrix K, or None unless K is
+    positive definite.
+
+    K is factored with diagonal pivots in a symmetric fill-reducing order,
+    so the factor is accepted exactly when every pivot is positive, the
+    test a Cholesky factorization makes.
+    """
+    try:
+        lu = spla.splu(K, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                       options={"SymmetricMode": True})
+    except RuntimeError:  # exactly singular
+        return None
+    if not np.array_equal(lu.perm_r, lu.perm_c):
+        return None
+    pivots = lu.U.diagonal()
+    return lu if np.isfinite(pivots).all() and (pivots > 0).all() else None
+
+
+def _solve_newton(form: ConvexForm, kdata, rhs):
+    """Solve H du = rhs through K, adding an escalating ridge to H until it
+    is positive definite; None if it never is."""
+    size = form.n + 1
     ridge = 0.0
     for _ in range(6):
-        try:
-            factor = cho_factor(
-                H if ridge == 0.0 else H + ridge * np.eye(H.shape[0]),
-                lower=True, check_finite=False)
-            return cho_solve(factor, rhs, check_finite=False)
-        except (LinAlgError, ValueError):
-            ridge = 1e-10 if ridge == 0.0 else ridge * 100.0
+        lu = _factor(sp.csc_matrix(
+            (kdata if ridge == 0.0 else _shifted(form, kdata, ridge),
+             form._kkt_indices, form._kkt_indptr), shape=(size, size)))
+        if lu is not None:
+            return lu.solve(np.append(rhs, 0.0))[:-1]
+        ridge = 1e-10 if ridge == 0.0 else ridge * 100.0
     return None
 
 
-def _trust_region_step(H, rhs):
+def _trust_region_step(form: ConvexForm, kdata, rhs):
     """Newton step, damped toward the gradient when H is near singular.
 
     Far from the central path the log-sum-exp Hessian can lose rank and the
     raw Newton step explodes along its null space.  Escalating damping keeps
     the step inside a fixed log-space box while staying a descent direction.
     """
-    du = _solve_newton(H, rhs)
+    du = _solve_newton(form, kdata, rhs)
     if du is not None and np.isfinite(du).all() and \
             float(np.abs(du).max(initial=0.0)) <= _MAX_STEP:
         return du
     nu = max(1e-14, 1e-6 * float(np.abs(rhs).max()) / _MAX_STEP)
-    eye = np.eye(H.shape[0])
     for _ in range(40):
-        du = _solve_newton(H + nu * eye, rhs)
+        du = _solve_newton(form, _shifted(form, kdata, nu), rhs)
         if du is not None and np.isfinite(du).all() and \
                 float(np.abs(du).max()) <= _MAX_STEP:
             return du
@@ -422,8 +527,8 @@ def _pdipm(form: ConvexForm, u, gap_tol, feas_tol, max_iter,
             return u, lam, STATUS_OPTIMAL, it, kkt
         t = _MU * m / eta if m else math.inf
         rhs = -g0 - (J.T @ (1.0 / (t * (-F))))
-        du = _trust_region_step(_hessian(form, sigma0, g0, lam, F, sigma, J),
-                                rhs)
+        du = _trust_region_step(
+            form, _hessian(form, sigma0, g0, lam, F, sigma, J), rhs)
         if du is None:
             return u, lam, STATUS_NUMERICAL, it, kkt
         dlam = -lam - 1.0 / (t * F) - (lam / F) * (J @ du)

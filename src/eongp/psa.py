@@ -26,8 +26,8 @@ from dataclasses import dataclass
 
 from .gp import GpProgram, Monomial, Posynomial
 from .model import (
-    DerivedConstants, InstanceError, ModulationTable, PhysicsConstants,
-    ScenarioConfig, derived_constants,
+    InstanceError, ModulationTable, PhysicsConstants, ScenarioConfig,
+    derived_constants,
 )
 from .physics import (
     OSNR_BINOM_EXP_FRAC, OSNR_BINOM_EXP_INT, OSNR_BINOM_SLOPE, OSNR_POW_COEF,

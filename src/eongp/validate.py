@@ -19,7 +19,7 @@ from .model import (
     RTO_METHODS, InstanceError, ModulationTable, NetworkInstance,
     PhysicsConstants, ScenarioConfig,
 )
-from .routing import RoutingSolution, solve_routing
+from .routing import RoutingSolution
 
 # relative slop granted to solver-produced allocations when checking hard
 # geometry; keeps reports quiet about feasibility-tolerance dust

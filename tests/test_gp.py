@@ -2,12 +2,16 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+import scipy.sparse as sp
+from hypothesis import assume, given, settings, strategies as st
 
+from eongp import gp, psa
 from eongp.gp import (
     ConvexForm, GpError, GpProgram, GpSolution, Monomial, Posynomial, assemble,
     evaluate, fix_variable, from_text, program_size, solve, to_text,
 )
+from eongp.model import load_instance, partition_traffic, select_requests
+from eongp.routing import solve_routing
 
 
 def mono(coef, **kw):
@@ -159,11 +163,25 @@ def test_tightening_constraint_raises_optimum():
     assert values[1] == pytest.approx(6.0, rel=1e-6)
 
 
-def test_solver_is_deterministic():
-    one = solve(am_gm_program())
-    two = solve(am_gm_program())
-    assert one.variables == two.variables
-    assert one.iterations == two.iterations
+@pytest.fixture(scope="module")
+def cost239_program(data_dir):
+    # 24 Cost239 requests on shortest paths: 135 variables, 197 rows
+    inst = load_instance(str(data_dir / "cost239_topology.txt"),
+                         str(data_dir / "cost239_traffic.txt"))
+    requests = select_requests(partition_traffic(inst.demands, 100e9), 24,
+                               seed=0)
+    routing = solve_routing(inst.topology, requests, "spr")
+    return psa.build_program(routing, inst.physics, inst.scenario)
+
+
+def test_solver_is_deterministic(cost239_program):
+    # the psa program exceeds 100 variables, so the fill-reducing ordering
+    # of the sparse Newton step has real work to do
+    assert len(cost239_program.variables) > 100
+    for prog in (am_gm_program(), cost239_program):
+        one, two = solve(prog), solve(prog)
+        assert one.status == "optimal"
+        assert one == two  # every float, bit for bit
 
 
 @settings(deadline=None, derandomize=True)
@@ -265,6 +283,79 @@ def test_with_slack_is_the_phase1_program():
         assert np.array_equal(form.con_A.toarray(), before[4])
 
 
+def dense_newton_matrix(form, sigma0, g0, lam, F, sigma, J):
+    """The Newton matrix H, assembled densely term by term."""
+    H = (form.obj_A.T @ sp.diags(sigma0) @ form.obj_A).toarray()
+    H -= np.outer(g0, g0)
+    H += (form.con_A.T @ sp.diags(lam[form.seg] * sigma)
+          @ form.con_A).toarray()
+    Jd = J.toarray()
+    H += (Jd * (lam * (1.0 / (-F) - 1.0))[:, None]).T @ Jd
+    return H
+
+
+def check_sparse_newton_step(program, seed):
+    rng = np.random.default_rng(seed)
+    base = ConvexForm(program)
+    for form in (base, base.with_slack()):
+        u = rng.uniform(-1.0, 1.0, form.n)
+        _, g0, sigma0 = form.objective_eval(u)
+        _, sigma = form.constraint_eval(u)
+        S = sp.csr_matrix((np.ones(len(form.seg)),
+                           (form.seg, np.arange(len(form.seg)))),
+                          shape=(form.m, len(form.seg)))
+        J = S @ sp.diags(sigma) @ form.con_A
+        want = J.toarray()
+        # equal up to the order in which each entry's terms are summed
+        np.testing.assert_allclose(form.jacobian(sigma).toarray(), want,
+                                   rtol=1e-14,
+                                   atol=1e-14 * np.abs(want).max(initial=0.0))
+        # duals and values with F in (-1, 0) keep every term of H PSD
+        lam = rng.uniform(0.1, 2.0, form.m)
+        F = -rng.uniform(0.05, 0.95, form.m)
+        H = dense_newton_matrix(form, sigma0, g0, lam, F, sigma, J)
+        kdata = gp._hessian(form, sigma0, g0, lam, F, sigma,
+                            form.jacobian(sigma))
+        eigs = np.linalg.eigvalsh(H)
+        if eigs[0] < 1e-6 * max(eigs[-1], 1.0):
+            # near singular: the ridge ladder would move the step, and
+            # np.linalg.solve is no reference; compare on H + I
+            H += np.eye(form.n)
+            kdata = gp._shifted(form, kdata, 1.0)
+        rhs = rng.normal(size=form.n)
+        want = np.linalg.solve(H, rhs)
+        got = gp._solve_newton(form, kdata, rhs)
+        assert got is not None
+        assert np.linalg.norm(got - want) <= 1e-8 * np.linalg.norm(want)
+
+
+def test_sparse_newton_step_on_a_psa_program(cost239_program):
+    check_sparse_newton_step(cost239_program, seed=3)
+
+
+@settings(deadline=None, derandomize=True)
+@given(n=st.integers(1, 6), scale=st.floats(0.0, 3.0),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_sparse_factor_accepts_exactly_positive_definite(n, scale, seed):
+    # K = [[H_s, g0], [g0^T, 1]] must be accepted exactly when
+    # H = H_s - g0 g0^T passes Cholesky; H_s is SPD, so H has at most one
+    # negative eigenvalue, kept clear of 0 so the verdict is robust
+    rng = np.random.default_rng(seed)
+    B = rng.normal(size=(n, n)) * (rng.random((n, n)) < 0.6)
+    Hs = B @ B.T + 0.1 * np.eye(n)
+    g0 = scale * rng.normal(size=n)
+    H = Hs - np.outer(g0, g0)
+    eigs = np.abs(np.linalg.eigvalsh(H))
+    assume(eigs.min() >= 1e-3 * eigs.max())
+    K = sp.csc_matrix(np.block([[Hs, g0[:, None]], [g0[None, :], 1.0]]))
+    try:
+        np.linalg.cholesky(H)
+        positive_definite = True
+    except np.linalg.LinAlgError:
+        positive_definite = False
+    assert (gp._factor(K) is not None) == positive_definite
+
+
 # ---------------------------------------------------------------- fixing
 
 def test_fix_variable_substitutes():
@@ -316,6 +407,16 @@ def test_one_substitution_equals_a_chain_of_pins(objective, rows, va, vb):
             fix_variable(fix_variable(prog, {"b": vb}), {"a": va})
         return
     assert once == fix_variable(fix_variable(prog, {"b": vb}), {"a": va})
+
+
+@settings(deadline=None, derandomize=True)
+@given(objective=_posy, rows=st.lists(_posy, max_size=4),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_sparse_newton_step_on_random_programs(objective, rows, seed):
+    program = assemble(objective, [(f"r{k}", row)
+                                   for k, row in enumerate(rows)])
+    assume(program.variables)
+    check_sparse_newton_step(program, seed)
 
 
 def test_fix_keeps_constant_objective_terms():
