@@ -6,7 +6,10 @@ constraints.  Substituting x = exp(u) turns every posynomial into
 log-sum-exp(A u + b), a smooth convex function, and the program into a
 standard convex one.  The solver below works on that compiled form with a
 primal-dual interior-point method whose Newton systems are assembled and
-factored as sparse matrices; a phase-1 stage finds a strictly feasible
+factored as sparse matrices.  Their pattern, and so their fill-reducing
+order, is fixed when the form compiles: the order is computed once per
+form, each Newton matrix is assembled already permuted, and each step
+factors it in natural order.  A phase-1 stage finds a strictly feasible
 start or certifies infeasibility.
 
 Contract: a solution with status "optimal" has relative KKT residual at most
@@ -296,6 +299,11 @@ class ConvexForm:
         sum of weight x fixed-coefficient products.  The index arrays built
         here say which product lands on which stored entry, so each call
         fills J.data, or K's upper triangle, with one bincount.
+
+        K's pattern is fixed here, and so is its symmetric fill-reducing
+        order: SuperLU's MMD computes it once, on a diagonally dominant
+        matrix with K's upper-triangle pattern, and K is stored already
+        permuted, P K P^T with row and column i of K at `_kkt_perm[i]`.
         """
         n, N = self.n, self.n + 1
         C = self.con_A
@@ -303,32 +311,54 @@ class ConvexForm:
         self._con_term = np.repeat(np.arange(C.shape[0]), np.diff(C.indptr))
         keys, self._jac_pos = np.unique(
             self.seg[self._con_term] * n + C.indices, return_inverse=True)
-        rows, self._jac_indices = np.divmod(keys, max(n, 1))
-        self._jac_indptr = _indptr(rows, self.m)
+        self._jac_rows, self._jac_indices = np.divmod(keys, max(n, 1))
+        self._jac_indptr = _indptr(self._jac_rows, self.m)
         # K: the term pairs of A0^T diag(sigma0) A0 and C^T diag(w) C, the
         # row pairs of J^T diag(c) J, the g0 border and the diagonal, each
         # summed once into K's upper triangle (CSC key: column * N + row)
         T = sp.vstack([self.obj_A, C]).tocsr()
         self._pair_term, p, q = _pairs(T.indptr)
         self._pair_coef = T.data[p] * T.data[q]
-        self._jac_row, self._jac_p, self._jac_q = _pairs(self._jac_indptr)
+        self._jac_pair_row, self._jac_p, self._jac_q = _pairs(
+            self._jac_indptr)
         self._border = np.unique(self.obj_A.indices)
         diag = np.arange(N)
         i = np.concatenate((T.indices[p], self._jac_indices[self._jac_p],
                             self._border, diag))
         j = np.concatenate((T.indices[q], self._jac_indices[self._jac_q],
                             np.full(len(self._border), n), diag))
-        upper, self._kkt_pos = np.unique(
-            np.maximum(i, j) * N + np.minimum(i, j), return_inverse=True)
-        # the full symmetric pattern; each slot reads its upper entry
+        upper = np.maximum(i, j) * N + np.minimum(i, j)
+        # free the product-length temporaries before the sort and ordering
+        del T, p, q, i, j
+        upper, self._kkt_pos = np.unique(upper, return_inverse=True)
         col, row = np.divmod(upper, N)
-        keys, first = np.unique(np.concatenate((upper, row * N + col)),
-                                return_index=True)
-        self._kkt_mirror = first % len(upper)
-        cols, self._kkt_indices = np.divmod(keys, N)
-        self._kkt_indptr = _indptr(cols, N)
+        # MMD orders the pattern of A^T + A, so K's upper triangle is probe
+        # enough; being diagonally dominant, it factors on its diagonal.
+        # perm_c is a view that keeps the whole probe factor alive: copy it
+        probe = sp.csc_matrix((np.where(row == col, float(N), -1.0), row,
+                               _indptr(col, N)), shape=(N, N))
+        perm = spla.splu(probe, permc_spec="MMD_AT_PLUS_A",
+                         diag_pivot_thresh=0.0,
+                         options={"SymmetricMode": True}).perm_c.astype(
+                             np.int64)
+        del probe
+        self._kkt_perm = perm
+        self._kkt_order = np.argsort(perm)
+        # the full symmetric pattern, permuted: K[r, c] sits at
+        # (perm[r], perm[c]); each slot reads its upper entry.  Within a
+        # column the rows keep K's own order, the order in which SuperLU
+        # visits them when it applies the permutation itself, so the factor
+        # holds the same floats (key: permuted column * N + row of K)
+        off = np.flatnonzero(row != col)
+        keys = np.concatenate((perm[col] * N + row,
+                               perm[row[off]] * N + col[off]))
+        order = np.argsort(keys)
+        keys = keys[order]
+        self._kkt_mirror = np.concatenate((np.arange(len(upper)), off))[order]
+        self._kkt_indices = perm[keys % N]
+        self._kkt_indptr = _indptr(keys // N, N)
         # slots of K[j, j], j < n
-        self._kkt_diag = np.searchsorted(keys, diag[:-1] * (N + 1))
+        self._kkt_diag = np.searchsorted(keys, perm[:-1] * N + diag[:-1])
         # K[n, n] = 1; the zeros keep every diagonal slot stored for ridges
         self._kkt_diag_weight = np.append(np.zeros(n), 1.0)
 
@@ -372,17 +402,23 @@ class ConvexForm:
 
     def jacobian(self, sigma):
         """Constraint gradients (m x n, sparse) from the term weights."""
-        data = np.bincount(self._jac_pos,
+        return sp.csr_matrix((self._jac_data(sigma), self._jac_indices,
+                              self._jac_indptr), shape=(self.m, self.n))
+
+    def _jac_data(self, sigma):
+        """J's data in the compiled CSR pattern."""
+        return np.bincount(self._jac_pos,
                            sigma[self._con_term] * self.con_A.data)
-        return sp.csr_matrix((data, self._jac_indices, self._jac_indptr),
-                             shape=(self.m, self.n))
 
-    def constraint_values(self, u):
-        return self.constraint_eval(u)[0]
+    def _jac_t(self, jdata, y):
+        """J^T y from J's data."""
+        return np.bincount(self._jac_indices, jdata * y[self._jac_rows],
+                           minlength=self.n)
 
-    def constraint_grad(self, i, u):
-        _, sigma = self.constraint_eval(u)
-        return np.asarray(self.jacobian(sigma)[i].todense()).ravel()
+    def _jac_dot(self, jdata, du):
+        """J du from J's data."""
+        return np.bincount(self._jac_rows, jdata * du[self._jac_indices],
+                           minlength=self.m)
 
 
 # --------------------------------------------------------------------------
@@ -412,7 +448,7 @@ _BACKTRACK = 0.5
 _MAX_STEP = 20.0  # cap on the infinity norm of a Newton step in log space
 
 
-def _hessian(form: ConvexForm, sigma0, g0, lam, F, sigma, J):
+def _hessian(form: ConvexForm, sigma0, g0, lam, F, sigma, jdata):
     """Data of K = [[H_s, g0], [g0^T, 1]] in the form's compiled pattern.
 
     The Newton matrix is H = H_s - g0 g0^T with
@@ -420,14 +456,15 @@ def _hessian(form: ConvexForm, sigma0, g0, lam, F, sigma, J):
           + J^T diag(lam (1/(-F) - 1)) J.
     Its rank-1 term is dense, so it enters K as a border instead: the Schur
     complement of K's last entry is H, so K is positive definite exactly
-    when H is, and K [du; -g0^T du] = [rhs; 0] solves H du = rhs.  J must
-    come from `form.jacobian`, whose data is in the form's order.
+    when H is, and K [du; -g0^T du] = [rhs; 0] solves H du = rhs.  `jdata`
+    is J's data from `form._jac_data`.  The pattern is the permuted one of
+    `ConvexForm._compile`.
     """
     weights = np.concatenate((sigma0, lam[form.seg] * sigma))
     coefs = lam * (1.0 / (-F) - 1.0)
     upper = np.bincount(form._kkt_pos, np.concatenate((
         weights[form._pair_term] * form._pair_coef,
-        coefs[form._jac_row] * J.data[form._jac_p] * J.data[form._jac_q],
+        coefs[form._jac_pair_row] * jdata[form._jac_p] * jdata[form._jac_q],
         g0[form._border], form._kkt_diag_weight)))
     return upper[form._kkt_mirror]
 
@@ -443,12 +480,13 @@ def _factor(K):
     """SuperLU factor of a symmetric CSC matrix K, or None unless K is
     positive definite.
 
-    K is factored with diagonal pivots in a symmetric fill-reducing order,
-    so the factor is accepted exactly when every pivot is positive, the
-    test a Cholesky factorization makes.
+    K is factored in its natural order with diagonal pivots, so the factor
+    is accepted exactly when every pivot is positive, the test a Cholesky
+    factorization makes.  The fill-reducing order is already in K: a
+    compiled form stores its Newton system permuted (`ConvexForm._compile`).
     """
     try:
-        lu = spla.splu(K, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+        lu = spla.splu(K, permc_spec="NATURAL", diag_pivot_thresh=0.0,
                        options={"SymmetricMode": True})
     except RuntimeError:  # exactly singular
         return None
@@ -464,11 +502,17 @@ def _solve_newton(form: ConvexForm, kdata, rhs):
     size = form.n + 1
     ridge = 0.0
     for _ in range(6):
-        lu = _factor(sp.csc_matrix(
+        K = sp.csc_matrix(
             (kdata if ridge == 0.0 else _shifted(form, kdata, ridge),
-             form._kkt_indices, form._kkt_indptr), shape=(size, size)))
+             form._kkt_indices, form._kkt_indptr), shape=(size, size))
+        # no duplicates, and rows in K's order on purpose (see
+        # `ConvexForm._compile`): keep splu from sorting them
+        K.has_canonical_format = True
+        lu = _factor(K)
         if lu is not None:
-            return lu.solve(np.append(rhs, 0.0))[:-1]
+            # P K P^T (P x) = P b: gather b into the order, x back out of it
+            x = lu.solve(np.append(rhs, 0.0)[form._kkt_order])
+            return x[form._kkt_perm[:-1]]
         ridge = 1e-10 if ridge == 0.0 else ridge * 100.0
     return None
 
@@ -512,8 +556,8 @@ def _pdipm(form: ConvexForm, u, gap_tol, feas_tol, max_iter,
     resets = 2
     for it in range(1, max_iter + 1):
         F0, g0, sigma0 = form.objective_eval(u)
-        J = form.jacobian(sigma)
-        jt_lam = J.T @ lam
+        jdata = form._jac_data(sigma)
+        jt_lam = form._jac_t(jdata, lam)
         r_dual = g0 + jt_lam
         eta = float(-(F @ lam))
         scale = max(1.0, float(np.abs(g0).max(initial=0.0)),
@@ -526,12 +570,12 @@ def _pdipm(form: ConvexForm, u, gap_tol, feas_tol, max_iter,
         if dual_rel <= max(feas_tol, 1e-12) and gap_rel <= max(gap_tol, 1e-12):
             return u, lam, STATUS_OPTIMAL, it, kkt
         t = _MU * m / eta if m else math.inf
-        rhs = -g0 - (J.T @ (1.0 / (t * (-F))))
+        rhs = -g0 - form._jac_t(jdata, 1.0 / (t * (-F)))
         du = _trust_region_step(
-            form, _hessian(form, sigma0, g0, lam, F, sigma, J), rhs)
+            form, _hessian(form, sigma0, g0, lam, F, sigma, jdata), rhs)
         if du is None:
             return u, lam, STATUS_NUMERICAL, it, kkt
-        dlam = -lam - 1.0 / (t * F) - (lam / F) * (J @ du)
+        dlam = -lam - 1.0 / (t * F) - (lam / F) * form._jac_dot(jdata, du)
         step = 1.0
         neg = dlam < 0
         if neg.any():
@@ -542,7 +586,7 @@ def _pdipm(form: ConvexForm, u, gap_tol, feas_tol, max_iter,
             if (Fn >= 0).any():
                 return math.inf, Fn, sig
             _, g0n, _ = form.objective_eval(uu)
-            rd = g0n + form.jacobian(sig).T @ ll
+            rd = g0n + form._jac_t(form._jac_data(sig), ll)
             rc = -ll * Fn - 1.0 / t
             return float(np.sqrt(np.sum(rd ** 2) + np.sum(rc ** 2))), Fn, sig
 

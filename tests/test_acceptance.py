@@ -159,13 +159,14 @@ def test_criterion_4_solver_and_gradients():
             [("g", Posynomial(tuple(terms)))])
         form = ConvexForm(program)
         u = rng.uniform(-1.0, 1.0, form.n)
-        grad = form.constraint_grad(0, u)
+        _, sigma = form.constraint_eval(u)
+        grad = form.jacobian(sigma)[0].toarray().ravel()
         for j in range(form.n):
             up, dn = u.copy(), u.copy()
             up[j] += 1e-6
             dn[j] -= 1e-6
-            fd = (form.constraint_values(up)[0]
-                  - form.constraint_values(dn)[0]) / 2e-6
+            fd = (form.constraint_eval(up)[0][0]
+                  - form.constraint_eval(dn)[0][0]) / 2e-6
             worst = max(worst,
                         abs(fd - grad[j]) / max(1.0, abs(grad[j])))
     grads_ok = worst <= 1e-5

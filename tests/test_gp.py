@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from hypothesis import assume, given, settings, strategies as st
 
 from eongp import gp, psa
@@ -245,15 +246,16 @@ def test_compiled_gradient_matches_finite_difference():
         prog = random_program(rng)
         form = ConvexForm(prog)
         u = rng.uniform(-1, 1, size=form.n)
-        grad = form.constraint_grad(0, u)
+        _, sigma = form.constraint_eval(u)
+        grad = form.jacobian(sigma)[0].toarray().ravel()
         fd = np.empty_like(grad)
         h = 1e-6
         for j in range(form.n):
             up, um = u.copy(), u.copy()
             up[j] += h
             um[j] -= h
-            fd[j] = (form.constraint_values(up)[0]
-                     - form.constraint_values(um)[0]) / (2 * h)
+            fd[j] = (form.constraint_eval(up)[0][0]
+                     - form.constraint_eval(um)[0][0]) / (2 * h)
         assert np.abs(grad - fd).max() < 1e-5
 
 
@@ -269,8 +271,8 @@ def test_with_slack_is_the_phase1_program():
         s = float(rng.uniform(-2, 2))
         point = np.append(u, s)
         # F_ext(u, s) = F(u) - s
-        np.testing.assert_allclose(ext.constraint_values(point),
-                                   form.constraint_values(u) - s,
+        np.testing.assert_allclose(ext.constraint_eval(point)[0],
+                                   form.constraint_eval(u)[0] - s,
                                    rtol=1e-12, atol=1e-12)
         # the objective is the monomial s: value s, gradient e_s
         value, grad, _ = ext.objective_eval(point)
@@ -315,7 +317,7 @@ def check_sparse_newton_step(program, seed):
         F = -rng.uniform(0.05, 0.95, form.m)
         H = dense_newton_matrix(form, sigma0, g0, lam, F, sigma, J)
         kdata = gp._hessian(form, sigma0, g0, lam, F, sigma,
-                            form.jacobian(sigma))
+                            form._jac_data(sigma))
         eigs = np.linalg.eigvalsh(H)
         if eigs[0] < 1e-6 * max(eigs[-1], 1.0):
             # near singular: the ridge ladder would move the step, and
@@ -327,10 +329,61 @@ def check_sparse_newton_step(program, seed):
         got = gp._solve_newton(form, kdata, rhs)
         assert got is not None
         assert np.linalg.norm(got - want) <= 1e-8 * np.linalg.norm(want)
+        # the solver's J^T lam, J^T (1/(t(-F))) and J du, formed from J's
+        # data, against the products of the same J as a csr_matrix
+        jdata, Jc = form._jac_data(sigma), form.jacobian(sigma)
+        for mine, ref in ((form._jac_t(jdata, lam), Jc.T @ lam),
+                          (form._jac_t(jdata, 1.0 / (-F)), Jc.T @ (1.0 / (-F))),
+                          (form._jac_dot(jdata, got), Jc @ got)):
+            np.testing.assert_allclose(
+                mine, ref, rtol=1e-14,
+                atol=1e-14 * np.abs(ref).max(initial=0.0))
 
 
 def test_sparse_newton_step_on_a_psa_program(cost239_program):
     check_sparse_newton_step(cost239_program, seed=3)
+
+
+def test_newton_factor_keeps_the_compiled_fill(cost239_program, monkeypatch):
+    # the compiled form stores K in its fill-reducing order and `_factor`
+    # keeps that order; a fold that left the identity order would keep
+    # every step correct and lose the saving, and fails here
+    accepted = []
+
+    def recording(K, factor=gp._factor):
+        lu = factor(K)
+        if lu is not None:
+            accepted.append((K, lu))
+        return lu
+
+    monkeypatch.setattr(gp, "_factor", recording)
+    rng = np.random.default_rng(5)
+    base = ConvexForm(cost239_program)
+    for form in (base, base.with_slack()):
+        u = rng.uniform(-1.0, 1.0, form.n)
+        _, g0, sigma0 = form.objective_eval(u)
+        _, sigma = form.constraint_eval(u)
+        lam = rng.uniform(0.1, 2.0, form.m)
+        F = -rng.uniform(0.05, 0.95, form.m)
+        kdata = gp._hessian(form, sigma0, g0, lam, F, sigma,
+                            form._jac_data(sigma))
+        rhs = rng.normal(size=form.n)
+        accepted.clear()
+        step = gp._solve_newton(form, kdata, rhs)
+        assert step is not None
+        (K, lu), = accepted
+        options = dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                       options={"SymmetricMode": True})
+        mmd = spla.splu(K, **options)
+        assert lu.L.nnz + lu.U.nnz <= 1.01 * (mmd.L.nnz + mmd.U.nnz)
+        # undo the fold: SuperLU ordering K itself finds the same order
+        # and, bit for bit, the same step
+        coo, back = K.tocoo(), form._kkt_order
+        own = spla.splu(sp.csc_matrix((coo.data, (back[coo.row],
+                                                  back[coo.col])),
+                                      shape=K.shape), **options)
+        assert np.array_equal(own.perm_c, form._kkt_perm)
+        assert np.array_equal(own.solve(np.append(rhs, 0.0))[:-1], step)
 
 
 @settings(deadline=None, derandomize=True)
