@@ -309,6 +309,8 @@ class ConvexForm:
         C = self.con_A
         # J: entry e of con_A, in term t and column j, adds to J[seg[t], j]
         self._con_term = np.repeat(np.arange(C.shape[0]), np.diff(C.indptr))
+        self._obj_term = np.repeat(np.arange(self.obj_A.shape[0]),
+                                   np.diff(self.obj_A.indptr))
         keys, self._jac_pos = np.unique(
             self.seg[self._con_term] * n + C.indices, return_inverse=True)
         self._jac_rows, self._jac_indices = np.divmod(keys, max(n, 1))
@@ -359,7 +361,7 @@ class ConvexForm:
         self._kkt_indptr = _indptr(keys // N, N)
         # slots of K[j, j], j < n
         self._kkt_diag = np.searchsorted(keys, perm[:-1] * N + diag[:-1])
-        # K[n, n] = 1; the zeros keep every diagonal slot stored for ridges
+        # K[n, n] = 1; the zeros keep every diagonal slot stored for shifts
         self._kkt_diag_weight = np.append(np.zeros(n), 1.0)
 
     def objective_eval(self, u):
@@ -369,7 +371,9 @@ class ConvexForm:
         e = np.exp(z - zmax)
         total = e.sum()
         sigma = e / total
-        return zmax + math.log(total), self.obj_A.T @ sigma, sigma
+        grad = np.bincount(self.obj_A.indices, sigma[self._obj_term]
+                           * self.obj_A.data, minlength=self.n)
+        return zmax + math.log(total), grad, sigma
 
     def constraint_eval(self, u):
         """(values, term weights) of all compiled constraints."""
@@ -497,45 +501,52 @@ def _factor(K):
 
 
 def _solve_newton(form: ConvexForm, kdata, rhs):
-    """Solve H du = rhs through K, adding an escalating ridge to H until it
-    is positive definite; None if it never is."""
-    size = form.n + 1
-    ridge = 0.0
-    for _ in range(6):
-        K = sp.csc_matrix(
-            (kdata if ridge == 0.0 else _shifted(form, kdata, ridge),
-             form._kkt_indices, form._kkt_indptr), shape=(size, size))
-        # no duplicates, and rows in K's order on purpose (see
-        # `ConvexForm._compile`): keep splu from sorting them
-        K.has_canonical_format = True
-        lu = _factor(K)
-        if lu is not None:
-            # P K P^T (P x) = P b: gather b into the order, x back out of it
-            x = lu.solve(np.append(rhs, 0.0)[form._kkt_order])
-            return x[form._kkt_perm[:-1]]
-        ridge = 1e-10 if ridge == 0.0 else ridge * 100.0
-    return None
+    """H du = rhs by one factor of K; None unless H is positive definite."""
+    K = sp.csc_matrix((kdata, form._kkt_indices, form._kkt_indptr),
+                      shape=(form.n + 1, form.n + 1))
+    # no duplicates, and rows in K's order on purpose (see
+    # `ConvexForm._compile`): keep splu from sorting them
+    K.has_canonical_format = True
+    lu = _factor(K)
+    if lu is None:
+        return None
+    # P K P^T (P x) = P b: gather b into the order, x back out of it
+    x = lu.solve(np.append(rhs, 0.0)[form._kkt_order])
+    return x[form._kkt_perm[:-1]]
 
 
 def _trust_region_step(form: ConvexForm, kdata, rhs):
-    """Newton step, damped toward the gradient when H is near singular.
+    """Newton step of H + nu I for the first nu of one escalating ladder.
 
-    Far from the central path the log-sum-exp Hessian can lose rank and the
-    raw Newton step explodes along its null space.  Escalating damping keeps
-    the step inside a fixed log-space box while staying a descent direction.
+    Far from the central path H can lose rank or definiteness.  Try nu = 0,
+    then nu0 growing tenfold, and take the first positive definite H + nu I
+    whose step is finite and fits a fixed log-space box; None after 41 tries.
     """
-    du = _solve_newton(form, kdata, rhs)
-    if du is not None and np.isfinite(du).all() and \
-            float(np.abs(du).max(initial=0.0)) <= _MAX_STEP:
-        return du
-    nu = max(1e-14, 1e-6 * float(np.abs(rhs).max()) / _MAX_STEP)
-    for _ in range(40):
-        du = _solve_newton(form, _shifted(form, kdata, nu), rhs)
+    shift = 0.0
+    for _ in range(41):
+        du = _solve_newton(
+            form, _shifted(form, kdata, shift) if shift else kdata, rhs)
         if du is not None and np.isfinite(du).all() and \
-                float(np.abs(du).max()) <= _MAX_STEP:
+                float(np.abs(du).max(initial=0.0)) <= _MAX_STEP:
             return du
-        nu *= 10.0
+        shift = shift * 10.0 if shift else max(
+            1e-14, 1e-6 * float(np.abs(rhs).max(initial=0.0)) / _MAX_STEP)
     return None
+
+
+def _point(form: ConvexForm, u):
+    """(F, sigma, F0, g0, sigma0, J's data) at u, or None unless u is
+    strictly feasible: all that `_pdipm` reads of a point, computed once."""
+    F, sigma = form.constraint_eval(u)
+    if (F >= 0).any():
+        return None
+    return (F, sigma, *form.objective_eval(u), form._jac_data(sigma))
+
+
+def _residual_norm(r_dual, lam, F, t):
+    """Euclidean norm of the dual and centering residuals."""
+    r_cent = -lam * F - 1.0 / t
+    return float(np.sqrt(np.sum(r_dual ** 2) + np.sum(r_cent ** 2)))
 
 
 def _pdipm(form: ConvexForm, u, gap_tol, feas_tol, max_iter,
@@ -548,15 +559,14 @@ def _pdipm(form: ConvexForm, u, gap_tol, feas_tol, max_iter,
     Newton on the objective.
     """
     m = form.m
-    F, sigma = form.constraint_eval(u)
-    if (F >= 0).any():
+    point = _point(form, u)
+    if point is None:
         raise GpError("interior-point start is not strictly feasible")
-    lam = -1.0 / F
+    lam = -1.0 / point[0]
     kkt = math.inf
     resets = 2
     for it in range(1, max_iter + 1):
-        F0, g0, sigma0 = form.objective_eval(u)
-        jdata = form._jac_data(sigma)
+        F, sigma, F0, g0, sigma0, jdata = point
         jt_lam = form._jac_t(jdata, lam)
         r_dual = g0 + jt_lam
         eta = float(-(F @ lam))
@@ -580,35 +590,25 @@ def _pdipm(form: ConvexForm, u, gap_tol, feas_tol, max_iter,
         neg = dlam < 0
         if neg.any():
             step = min(1.0, 0.99 * float((-lam[neg] / dlam[neg]).min()))
-
-        def residual_norm(uu, ll):
-            Fn, sig = form.constraint_eval(uu)
-            if (Fn >= 0).any():
-                return math.inf, Fn, sig
-            _, g0n, _ = form.objective_eval(uu)
-            rd = g0n + form._jac_t(form._jac_data(sig), ll)
-            rc = -ll * Fn - 1.0 / t
-            return float(np.sqrt(np.sum(rd ** 2) + np.sum(rc ** 2))), Fn, sig
-
-        r_cent = -lam * F - 1.0 / t
-        base = float(np.sqrt(np.sum(r_dual ** 2) + np.sum(r_cent ** 2)))
-        accepted = False
+        base = _residual_norm(r_dual, lam, F, t)
         while step > 1e-13:
             trial_u = u + step * du
             trial_lam = lam + step * dlam
-            norm, Fn, sign = residual_norm(trial_u, trial_lam)
+            trial = _point(form, trial_u)
+            norm = math.inf if trial is None else _residual_norm(
+                trial[3] + form._jac_t(trial[5], trial_lam), trial_lam,
+                trial[0], t)
             if norm <= (1.0 - _ARMIJO * step) * base and norm < base:
-                u, lam, F, sigma = trial_u, trial_lam, Fn, sign
-                accepted = True
+                u, lam, point = trial_u, trial_lam, trial
                 break
             step *= _BACKTRACK
-        if not accepted:
+        else:
             # stalled: residual cannot be reduced further in this direction
             if kkt <= 1e-6:
                 return u, lam, STATUS_OPTIMAL, it, kkt
             if m and resets:
                 # runaway duals can poison the search direction; re-center
-                # them on the current barrier and try again
+                # them on the current barrier and try again at this point
                 resets -= 1
                 lam = -1.0 / F
                 continue

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
@@ -49,9 +50,6 @@ class NetworkTopology:
                 raise InstanceError(f"link {link.id} is a self-loop")
             if not link.length_km > 0:
                 raise InstanceError(f"link {link.id} has nonpositive length")
-
-    def node_index(self, node: str) -> int:
-        return self.nodes.index(node)
 
 
 def span_count(length_km: float, span_km: float) -> int:
@@ -267,6 +265,15 @@ class ScenarioConfig:
             raise InstanceError("formulation must be 1..6")
         if not self.traffic_scale_gbps > 0:
             raise InstanceError("traffic_scale_gbps must be positive")
+        n = self.num_requests
+        if n is not None:
+            # an integral JSON number such as 10.0 counts as the integer
+            whole = int(n) if isinstance(n, float) and n.is_integer() else n
+            if isinstance(whole, bool) or \
+                    not isinstance(whole, numbers.Integral) or whole < 1:
+                raise InstanceError(
+                    f"num_requests must be a positive integer, got {n!r}")
+            object.__setattr__(self, "num_requests", int(whole))
 
 
 @dataclass(frozen=True)
@@ -382,8 +389,6 @@ def _merge_section(current, mapping, what: str):
     unknown = set(mapping) - known
     if unknown:
         raise InstanceError(f"unknown {what} keys: {sorted(unknown)}")
-    if mapping.get("num_requests") is not None:
-        mapping = dict(mapping, num_requests=int(mapping["num_requests"]))
     try:
         return replace(current, **mapping)
     except TypeError as exc:

@@ -304,6 +304,9 @@ def formulation_size(kind: str, num_requests: int, num_links: int = 0,
     duplicated rows are emitted once.
     """
     q, l, v = num_requests, num_links, num_nodes
+    if min(q, l, v) < 0:
+        raise InstanceError(f"counts must be nonnegative, got q={q}, l={l}, "
+                            f"v={v}")
     if kind in ("spr", "scpr", "scprr"):
         return q * l, 2 * q + q * v
     if kind == "minlp":

@@ -141,6 +141,31 @@ def test_exit_codes(tmp_path):
     assert err.value.code == 2
 
 
+@pytest.mark.parametrize("flag", [-1, 0])
+def test_bad_request_count_flag_exits_4(tmp_path, flag):
+    assert run_cli("run", "--requests", flag, "--out", tmp_path) == 4
+
+
+@pytest.mark.parametrize("value", ["x", 2.7, -3, 0, True, [5]])
+def test_bad_request_count_in_config_exits_4(tmp_path, value):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"scenario": {"num_requests": value}}))
+    assert run_cli("run", "--config", config, "--out", tmp_path) == 4
+
+
+def test_integral_request_count_in_config_is_accepted(tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"scenario": {"num_requests": 3.0}}))
+    assert run_cli("run", "--config", config, "--out", tmp_path) == 0
+    written, rows = cli.read_artifact_csv(tmp_path / "allocation.csv")
+    assert written["scenario"]["num_requests"] == 3 and len(rows) == 3
+
+
+def test_negative_formulation_size_exits_4(tmp_path):
+    assert run_cli("count-formulations", "--q", -3, "--out", tmp_path) == 4
+    assert not (tmp_path / "sizes.csv").exists()
+
+
 def test_infeasible_exit_code(tmp_path):
     tiny = tmp_path / "tiny.json"
     # guard band alone exceeds the whole usable spectrum, so any pair of

@@ -320,8 +320,8 @@ def check_sparse_newton_step(program, seed):
                             form._jac_data(sigma))
         eigs = np.linalg.eigvalsh(H)
         if eigs[0] < 1e-6 * max(eigs[-1], 1.0):
-            # near singular: the ridge ladder would move the step, and
-            # np.linalg.solve is no reference; compare on H + I
+            # near singular: the factor may reject K, and np.linalg.solve
+            # is no reference; compare on H + I
             H += np.eye(form.n)
             kdata = gp._shifted(form, kdata, 1.0)
         rhs = rng.normal(size=form.n)
@@ -384,6 +384,68 @@ def test_newton_factor_keeps_the_compiled_fill(cost239_program, monkeypatch):
                                       shape=K.shape), **options)
         assert np.array_equal(own.perm_c, form._kkt_perm)
         assert np.array_equal(own.solve(np.append(rhs, 0.0))[:-1], step)
+
+
+def test_each_point_is_evaluated_once(cost239_program, monkeypatch):
+    # the accepted trial of a line search is the next iteration's point:
+    # evaluating it again at the top of the iteration is wasted work
+    points = []
+
+    def recording(self, u, evaluate=ConvexForm.objective_eval):
+        points.append(u.copy())
+        return evaluate(self, u)
+
+    monkeypatch.setattr(ConvexForm, "objective_eval", recording)
+    assert solve(cost239_program).status == "optimal"
+    assert len(points) > 10
+    repeats = [k for k in range(1, len(points))
+               if np.array_equal(points[k - 1], points[k])]
+    assert not repeats
+
+
+def newton_system(program, seed, F_range):
+    """(form, K's data, rhs) at a random point with F drawn from F_range."""
+    rng = np.random.default_rng(seed)
+    form = ConvexForm(program)
+    u = rng.uniform(-1.0, 1.0, form.n)
+    _, g0, sigma0 = form.objective_eval(u)
+    _, sigma = form.constraint_eval(u)
+    lam = rng.uniform(0.1, 2.0, form.m)
+    F = -rng.uniform(*F_range, form.m)
+    kdata = gp._hessian(form, sigma0, g0, lam, F, sigma,
+                        form._jac_data(sigma))
+    return form, kdata, rng.normal(size=form.n)
+
+
+def test_shift_ladder_gives_up_after_41_factors(cost239_program, monkeypatch):
+    calls = []
+
+    def never(K):
+        calls.append(K)
+        return None
+
+    monkeypatch.setattr(gp, "_factor", never)
+    form, kdata, rhs = newton_system(cost239_program, 1, (0.05, 0.95))
+    assert gp._trust_region_step(form, kdata, rhs) is None
+    assert len(calls) <= 41
+    # the solver reports the failure as a status, not as an exception
+    sol = solve(am_gm_program())
+    assert sol.status == gp.STATUS_NUMERICAL
+    assert 0 < len(calls) - 41 <= 41
+
+
+def test_indefinite_newton_matrix_still_gives_a_descent_step(cost239_program):
+    # with F < -1 the weights lam (1/(-F) - 1) of the J^T diag(.) J term of
+    # H are negative, and this far inside H is near singular: the unshifted
+    # step leaves the box, and the shift ladder must still return a bounded
+    # step along which the barrier decreases
+    form, kdata, rhs = newton_system(cost239_program, 2, (10.0, 100.0))
+    assert np.abs(gp._solve_newton(form, kdata, rhs)).max() > gp._MAX_STEP
+    du = gp._trust_region_step(form, kdata, rhs)
+    assert du is not None
+    assert np.isfinite(du).all()
+    assert np.abs(du).max() <= gp._MAX_STEP
+    assert rhs @ du > 0
 
 
 @settings(deadline=None, derandomize=True)

@@ -131,6 +131,12 @@ def test_scenario_validation():
         ScenarioConfig(formulation=7)
     with pytest.raises(InstanceError):
         ScenarioConfig(weight_power=-1.0)
+    for count in (-1, 0, 2.7, "x", "10", True, math.inf, math.nan):
+        with pytest.raises(InstanceError):
+            ScenarioConfig(num_requests=count)
+    # an integral JSON number counts as the integer
+    assert ScenarioConfig(num_requests=10.0).num_requests == 10
+    assert type(ScenarioConfig(num_requests=10.0).num_requests) is int
 
 
 # ---------------------------------------------------------------- topology I/O

@@ -242,3 +242,6 @@ def test_size_formulas():
         (46 * 52, 2 * 46 + 46 * 11)
     with pytest.raises(InstanceError):
         psa.formulation_size("qkd", 3, 3)
+    for counts in ((-3, 0, 0), (1, -1, 0), (1, 4, -2)):
+        with pytest.raises(InstanceError):
+            psa.formulation_size("spr", *counts)
