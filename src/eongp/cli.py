@@ -28,7 +28,7 @@ import math
 import statistics
 import sys
 import time
-from dataclasses import dataclass, fields, replace
+from dataclasses import asdict, dataclass, replace
 from importlib import resources
 from pathlib import Path
 
@@ -85,10 +85,8 @@ def _resolved_config(man: RunManifest) -> dict:
         "command": man.command,
         "inputs": {"topology": str(man.topology_file),
                    "traffic": str(man.traffic_file)},
-        "physics": {f.name: getattr(man.physics, f.name)
-                    for f in fields(man.physics)},
-        "scenario": {f.name: getattr(man.scenario, f.name)
-                     for f in fields(man.scenario)},
+        "physics": asdict(man.physics),
+        "scenario": asdict(man.scenario),
         "modulations": [[c, o] for c, o in man.modulations.entries],
     }
 
@@ -119,9 +117,11 @@ def _write_csv(man: RunManifest, name: str, columns, rows) -> Path:
 
 
 def _write_json(man: RunManifest, name: str, payload: dict) -> Path:
+    """Write `payload` and the resolved configuration as JSON."""
     path = man.out_dir / name
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        json.dump({"config": _resolved_config(man), **payload}, fh,
+                  indent=2, sort_keys=True)
         fh.write("\n")
     return path
 
@@ -183,14 +183,18 @@ def _trace_payload(trace) -> dict:
 # commands
 # --------------------------------------------------------------------------
 
+def _load_instance(man: RunManifest):
+    return load_instance(man.topology_file, man.traffic_file,
+                         (man.physics, man.scenario, man.modulations))
+
+
 def _path_names(routing, topology, q: int) -> str:
     links = [topology.links[i] for i in routing.paths[q]]
     return "-".join([links[0].begin] + [l.end for l in links])
 
 
 def _cmd_run(man: RunManifest) -> None:
-    instance = load_instance(man.topology_file, man.traffic_file,
-                             (man.physics, man.scenario, man.modulations))
+    instance = _load_instance(man)
     started = time.perf_counter()
     routing, allocation, trace = heuristic.run(instance)
     runtime = time.perf_counter() - started
@@ -207,18 +211,15 @@ def _cmd_run(man: RunManifest) -> None:
                 "power_w", "center_hz", "bandwidth_hz", "efficiency",
                 "margin"), rows)
     _write_json(man, "validation.json",
-                {"config": _resolved_config(man),
-                 "objective": allocation.objective,
+                {"objective": allocation.objective,
                  "report": _report_payload(report)})
     _write_json(man, "trace.json",
-                {"config": _resolved_config(man),
-                 "runtime_s": runtime,
+                {"runtime_s": runtime,
                  "trace": _trace_payload(trace)})
 
 
 def _cmd_sweep_margin(man: RunManifest) -> None:
-    instance = load_instance(man.topology_file, man.traffic_file,
-                             (man.physics, man.scenario, man.modulations))
+    instance = _load_instance(man)
     series = validate.sweep_margin(instance, man.margins)
     rows = [(margin, report.mean_rate_per_resource, report.total_noise_w,
              report.total_power_w, report.spectrum_edge_hz,
@@ -228,15 +229,13 @@ def _cmd_sweep_margin(man: RunManifest) -> None:
                ("margin", "mean_rate_per_resource", "total_noise_w",
                 "total_power_w", "spectrum_edge_hz", "objective"), rows)
     _write_json(man, "validation.json",
-                {"config": _resolved_config(man),
-                 "margins": list(man.margins),
+                {"margins": list(man.margins),
                  "reports": [_report_payload(report)
                              for _, _, report in series]})
 
 
 def _cmd_compare_rto(man: RunManifest) -> None:
-    instance = load_instance(man.topology_file, man.traffic_file,
-                             (man.physics, man.scenario, man.modulations))
+    instance = _load_instance(man)
     results = validate.compare_rto(instance, scenario=man.scenario)
     rows = [(method, report.total_power_w, report.total_noise_w,
              report.spectrum_edge_hz, allocation.objective, report.admissible)
@@ -245,15 +244,13 @@ def _cmd_compare_rto(man: RunManifest) -> None:
                ("method", "total_power_w", "total_noise_w",
                 "spectrum_edge_hz", "objective", "admissible"), rows)
     _write_json(man, "validation.json",
-                {"config": _resolved_config(man),
-                 "methods": [method for method, *_ in results],
+                {"methods": [method for method, *_ in results],
                  "reports": [_report_payload(report)
                              for *_, report in results]})
 
 
 def _cmd_compare_gpsa(man: RunManifest) -> None:
-    instance = load_instance(man.topology_file, man.traffic_file,
-                             (man.physics, man.scenario, man.modulations))
+    instance = _load_instance(man)
     rows = []
     details = []
     for formulation in sorted(psa.FORMULATION_FIT):
@@ -278,7 +275,7 @@ def _cmd_compare_gpsa(man: RunManifest) -> None:
                 "constraints", "objective", "total_power_w", "total_noise_w",
                 "spectrum_edge_hz", "mean_model_error"), rows)
     _write_json(man, "validation.json",
-                {"config": _resolved_config(man), "runs": details})
+                {"runs": details})
 
 
 def _cmd_characterize_approx(man: RunManifest) -> None:
@@ -387,23 +384,14 @@ def resolve_manifest(args: argparse.Namespace) -> RunManifest:
     for path in (args.constants, args.config):
         if path:
             phys, scen, table = load_config(path, (phys, scen, table))
-    overrides = {}
-    if args.rto is not None:
-        overrides["rto_method"] = args.rto
-    if args.gpsa is not None:
-        overrides["formulation"] = args.gpsa
-    if args.margin is not None:
-        overrides["min_margin"] = args.margin
-    if args.scale is not None:
-        overrides["traffic_scale_gbps"] = args.scale
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.requests is not None:
-        overrides["num_requests"] = args.requests
+    flags = {"rto": "rto_method", "gpsa": "formulation",
+             "margin": "min_margin", "scale": "traffic_scale_gbps",
+             "seed": "seed", "requests": "num_requests"}
+    overrides = {name: getattr(args, flag) for flag, name in flags.items()
+                 if getattr(args, flag) is not None}
     if args.clamp_c is not None:
         overrides["clamp_efficiency"] = args.clamp_c == "on"
-    if overrides:
-        scen = replace(scen, **overrides)
+    scen = replace(scen, **overrides)
     return RunManifest(
         command=args.command,
         topology_file=_resolve_input(args.topology, BUNDLED_TOPOLOGIES,

@@ -10,7 +10,9 @@ factored as sparse matrices.  Their pattern, and so their fill-reducing
 order, is fixed when the form compiles: the order is computed once per
 form, each Newton matrix is assembled already permuted, and each step
 factors it in natural order.  A phase-1 stage finds a strictly feasible
-start or certifies infeasibility.
+start or certifies infeasibility.  Pinning x_j = v shifts each offset by
+a_j log v and drops column j, so `fix_variable` transforms a compiled form:
+a program compiles once, however often it is pinned.
 
 Contract: a solution with status "optimal" has relative KKT residual at most
 1e-6 and every constraint satisfied to within 1e-8 (iterates are kept
@@ -76,9 +78,6 @@ class Posynomial:
     def variables(self) -> set[str]:
         return {v for t in self.terms for v, _ in t.exponents}
 
-    def __add__(self, other: "Posynomial") -> "Posynomial":
-        return Posynomial(self.terms + other.terms)
-
 
 @dataclass(frozen=True)
 class GpProgram:
@@ -121,55 +120,6 @@ def assemble(objective: Posynomial, constraints) -> GpProgram:
 def program_size(program: GpProgram) -> tuple[int, int]:
     """(number of variables, number of constraints) actually instantiated."""
     return len(program.variables), len(program.constraints)
-
-
-def fix_variable(program: GpProgram, values: dict[str, float]) -> GpProgram:
-    """Substitute variables by constants and drop them from the program.
-
-    `values` maps variable names to positive values.  Within a term the
-    pins multiply into the coefficient in the mapping's order, so one call
-    gives the same floats as a chain of single pins in that order.
-    Constraints that become constant are checked and removed; a constant
-    constraint above 1 means the fix is infeasible and raises GpError.
-    """
-    for name, value in values.items():
-        if name not in program.variables:
-            raise GpError(f"unknown variable {name!r}")
-        if not value > 0:
-            raise GpError(f"fixed value for {name} must be positive")
-    rank = {name: k for k, name in enumerate(values)}
-
-    def subst(posy: Posynomial) -> Posynomial:
-        out = []
-        for t in posy.terms:
-            coef = t.coef
-            for _, v, e in sorted((rank[v], v, e) for v, e in t.exponents
-                                  if v in rank):
-                coef *= values[v] ** e
-            out.append(Monomial(coef, tuple((v, e) for v, e in t.exponents
-                                            if v not in rank)))
-        return Posynomial(tuple(out))
-
-    objective = subst(program.objective)
-    constraints = []
-    for cname, posy in program.constraints:
-        new = subst(posy)
-        if new.variables:
-            constraints.append((cname, new))
-        else:
-            const = new.value({})
-            if const > 1.0 + 1e-9:
-                pins = ", ".join(f"{n}={v:g}" for n, v in values.items())
-                raise GpError(f"fixing {pins} violates {cname} "
-                              f"({const:.9g} > 1)")
-    variables = tuple(v for v in program.variables if v not in rank)
-    return GpProgram(objective, tuple(constraints), variables)
-
-
-def evaluate(program: GpProgram, point) -> tuple[float, dict[str, float]]:
-    """Objective and every constraint value at a positive point."""
-    return (program.objective.value(point),
-            {n: p.value(point) for n, p in program.constraints})
 
 
 # --------------------------------------------------------------------------
@@ -265,18 +215,13 @@ class ConvexForm:
 
     def __init__(self, program: GpProgram):
         self.variables = program.variables
-        self.n = len(self.variables)
+        self.constraints = tuple(name for name, _ in program.constraints)
         col = {v: i for i, v in enumerate(self.variables)}
         self.obj_A, self.obj_b = self._matrix(program.objective.terms, col)
-        terms: list[Monomial] = []
-        ptr = [0]
-        for _, posy in program.constraints:
-            terms.extend(posy.terms)
-            ptr.append(len(terms))
-        self.m = len(program.constraints)
-        self.con_A, self.con_b = self._matrix(terms, col)
-        self.ptr = np.asarray(ptr)
-        self.seg = np.repeat(np.arange(self.m), np.diff(self.ptr))
+        self.con_A, self.con_b = self._matrix(
+            [t for _, posy in program.constraints for t in posy.terms], col)
+        sizes = [len(posy.terms) for _, posy in program.constraints]
+        self.ptr = np.concatenate(([0], np.cumsum(sizes, dtype=np.int64)))
         self._compile()
 
     def _matrix(self, terms, col):
@@ -288,11 +233,11 @@ class ConvexForm:
                 rows.append(r)
                 cols.append(col[v])
                 vals.append(e)
-        A = sp.csr_matrix((vals, (rows, cols)), shape=(len(terms), self.n))
+        A = sp.csr_matrix((vals, (rows, cols)), shape=(len(terms), len(col)))
         return A, b
 
     def _compile(self):
-        """Fix the sparsity patterns of the Jacobian and the Newton system.
+        """Fix the sizes and the sparsity patterns of J and the Newton system.
 
         Every entry of J = S diag(sigma) con_A (S sums the terms of each
         constraint) and of K = [[H_s, g0], [g0^T, 1]] (see `_hessian`) is a
@@ -305,6 +250,8 @@ class ConvexForm:
         matrix with K's upper-triangle pattern, and K is stored already
         permuted, P K P^T with row and column i of K at `_kkt_perm[i]`.
         """
+        self.n, self.m = len(self.variables), len(self.constraints)
+        self.seg = np.repeat(np.arange(self.m), np.diff(self.ptr))
         n, N = self.n, self.n + 1
         C = self.con_A
         # J: entry e of con_A, in term t and column j, adds to J[seg[t], j]
@@ -393,14 +340,11 @@ class ConvexForm:
         """
         ext = copy.copy(self)
         ext.variables = self.variables + ("<slack>",)
-        ext.n = self.n + 1
-        ext.obj_A = sp.csr_matrix(([1.0], ([0], [self.n])), shape=(1, ext.n))
+        ext.obj_A = sp.csr_matrix(([1.0], ([0], [self.n])),
+                                  shape=(1, self.n + 1))
         ext.obj_b = np.zeros(1)
-        rows = self.con_A.shape[0]
-        extra = sp.csr_matrix(
-            (-np.ones(rows), (np.arange(rows), np.zeros(rows))),
-            shape=(rows, 1))
-        ext.con_A = sp.hstack([self.con_A, extra]).tocsr()
+        ext.con_A = sp.hstack(
+            [self.con_A, -np.ones((self.con_A.shape[0], 1))]).tocsr()
         ext._compile()
         return ext
 
@@ -423,6 +367,54 @@ class ConvexForm:
         """J du from J's data."""
         return np.bincount(self._jac_rows, jdata * du[self._jac_indices],
                            minlength=self.m)
+
+
+def _compiled(program) -> ConvexForm:
+    """A program's compiled form; a form is returned as it is."""
+    return program if isinstance(program, ConvexForm) else ConvexForm(program)
+
+
+def fix_variable(program, values: dict[str, float]) -> ConvexForm:
+    """Substitute variables by constants and drop them from the compiled form.
+
+    `values` maps variable names to positive values; a GpProgram is compiled
+    first.  Each pin x_j = v adds a_j log v to every term's offset, in the
+    mapping's order, so one call gives the same floats as a chain of pins.
+    Constraints that become constant are checked and removed; a constant
+    constraint above 1 means the fix is infeasible and raises GpError.
+    """
+    form = _compiled(program)
+    col = {v: i for i, v in enumerate(form.variables)}
+    for name, value in values.items():
+        if name not in col:
+            raise GpError(f"unknown variable {name!r}")
+        if not value > 0:
+            raise GpError(f"fixed value for {name} must be positive")
+    free = np.array([v not in values for v in form.variables], dtype=bool)
+
+    def shift(A, b, term):
+        b = b.copy()
+        for name, value in values.items():
+            hit = A.indices == col[name]
+            b[term[hit]] += A.data[hit] * math.log(value)
+        return A[:, free], b
+
+    out = copy.copy(form)
+    out.obj_A, out.obj_b = shift(form.obj_A, form.obj_b, form._obj_term)
+    con_A, con_b = shift(form.con_A, form.con_b, form._con_term)
+    live = np.bincount(form.seg, np.diff(con_A.indptr), minlength=form.m) > 0
+    for r in np.flatnonzero(~live):
+        const = float(np.exp(con_b[form.ptr[r]:form.ptr[r + 1]]).sum())
+        if const > 1.0 + 1e-9:
+            pins = ", ".join(f"{n}={v:g}" for n, v in values.items())
+            raise GpError(f"fixing {pins} violates {form.constraints[r]} "
+                          f"({const:.9g} > 1)")
+    out.variables = tuple(v for v, f in zip(form.variables, free) if f)
+    out.constraints = tuple(c for c, k in zip(form.constraints, live) if k)
+    out.con_A, out.con_b = con_A[live[form.seg]], con_b[live[form.seg]]
+    out.ptr = np.concatenate(([0], np.cumsum(np.diff(form.ptr)[live])))
+    out._compile()
+    return out
 
 
 # --------------------------------------------------------------------------
@@ -553,10 +545,11 @@ def _pdipm(form: ConvexForm, u, gap_tol, feas_tol, max_iter,
            early_stop=None):
     """Primal-dual interior point from a strictly feasible u.
 
-    Returns (u, lam, status, iterations, kkt).  `early_stop(u, F)` may end the
-    run as soon as the phase-1 goal is reached.  A program without
-    constraints runs the same loop with empty duals: it reduces to damped
-    Newton on the objective.
+    Returns (u, lam, point, status, iterations, kkt), where point is what
+    `_point` gives at the final u.  `early_stop(u, F)` may end the run as
+    soon as the phase-1 goal is reached.  A program without constraints
+    runs the same loop with empty duals: it reduces to damped Newton on the
+    objective.
     """
     m = form.m
     point = _point(form, u)
@@ -576,15 +569,15 @@ def _pdipm(form: ConvexForm, u, gap_tol, feas_tol, max_iter,
         gap_rel = eta / max(1.0, abs(F0))
         kkt = max(dual_rel, gap_rel)
         if early_stop is not None and early_stop(u, F):
-            return u, lam, STATUS_OPTIMAL, it, kkt
+            return u, lam, point, STATUS_OPTIMAL, it, kkt
         if dual_rel <= max(feas_tol, 1e-12) and gap_rel <= max(gap_tol, 1e-12):
-            return u, lam, STATUS_OPTIMAL, it, kkt
+            return u, lam, point, STATUS_OPTIMAL, it, kkt
         t = _MU * m / eta if m else math.inf
         rhs = -g0 - form._jac_t(jdata, 1.0 / (t * (-F)))
         du = _trust_region_step(
             form, _hessian(form, sigma0, g0, lam, F, sigma, jdata), rhs)
         if du is None:
-            return u, lam, STATUS_NUMERICAL, it, kkt
+            return u, lam, point, STATUS_NUMERICAL, it, kkt
         dlam = -lam - 1.0 / (t * F) - (lam / F) * form._jac_dot(jdata, du)
         step = 1.0
         neg = dlam < 0
@@ -605,17 +598,17 @@ def _pdipm(form: ConvexForm, u, gap_tol, feas_tol, max_iter,
         else:
             # stalled: residual cannot be reduced further in this direction
             if kkt <= 1e-6:
-                return u, lam, STATUS_OPTIMAL, it, kkt
+                return u, lam, point, STATUS_OPTIMAL, it, kkt
             if m and resets:
                 # runaway duals can poison the search direction; re-center
                 # them on the current barrier and try again at this point
                 resets -= 1
                 lam = -1.0 / F
                 continue
-            return u, lam, STATUS_NUMERICAL, it, kkt
+            return u, lam, point, STATUS_NUMERICAL, it, kkt
         if not np.isfinite(u).all():
-            return u, lam, STATUS_NUMERICAL, it, kkt
-    return u, lam, STATUS_MAX_ITER, max_iter, kkt
+            return u, lam, point, STATUS_NUMERICAL, it, kkt
+    return u, lam, point, STATUS_MAX_ITER, max_iter, kkt
 
 
 def _solve_phase1(form: ConvexForm, u0, feas_tol, max_iter):
@@ -629,9 +622,9 @@ def _solve_phase1(form: ConvexForm, u0, feas_tol, max_iter):
         # constraint values of the original program are F_ext + s
         return float((Fext + uu[-1]).max()) <= -1e-6
 
-    u, _, status, iters, _ = _pdipm(form.with_slack(), u, gap_tol=1e-9,
-                                    feas_tol=feas_tol, max_iter=max_iter,
-                                    early_stop=reached)
+    u, _, _, status, iters, _ = _pdipm(form.with_slack(), u, gap_tol=1e-9,
+                                       feas_tol=feas_tol, max_iter=max_iter,
+                                       early_stop=reached)
     F, _ = form.constraint_eval(u[:-1])
     if float(F.max()) <= -1e-6:
         return u[:-1], STATUS_OPTIMAL, iters
@@ -641,15 +634,19 @@ def _solve_phase1(form: ConvexForm, u0, feas_tol, max_iter):
     return u[:-1], status, iters
 
 
-def solve(program: GpProgram, x0=None, *, gap_tol: float = 1e-8,
+def _exp(z: float) -> float:
+    return math.exp(z) if z < 709.0 else math.inf
+
+
+def solve(program, x0=None, *, gap_tol: float = 1e-8,
           feas_tol: float = 1e-8, max_iterations: int = 200) -> GpSolution:
-    """Solve a geometric program.
+    """Solve a geometric program, given as a GpProgram or a compiled form.
 
     x0 maps variable names to positive starting values; missing names start
     at 1 and names the program lacks are ignored.  A strictly feasible
     start skips phase 1.
     """
-    form = ConvexForm(program)
+    form = _compiled(program)
     u0 = np.zeros(form.n)
     if x0:
         for i, v in enumerate(form.variables):
@@ -667,10 +664,8 @@ def solve(program: GpProgram, x0=None, *, gap_tol: float = 1e-8,
         return GpSolution(p1_status, {}, math.inf, (), (), p1_iters,
                           math.inf, "phase 1 did not converge")
 
-    u, lam, status, iters, kkt = _pdipm(form, u0, gap_tol, feas_tol,
-                                        max_iterations)
-    x = {v: math.exp(u[i]) if u[i] < 709.0 else math.inf
-         for i, v in enumerate(form.variables)}
-    objective, con_vals = evaluate(program, x)
-    return GpSolution(status, x, objective, tuple(lam),
-                      tuple(con_vals.values()), p1_iters + iters, kkt)
+    u, lam, (F, _, F0, *_), status, iters, kkt = _pdipm(
+        form, u0, gap_tol, feas_tol, max_iterations)
+    x = {v: _exp(u[i]) for i, v in enumerate(form.variables)}
+    return GpSolution(status, x, _exp(F0), tuple(lam), tuple(np.exp(F)),
+                      p1_iters + iters, kkt)

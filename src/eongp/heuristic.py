@@ -7,10 +7,10 @@ efficiencies to modulation-table values: the acceptance window starts at
 zero width and grows by the configured precision until at least one
 relaxed efficiency lies within it of a table value; every such request is
 pinned in the same round (ties resolve to the smaller table value because
-candidates are scanned in ascending order) and the shrunken program is
-re-solved with the pinned values substituted.  Each round pins at least
-one request, so the loop runs at most once per request.  The closing
-solve, with every efficiency pinned, yields the continuous powers,
+candidates are scanned in ascending order) and the program, compiled once,
+is re-solved with the pinned values moved into its offsets.  Each round
+pins at least one request, so the loop runs at most once per request.  The
+closing solve, with every efficiency pinned, yields the continuous powers,
 centers, margins, spacings and spectrum edge.
 
 Rounding failures are not repaired: if any re-solve comes back infeasible
@@ -94,20 +94,21 @@ def assign(routing: RoutingSolution, physics: PhysicsConstants,
            ) -> tuple[psa.Allocation, HeuristicTrace]:
     """Stage 2: relax, iteratively round efficiencies, re-solve."""
     modulations = ModulationTable() if modulations is None else modulations
-    program = psa.build_program(routing, physics, scenario, modulations)
+    form = gp.ConvexForm(
+        psa.build_program(routing, physics, scenario, modulations))
     start = psa.warm_start(routing, physics, scenario)
     tols = dict(gap_tol=scenario.gap_tol, feas_tol=scenario.feas_tol,
                 max_iterations=scenario.max_iterations)
 
-    def solve_or_abort(prog, x0, stage, trace):
-        sol = gp.solve(prog, x0, **tols)
+    def solve_or_abort(compiled, x0, stage, trace):
+        sol = gp.solve(compiled, x0, **tols)
         if sol.status != "optimal":
             raise HeuristicError(
                 f"assignment solve failed ({sol.status}) at {stage}",
                 stage, trace, status=sol.status)
         return sol
 
-    solution = solve_or_abort(program, start, "relaxation", None)
+    solution = solve_or_abort(form, start, "relaxation", None)
     relaxed_objective = solution.objective
 
     unfixed = list(routing.order)
@@ -118,13 +119,13 @@ def assign(routing: RoutingSolution, physics: PhysicsConstants,
                             modulations.efficiencies, physics.round_step)
         rounds.append(RoundingRound(solution.objective, tuple(batch)))
         pins = {psa.c_var(rec.request): rec.fixed for rec in batch}
-        program = gp.fix_variable(program, pins)
+        form = gp.fix_variable(form, pins)
         pinned.update(pins)
         unfixed = [q for q in unfixed if psa.c_var(q) not in pins]
         partial = HeuristicTrace(routing.method, scenario.formulation,
                                  tuple(rounds), relaxed_objective,
                                  float("nan"))
-        solution = solve_or_abort(program, solution.variables,
+        solution = solve_or_abort(form, solution.variables,
                                   f"round {len(rounds)}", partial)
 
     allocation = psa.extract({**solution.variables, **pinned}, routing,

@@ -172,6 +172,8 @@ class PhysicsConstants:
         for f in fields(self):
             if not getattr(self, f.name) > 0:
                 raise InstanceError(f"constant {f.name} must be positive")
+        if self.round_step < 1e-12:  # rounding rounds its window to 1e-12
+            raise InstanceError("constant round_step must be at least 1e-12")
 
     # SI views -------------------------------------------------------------
     @property
@@ -265,15 +267,28 @@ class ScenarioConfig:
             raise InstanceError("formulation must be 1..6")
         if not self.traffic_scale_gbps > 0:
             raise InstanceError("traffic_scale_gbps must be positive")
-        n = self.num_requests
-        if n is not None:
-            # an integral JSON number such as 10.0 counts as the integer
-            whole = int(n) if isinstance(n, float) and n.is_integer() else n
-            if isinstance(whole, bool) or \
-                    not isinstance(whole, numbers.Integral) or whole < 1:
+        if self.num_requests is not None:
+            _store_integer(self, "num_requests", 1)
+        _store_integer(self, "seed", 0)
+        _store_integer(self, "max_iterations", 1)
+        for name in ("gap_tol", "feas_tol"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real) \
+                    or not 0 < value < math.inf:
                 raise InstanceError(
-                    f"num_requests must be a positive integer, got {n!r}")
-            object.__setattr__(self, "num_requests", int(whole))
+                    f"{name} must be positive and finite, got {value!r}")
+
+
+def _store_integer(config, name: str, least: int) -> None:
+    """Store field `name` as an int >= `least`; 10.0 counts as 10."""
+    value = getattr(config, name)
+    whole = int(value) if isinstance(value, float) and value.is_integer() \
+        else value
+    if isinstance(whole, bool) or not isinstance(whole, numbers.Integral) \
+            or whole < least:
+        raise InstanceError(
+            f"{name} must be an integer of at least {least}, got {value!r}")
+    object.__setattr__(config, name, int(whole))
 
 
 @dataclass(frozen=True)

@@ -148,7 +148,7 @@ def brute_force_psa(routing: RoutingSolution, physics: PhysicsConstants,
     """Best allocation over every table-value assignment of efficiencies.
 
     Exhaustive over the integer grid, continuous in everything else: each
-    combination is solved as a GP with the efficiencies substituted.  Only
+    combination is solved as a GP, pinned on a form compiled once.  Only
     small request sets are accepted; the grid grows as 6^|Q|.
     """
     modulations = ModulationTable() if modulations is None else modulations
@@ -156,7 +156,8 @@ def brute_force_psa(routing: RoutingSolution, physics: PhysicsConstants,
     if not 0 < n <= 4:
         raise InstanceError("brute force supports 1..4 requests")
 
-    base = psa.build_program(routing, physics, scenario, modulations)
+    base = gp.ConvexForm(
+        psa.build_program(routing, physics, scenario, modulations))
     start = psa.warm_start(routing, physics, scenario)
     best = None
     for combo in itertools.product(modulations.efficiencies, repeat=n):

@@ -1,12 +1,13 @@
 """Command-line interface: artifacts, config layering, exit codes."""
 
 import json
+import math
 import subprocess
 import sys
 
 import pytest
 
-from eongp import cli
+from eongp import cli, gp
 
 
 def run_cli(*argv):
@@ -159,6 +160,35 @@ def test_integral_request_count_in_config_is_accepted(tmp_path):
     assert run_cli("run", "--config", config, "--out", tmp_path) == 0
     written, rows = cli.read_artifact_csv(tmp_path / "allocation.csv")
     assert written["scenario"]["num_requests"] == 3 and len(rows) == 3
+
+
+@pytest.fixture
+def no_solve(monkeypatch):
+    # a rejected input must fail before the first solve
+    def refuse(*args, **kwargs):
+        raise AssertionError("a solve started")
+    monkeypatch.setattr(gp, "solve", refuse)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("seed", "x"), ("seed", 2.5), ("seed", True), ("seed", -1),
+    ("max_iterations", -5), ("max_iterations", 0), ("max_iterations", 2.5),
+    ("gap_tol", -1), ("gap_tol", 0), ("gap_tol", "x"), ("gap_tol", math.inf),
+    ("feas_tol", -1), ("feas_tol", math.nan),
+])
+def test_bad_scenario_value_in_config_exits_4(tmp_path, no_solve, key, value):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"scenario": {key: value}}))
+    assert run_cli("run", "--requests", 3, "--config", config,
+                   "--out", tmp_path) == 4
+
+
+def test_tiny_round_step_exits_4(tmp_path, no_solve):
+    # a step below 1e-12 would leave the rounding window at zero forever
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"physics": {"round_step": 1e-300}}))
+    assert run_cli("run", "--requests", 3, "--config", config,
+                   "--out", tmp_path) == 4
 
 
 def test_negative_formulation_size_exits_4(tmp_path):

@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings, strategies as st
 from eongp import gp, psa
 from eongp.gp import (
     ConvexForm, GpError, GpProgram, GpSolution, Monomial, Posynomial, assemble,
-    evaluate, fix_variable, from_text, program_size, solve, to_text,
+    fix_variable, from_text, program_size, solve, to_text,
 )
 from eongp.model import load_instance, partition_traffic, select_requests
 from eongp.routing import solve_routing
@@ -51,12 +51,6 @@ def test_program_validation():
     assert prog.constraint("cap").terms[0].exponents == (("z", -1.0),)
     with pytest.raises(GpError):
         prog.constraint("nope")
-
-
-def test_evaluate():
-    prog = assemble(posy(mono(2.0, x=1.0)), [("c", posy(mono(0.5, x=1.0)))])
-    obj, cons = evaluate(prog, {"x": 3.0})
-    assert obj == 6.0 and cons == {"c": 1.5}
 
 
 # ---------------------------------------------------------------- solving
@@ -486,8 +480,8 @@ def test_fix_variable_drops_satisfied_constant_rows():
                     [("cap", posy(mono(0.25, x=1.0))),
                      ("link", posy(mono(1.0, x=-1.0, y=-1.0)))])
     fixed = fix_variable(prog, {"x": 2.0})
-    assert [n for n, _ in fixed.constraints] == ["link"]
-    with pytest.raises(GpError):
+    assert fixed.constraints == ("link",)
+    with pytest.raises(GpError, match=r"^fixing x=8 violates cap \(2 > 1\)$"):
         fix_variable(prog, {"x": 8.0})  # cap becomes 2 > 1
     with pytest.raises(GpError):
         fix_variable(prog, {"zz": 1.0})
@@ -521,7 +515,46 @@ def test_one_substitution_equals_a_chain_of_pins(objective, rows, va, vb):
         with pytest.raises(GpError):
             fix_variable(fix_variable(prog, {"b": vb}), {"a": va})
         return
-    assert once == fix_variable(fix_variable(prog, {"b": vb}), {"a": va})
+    chain = fix_variable(fix_variable(prog, {"b": vb}), {"a": va})
+    assert once.variables == chain.variables == ("x", "y")
+    assert once.constraints == chain.constraints
+    for name in ("obj_b", "con_b", "ptr"):
+        assert np.array_equal(getattr(once, name), getattr(chain, name))
+    for name in ("obj_A", "con_A"):
+        mine, theirs = getattr(once, name), getattr(chain, name)
+        assert mine.shape == theirs.shape
+        for part in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(mine, part), getattr(theirs, part))
+
+
+@settings(deadline=None, derandomize=True)
+@given(objective=_posy, rows=st.lists(_posy, max_size=4),
+       pins=st.dictionaries(st.sampled_from(_NAMES), st.floats(0.1, 10.0)),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_pinned_form_matches_the_posynomials(objective, rows, pins, seed):
+    # the pins move into the compiled offsets; the posynomials of the
+    # original program, evaluated at the merged point, are the reference
+    names = [f"r{k}" for k in range(len(rows))]
+    prog = GpProgram(objective, tuple(zip(names, rows)), _NAMES)
+    constant = {name: row.value(pins) for name, row in zip(names, rows)
+                if row.variables <= set(pins)}
+    assume(all(abs(value - 1.0) > 1e-6 for value in constant.values()))
+    if any(value > 1.0 + 1e-9 for value in constant.values()):
+        with pytest.raises(GpError):
+            fix_variable(prog, pins)
+        return
+    form = fix_variable(prog, pins)
+    assert form.variables == tuple(v for v in _NAMES if v not in pins)
+    assert form.constraints == tuple(n for n in names if n not in constant)
+    u = np.random.default_rng(seed).uniform(-1.0, 1.0, form.n)
+    point = {**pins, **dict(zip(form.variables, np.exp(u)))}
+    np.testing.assert_allclose(form.objective_eval(u)[0],
+                               math.log(objective.value(point)),
+                               rtol=0, atol=1e-12)
+    np.testing.assert_allclose(
+        form.constraint_eval(u)[0],
+        [math.log(row.value(point)) for name, row in zip(names, rows)
+         if name not in constant], rtol=0, atol=1e-12)
 
 
 @settings(deadline=None, derandomize=True)

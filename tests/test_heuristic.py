@@ -2,11 +2,12 @@ import math
 
 import pytest
 
-from eongp import heuristic, psa, validate
+from eongp import gp, heuristic, psa, validate
 from eongp.heuristic import HeuristicError, _pick_fixes
 from eongp.model import (
     ConnectionRequest, InstanceError, NetworkInstance, PhysicsConstants,
-    ScenarioConfig, TrafficDemand, load_topology,
+    ScenarioConfig, TrafficDemand, load_instance, load_topology,
+    partition_traffic, select_requests,
 )
 from eongp.routing import solve_routing
 
@@ -112,6 +113,40 @@ def test_three_requests_near_exhaustive(chain):
     oracle, _ = validate.brute_force_psa(routing, PHYS, scen)
     assert oracle.objective <= alloc.objective * (1 + 1e-6)
     assert alloc.objective <= oracle.objective * 1.02
+
+
+@pytest.fixture
+def compiles(monkeypatch):
+    """Counts ConvexForm compilations from a program."""
+    calls = []
+    compile_program = gp.ConvexForm.__init__
+
+    def counting(self, program):
+        calls.append(program)
+        compile_program(self, program)
+
+    monkeypatch.setattr(gp.ConvexForm, "__init__", counting)
+    return calls
+
+
+def test_rounding_compiles_the_program_once(data_dir, compiles):
+    inst = load_instance(str(data_dir / "cost239_topology.txt"),
+                         str(data_dir / "cost239_traffic.txt"))
+    requests = select_requests(partition_traffic(inst.demands, 100e9), 6,
+                               seed=0)
+    routing = solve_routing(inst.topology, requests, "spr")
+    _, trace = heuristic.assign(routing, inst.physics,
+                                ScenarioConfig(weight_spectrum=1e-9))
+    assert trace.iterations >= 2
+    assert len(compiles) == 1
+
+
+def test_brute_force_compiles_the_program_once(chain, compiles):
+    topo, _ = chain
+    routing = solve_routing(topo, [ConnectionRequest(0, "a", "c", 100e9)],
+                            "spr")
+    validate.brute_force_psa(routing, PHYS, ScenarioConfig())
+    assert len(compiles) == 1
 
 
 def test_infeasible_band_aborts_with_stage(chain):

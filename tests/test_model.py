@@ -100,6 +100,15 @@ def test_si_conversions():
     assert phys.capacity_bps == 100e9
 
 
+def test_round_step_floor():
+    # the rounding window grows in steps rounded to 1e-12: a finer step
+    # would never move it
+    assert PhysicsConstants(round_step=1e-12).round_step == 1e-12
+    for step in (5e-13, 1e-300):
+        with pytest.raises(InstanceError):
+            PhysicsConstants(round_step=step)
+
+
 def test_derived_constants_against_high_precision():
     # Recompute the three coefficients with 50-digit arithmetic.
     mp = mpmath.mp
@@ -137,6 +146,17 @@ def test_scenario_validation():
     # an integral JSON number counts as the integer
     assert ScenarioConfig(num_requests=10.0).num_requests == 10
     assert type(ScenarioConfig(num_requests=10.0).num_requests) is int
+    for seed in ("x", 2.5, True, -1, None):
+        with pytest.raises(InstanceError):
+            ScenarioConfig(seed=seed)
+    for count in (-5, 0, 2.5, "x", True):
+        with pytest.raises(InstanceError):
+            ScenarioConfig(max_iterations=count)
+    for name in ("gap_tol", "feas_tol"):
+        for tol in (-1, 0, "x", True, math.inf, math.nan):
+            with pytest.raises(InstanceError):
+                ScenarioConfig(**{name: tol})
+    assert ScenarioConfig(seed=0, max_iterations=1, gap_tol=1e-3).seed == 0
 
 
 # ---------------------------------------------------------------- topology I/O
