@@ -4,7 +4,9 @@ import time
 from importlib import resources
 
 from eongp import heuristic, validate
-from eongp.model import ScenarioConfig, load_instance
+from eongp.model import (
+    ModulationTable, PhysicsConstants, ScenarioConfig, load_instance,
+)
 
 DATA = resources.files("eongp") / "data"
 
@@ -13,10 +15,11 @@ def main():
     scenario = ScenarioConfig(num_requests=20, seed=1, rto_method="scpr",
                               formulation=2)
     instance = load_instance(str(DATA / "cost239_topology.txt"),
-                             str(DATA / "cost239_traffic.txt"))
+                             str(DATA / "cost239_traffic.txt"),
+                             (PhysicsConstants(), scenario, ModulationTable()))
 
     started = time.perf_counter()
-    routing, allocation, trace = heuristic.run(instance, scenario)
+    routing, allocation, trace = heuristic.run(instance)
     elapsed = time.perf_counter() - started
 
     n = len(routing.requests)
@@ -28,7 +31,7 @@ def main():
     print(f"spectrum edge {allocation.spectrum_edge_hz / 1e12:.4f} THz of "
           f"{instance.physics.band_thz} THz band")
 
-    report = validate.validate(allocation, routing, instance, scenario)
+    report = validate.validate(allocation, routing, instance)
     print(f"\nexact-model verification")
     print(f"  admissible          {report.admissible}")
     print(f"  min / mean slack    {min(report.slack):.3f} / "

@@ -5,6 +5,7 @@ exactly at the floor, so doubling the floor forces lower-order modulation
 and roughly halves the rate carried per unit of power and bandwidth.
 """
 
+from dataclasses import replace
 from importlib import resources
 
 from eongp import validate
@@ -18,20 +19,24 @@ def main():
     instance = load_instance(str(DATA / "cost239_topology.txt"),
                              str(DATA / "cost239_traffic.txt"))
 
-    series = validate.sweep_margin(instance, (1.0, 2.0, 4.0), scenario)
+    runs = validate.compare(instance, [replace(scenario, min_margin=margin)
+                                       for margin in (1.0, 2.0, 4.0)])
     print("margin   mean eff   rate/resource   total power   total noise")
-    for margin, allocation, report in series:
-        eff = sum(allocation.efficiency) / len(allocation.efficiency)
-        print(f"  {margin:4.1f}   {eff:7.2f}   {report.mean_rate_per_resource:12.4e}"
-              f"   {report.total_power_w:.3e}   {report.total_noise_w:.3e}")
+    for run in runs:
+        eff = sum(run.allocation.efficiency) / len(run.allocation.efficiency)
+        print(f"  {run.scenario.min_margin:4.1f}   {eff:7.2f}   "
+              f"{run.report.mean_rate_per_resource:12.4e}"
+              f"   {run.report.total_power_w:.3e}   "
+              f"{run.report.total_noise_w:.3e}")
 
-    first, last = series[0][2], series[-1][2]
+    first, last = runs[0].report, runs[-1].report
     ratio = first.mean_rate_per_resource / last.mean_rate_per_resource
     print(f"\nquadrupling the floor costs a factor {ratio:.2f} in rate per "
           f"resource; realized margins stay pinned at the floor:")
-    for margin, allocation, _ in series:
-        lo, hi = min(allocation.margin), max(allocation.margin)
-        print(f"  floor {margin:.0f}: margins in [{lo:.4f}, {hi:.4f}]")
+    for run in runs:
+        lo, hi = min(run.allocation.margin), max(run.allocation.margin)
+        print(f"  floor {run.scenario.min_margin:.0f}: margins in "
+              f"[{lo:.4f}, {hi:.4f}]")
 
 
 if __name__ == "__main__":

@@ -46,7 +46,7 @@ def main():
     instance = NetworkInstance(topology=topo,
                                demands=demands_from_matrix(matrix, topo, 10.0),
                                physics=phys, scenario=scenario)
-    report = validate.validate(allocation, routing, instance, scenario)
+    report = validate.validate(allocation, routing, instance)
     print(f"\nexact-model check: admissible {report.admissible}, "
           f"min slack {min(report.slack):.3f}, "
           f"mean model error {sum(report.model_error) / 3:.2e}")

@@ -13,7 +13,9 @@ Every CSV artifact opens with a '# config: {...}' comment carrying the
 resolved configuration, so the file alone identifies the run that produced
 it.  Numbers are written with fixed formatting and the pipeline is seeded,
 so identical inputs give byte-identical CSV files; wall-clock times appear
-only in the JSON artifacts.
+only in the JSON artifacts.  The four pipeline commands run through
+`validate.compare`, one scenario per margin, method or formulation (one for
+`run`); JSON artifacts hold its records as they are, non-finite numbers null.
 
 Exit codes: 0 success, 2 usage, 3 I/O, 4 input parse or validation,
 5 infeasible instance, 6 solver breakdown.
@@ -27,12 +29,11 @@ import json
 import math
 import statistics
 import sys
-import time
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, is_dataclass, replace
 from importlib import resources
 from pathlib import Path
 
-from . import heuristic, physics, psa, validate
+from . import physics, psa, validate
 from .gp import STATUS_INFEASIBLE
 from .heuristic import HeuristicError
 from .model import (
@@ -116,11 +117,28 @@ def _write_csv(man: RunManifest, name: str, columns, rows) -> Path:
     return path
 
 
+def _plain(value):
+    """`value` as JSON data: a dataclass becomes an object of its fields and
+    properties, a tuple a list, and a non-finite float null."""
+    if is_dataclass(value):
+        value = {name: getattr(value, name) for name in
+                 [f.name for f in fields(value)] + [
+                     name for name, attr in vars(type(value)).items()
+                     if isinstance(attr, property)]}
+    if isinstance(value, dict):
+        return {key: _plain(item) for key, item in value.items()}
+    if isinstance(value, (tuple, list)):
+        return [_plain(item) for item in value]
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
+    return value
+
+
 def _write_json(man: RunManifest, name: str, payload: dict) -> Path:
-    """Write `payload` and the resolved configuration as JSON."""
+    """Write `payload`, records included, and the resolved configuration."""
     path = man.out_dir / name
     with open(path, "w") as fh:
-        json.dump({"config": _resolved_config(man), **payload}, fh,
+        json.dump(_plain({"config": _resolved_config(man), **payload}), fh,
                   indent=2, sort_keys=True)
         fh.write("\n")
     return path
@@ -141,44 +159,6 @@ def read_artifact_csv(path):
     return config, rows
 
 
-def _finite(x: float):
-    return x if math.isfinite(x) else None
-
-
-def _report_payload(report) -> dict:
-    return {
-        "exact_osnr": [_finite(v) for v in report.exact_osnr],
-        "model_osnr": [_finite(v) for v in report.model_osnr],
-        "required_osnr": list(report.required_osnr),
-        "slack": [_finite(v) for v in report.slack],
-        "model_error": [_finite(v) for v in report.model_error],
-        "total_power_w": report.total_power_w,
-        "total_noise_w": report.total_noise_w,
-        "mean_rate_per_resource": _finite(report.mean_rate_per_resource),
-        "spectrum_edge_hz": report.spectrum_edge_hz,
-        "span_usage": report.span_usage,
-        "violations": [{"kind": v.kind, "subject": v.subject,
-                        "amount_hz": v.amount_hz}
-                       for v in report.violations],
-        "admissible": report.admissible,
-    }
-
-
-def _trace_payload(trace) -> dict:
-    return {
-        "method": trace.method,
-        "formulation": trace.formulation,
-        "relaxed_objective": trace.relaxed_objective,
-        "final_objective": trace.final_objective,
-        "iterations": trace.iterations,
-        "rounds": [{"objective": r.objective,
-                    "fixes": [{"request": f.request, "relaxed": f.relaxed,
-                               "fixed": f.fixed, "width": f.width}
-                              for f in r.fixes]}
-                   for r in trace.rounds],
-    }
-
-
 # --------------------------------------------------------------------------
 # commands
 # --------------------------------------------------------------------------
@@ -195,11 +175,8 @@ def _path_names(routing, topology, q: int) -> str:
 
 def _cmd_run(man: RunManifest) -> None:
     instance = _load_instance(man)
-    started = time.perf_counter()
-    routing, allocation, trace = heuristic.run(instance)
-    runtime = time.perf_counter() - started
-    report = validate.validate(allocation, routing, instance)
-
+    [run] = validate.compare(instance, [instance.scenario])
+    routing, allocation = run.routing, run.allocation
     rows = [(req.id, req.source, req.dest, req.rate_bps,
              _path_names(routing, instance.topology, q),
              routing.span_counts[q], allocation.power_w[q],
@@ -211,71 +188,63 @@ def _cmd_run(man: RunManifest) -> None:
                 "power_w", "center_hz", "bandwidth_hz", "efficiency",
                 "margin"), rows)
     _write_json(man, "validation.json",
-                {"objective": allocation.objective,
-                 "report": _report_payload(report)})
+                {"objective": allocation.objective, "report": run.report})
     _write_json(man, "trace.json",
-                {"runtime_s": runtime,
-                 "trace": _trace_payload(trace)})
+                {"runtime_s": run.runtime_s, "trace": run.trace})
 
 
 def _cmd_sweep_margin(man: RunManifest) -> None:
-    instance = _load_instance(man)
-    series = validate.sweep_margin(instance, man.margins)
-    rows = [(margin, report.mean_rate_per_resource, report.total_noise_w,
-             report.total_power_w, report.spectrum_edge_hz,
-             allocation.objective)
-            for margin, allocation, report in series]
+    runs = validate.compare(_load_instance(man), [
+        replace(man.scenario, min_margin=margin) for margin in man.margins])
+    rows = [(run.scenario.min_margin, run.report.mean_rate_per_resource,
+             run.report.total_noise_w, run.report.total_power_w,
+             run.report.spectrum_edge_hz, run.allocation.objective)
+            for run in runs]
     _write_csv(man, "curves.csv",
                ("margin", "mean_rate_per_resource", "total_noise_w",
                 "total_power_w", "spectrum_edge_hz", "objective"), rows)
-    _write_json(man, "validation.json",
-                {"margins": list(man.margins),
-                 "reports": [_report_payload(report)
-                             for _, _, report in series]})
+    _write_json(man, "validation.json", {
+        "margins": man.margins, "reports": [run.report for run in runs]})
 
 
 def _cmd_compare_rto(man: RunManifest) -> None:
-    instance = _load_instance(man)
-    results = validate.compare_rto(instance, scenario=man.scenario)
-    rows = [(method, report.total_power_w, report.total_noise_w,
-             report.spectrum_edge_hz, allocation.objective, report.admissible)
-            for method, _, allocation, report in results]
+    runs = validate.compare(_load_instance(man), [
+        replace(man.scenario, rto_method=method) for method in RTO_METHODS])
+    rows = [(run.scenario.rto_method, run.report.total_power_w,
+             run.report.total_noise_w, run.report.spectrum_edge_hz,
+             run.allocation.objective, run.report.admissible)
+            for run in runs]
     _write_csv(man, "curves.csv",
                ("method", "total_power_w", "total_noise_w",
                 "spectrum_edge_hz", "objective", "admissible"), rows)
-    _write_json(man, "validation.json",
-                {"methods": [method for method, *_ in results],
-                 "reports": [_report_payload(report)
-                             for *_, report in results]})
+    _write_json(man, "validation.json", {
+        "methods": RTO_METHODS, "reports": [run.report for run in runs]})
 
 
 def _cmd_compare_gpsa(man: RunManifest) -> None:
     instance = _load_instance(man)
+    runs = validate.compare(instance, [
+        replace(man.scenario, formulation=formulation)
+        for formulation in sorted(psa.FORMULATION_FIT)])
     rows = []
-    details = []
-    for formulation in sorted(psa.FORMULATION_FIT):
-        scenario = replace(man.scenario, formulation=formulation)
-        started = time.perf_counter()
-        routing, allocation, trace = heuristic.run(instance, scenario)
-        runtime = time.perf_counter() - started
-        report = validate.validate(allocation, routing, instance, scenario)
+    for run in runs:
+        formulation = run.scenario.formulation
         n_vars, n_cons = psa.formulation_size(
-            f"gpsa{formulation}", len(routing.requests),
+            f"gpsa{formulation}", len(run.routing.requests),
             len(instance.topology.links))
         rows.append((formulation, psa.FORMULATION_FIT[formulation],
                      psa.FORMULATION_ORDER[formulation], n_vars, n_cons,
-                     allocation.objective, report.total_power_w,
-                     report.total_noise_w, report.spectrum_edge_hz,
-                     statistics.fmean(report.model_error)))
-        details.append({"formulation": formulation, "runtime_s": runtime,
-                        "rounding_rounds": trace.iterations,
-                        "report": _report_payload(report)})
+                     run.allocation.objective, run.report.total_power_w,
+                     run.report.total_noise_w, run.report.spectrum_edge_hz,
+                     statistics.fmean(run.report.model_error)))
     _write_csv(man, "curves.csv",
                ("formulation", "fit", "kernel_order", "variables",
                 "constraints", "objective", "total_power_w", "total_noise_w",
                 "spectrum_edge_hz", "mean_model_error"), rows)
-    _write_json(man, "validation.json",
-                {"runs": details})
+    _write_json(man, "validation.json", {"runs": [
+        {"formulation": run.scenario.formulation, "runtime_s": run.runtime_s,
+         "rounding_rounds": run.trace.iterations, "report": run.report}
+        for run in runs]})
 
 
 def _cmd_characterize_approx(man: RunManifest) -> None:

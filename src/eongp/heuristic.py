@@ -3,15 +3,15 @@
 Stage 1 splits traffic into transponder-sized requests, routes them and
 derives the processing order.  Stage 2 solves the continuous relaxation of
 the selected assignment formulation, then repeatedly pins spectral
-efficiencies to modulation-table values: the acceptance window starts at
-zero width and grows by the configured precision until at least one
-relaxed efficiency lies within it of a table value; every such request is
-pinned in the same round (ties resolve to the smaller table value because
-candidates are scanned in ascending order) and the program, compiled once,
-is re-solved with the pinned values moved into its offsets.  Each round
-pins at least one request, so the loop runs at most once per request.  The
-closing solve, with every efficiency pinned, yields the continuous powers,
-centers, margins, spacings and spectrum edge.
+efficiencies to modulation-table values: the acceptance window is the
+least multiple of the configured precision (rounded to 1e-12) that puts at
+least one relaxed efficiency within it of a table value; every such
+request is pinned in the same round (a tie goes to the smaller table value)
+and the program, compiled once, is re-solved with the pinned values moved
+into its offsets.  Each round pins at least one request, so the loop runs
+at most once per request.  The closing solve, with every efficiency
+pinned, yields the continuous powers, centers, margins, spacings and
+spectrum edge.
 
 Rounding failures are not repaired: if any re-solve comes back infeasible
 the run aborts with a stage-tagged error carrying the partial trace.
@@ -19,6 +19,7 @@ the run aborts with a stage-tagged error carrying the partial trace.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from . import gp, psa
@@ -73,27 +74,28 @@ class HeuristicTrace:
 
 
 def _pick_fixes(solution_vars, unfixed, candidates, step: float):
-    """Grow the window until at least one request snaps to a table value."""
-    width = 0.0
-    while True:
-        batch = []
-        for q in unfixed:
-            relaxed = solution_vars[psa.c_var(q)]
-            for value in candidates:
-                if abs(relaxed - value) <= width + 1e-12:
-                    batch.append(FixRecord(q, relaxed, value, width))
-                    break
-        if batch:
-            return batch
-        width = round(width + step, 12)
+    """Pin every request within the narrowest admitting window of a table
+    value; the window's multiple of `step` is solved for, not stepped to."""
+    relaxed = {q: solution_vars[psa.c_var(q)] for q in unfixed}
+    nearest = min(abs(c - v) for c in relaxed.values() for v in candidates)
+    k = max(0, math.ceil((nearest - 1e-12) / step) - 2)  # admits no request
+    while nearest > round(k * step, 12) + 1e-12:
+        k += 1
+    width = round(k * step, 12)
+    batch = []
+    for q in unfixed:
+        for value in candidates:
+            if abs(relaxed[q] - value) <= width + 1e-12:
+                batch.append(FixRecord(q, relaxed[q], value, width))
+                break
+    return batch
 
 
 def assign(routing: RoutingSolution, physics: PhysicsConstants,
            scenario: ScenarioConfig,
-           modulations: ModulationTable | None = None
+           modulations: ModulationTable = ModulationTable()
            ) -> tuple[psa.Allocation, HeuristicTrace]:
     """Stage 2: relax, iteratively round efficiencies, re-solve."""
-    modulations = ModulationTable() if modulations is None else modulations
     form = gp.ConvexForm(
         psa.build_program(routing, physics, scenario, modulations))
     start = psa.warm_start(routing, physics, scenario)
@@ -136,10 +138,10 @@ def assign(routing: RoutingSolution, physics: PhysicsConstants,
     return allocation, trace
 
 
-def run(instance: NetworkInstance, scenario: ScenarioConfig | None = None
+def run(instance: NetworkInstance
         ) -> tuple[RoutingSolution, psa.Allocation, HeuristicTrace]:
     """Full pipeline: partition traffic, route, order, assign."""
-    scenario = instance.scenario if scenario is None else scenario
+    scenario = instance.scenario
     requests = partition_traffic(instance.demands,
                                  instance.physics.capacity_bps)
     if scenario.num_requests is not None:

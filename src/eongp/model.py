@@ -133,6 +133,10 @@ class ModulationTable:
     def __post_init__(self):
         if not self.entries:
             raise InstanceError("modulation table is empty")
+        object.__setattr__(self, "entries", tuple(
+            (float(_number(c, "modulation efficiency", 0, strict=True)),
+             float(_number(o, "modulation OSNR", 0, strict=True)))
+            for c, o in self.entries))
         effs = [e for e, _ in self.entries]
         osnrs = [o for _, o in self.entries]
         if any(b <= a for a, b in zip(effs, effs[1:])) or \
@@ -170,10 +174,11 @@ class PhysicsConstants:
 
     def __post_init__(self):
         for f in fields(self):
-            if not getattr(self, f.name) > 0:
-                raise InstanceError(f"constant {f.name} must be positive")
-        if self.round_step < 1e-12:  # rounding rounds its window to 1e-12
-            raise InstanceError("constant round_step must be at least 1e-12")
+            # rounding widths are rounded to 1e-12, which a finer step
+            # cannot resolve
+            least, strict = (1e-12, False) if f.name == "round_step" \
+                else (0, True)
+            _number(getattr(self, f.name), f"constant {f.name}", least, strict)
 
     # SI views -------------------------------------------------------------
     @property
@@ -255,40 +260,38 @@ class ScenarioConfig:
     max_iterations: int = 200
 
     def __post_init__(self):
-        for name in ("weight_spectrum", "weight_power", "weight_margin",
-                     "weight_spacing"):
-            if getattr(self, name) < 0:
-                raise InstanceError(f"{name} must be nonnegative")
-        if self.min_margin < 1.0:
-            raise InstanceError("min_margin must be at least 1")
         if self.rto_method not in RTO_METHODS:
             raise InstanceError(f"unknown rto_method {self.rto_method!r}")
-        if self.formulation not in range(1, 7):
-            raise InstanceError("formulation must be 1..6")
-        if not self.traffic_scale_gbps > 0:
-            raise InstanceError("traffic_scale_gbps must be positive")
+        integers = ("formulation", "max_iterations")
         if self.num_requests is not None:
-            _store_integer(self, "num_requests", 1)
-        _store_integer(self, "seed", 0)
-        _store_integer(self, "max_iterations", 1)
-        for name in ("gap_tol", "feas_tol"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Real) \
-                    or not 0 < value < math.inf:
-                raise InstanceError(
-                    f"{name} must be positive and finite, got {value!r}")
+            integers += ("num_requests",)
+        # fields, least value, strictly above it, integer
+        for names, least, strict, integer in (
+                (("weight_spectrum", "weight_power", "weight_margin",
+                  "weight_spacing"), 0, False, False),
+                (("min_margin",), 1, False, False),
+                (("traffic_scale_gbps", "gap_tol", "feas_tol"), 0, True, False),
+                (integers, 1, False, True), (("seed",), 0, False, True)):
+            for name in names:
+                object.__setattr__(self, name, _number(
+                    getattr(self, name), name, least, strict, integer))
+        if self.formulation > 6:
+            raise InstanceError("formulation must be 1..6")
 
 
-def _store_integer(config, name: str, least: int) -> None:
-    """Store field `name` as an int >= `least`; 10.0 counts as 10."""
-    value = getattr(config, name)
-    whole = int(value) if isinstance(value, float) and value.is_integer() \
-        else value
-    if isinstance(whole, bool) or not isinstance(whole, numbers.Integral) \
-            or whole < least:
-        raise InstanceError(
-            f"{name} must be an integer of at least {least}, got {value!r}")
-    object.__setattr__(config, name, int(whole))
+def _number(value, what: str, least: float, strict: bool = False,
+            integer: bool = False):
+    """`value` checked as a finite real, not a bool, of at least `least`
+    (above it if `strict`); an `integer` is returned as an int, 10.0 as 10."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) \
+            or not math.isfinite(value) \
+            or not (value > least if strict else value >= least) \
+            or (integer and value != int(value)):
+        kind = "an integer" if integer else "a finite number"
+        bound = "above" if strict else "of at least"
+        raise InstanceError(f"{what} must be {kind} {bound} {least:g}, "
+                            f"got {value!r}")
+    return int(value) if integer else value
 
 
 @dataclass(frozen=True)
@@ -434,8 +437,11 @@ def load_config(path, base=None
     phys = _merge_section(phys, raw.get("physics", {}), "physics")
     scen = _merge_section(scen, raw.get("scenario", {}), "scenario")
     if "modulations" in raw:
-        table = ModulationTable(tuple((float(c), float(o))
-                                      for c, o in raw["modulations"]))
+        try:
+            table = ModulationTable(tuple(raw["modulations"]))
+        except (TypeError, ValueError):
+            raise InstanceError(f"{path}: modulations must be a list of "
+                                "[efficiency, osnr] pairs") from None
     return phys, scen, table
 
 

@@ -1,4 +1,4 @@
-"""Exact-model checking of allocations, plus brute-force oracles.
+"""Exact-model checking of allocations, the comparison loop, an oracle.
 
 The assignment programs optimize an approximate noise model.  This module
 re-evaluates every allocation under the exact expressions (exact cross-talk
@@ -12,12 +12,13 @@ from __future__ import annotations
 
 import itertools
 import math
+import time
 from dataclasses import dataclass, replace
 
-from . import gp, physics as ph, psa
+from . import gp, heuristic, physics as ph, psa
 from .model import (
-    RTO_METHODS, InstanceError, ModulationTable, NetworkInstance,
-    PhysicsConstants, ScenarioConfig,
+    InstanceError, ModulationTable, NetworkInstance, PhysicsConstants,
+    ScenarioConfig,
 )
 from .routing import RoutingSolution
 
@@ -76,10 +77,9 @@ def _osnr_or_nan(q: int, channels, ctx: ph.NoiseContext, mode: str) -> float:
 
 
 def validate(allocation: psa.Allocation, routing: RoutingSolution,
-             instance: NetworkInstance,
-             scenario: ScenarioConfig | None = None) -> ValidationReport:
-    """Re-check an allocation under the exact noise model."""
-    scenario = instance.scenario if scenario is None else scenario
+             instance: NetworkInstance) -> ValidationReport:
+    """Re-check an allocation under the exact model, at `instance.scenario`."""
+    scenario = instance.scenario
     n = len(allocation.power_w)
     if n != len(routing.requests):
         raise InstanceError("allocation and routing sizes differ")
@@ -143,7 +143,7 @@ def _geometry_violations(allocation, routing, physics: PhysicsConstants):
 
 def brute_force_psa(routing: RoutingSolution, physics: PhysicsConstants,
                     scenario: ScenarioConfig,
-                    modulations: ModulationTable | None = None
+                    modulations: ModulationTable = ModulationTable()
                     ) -> tuple[psa.Allocation, dict[int, float]]:
     """Best allocation over every table-value assignment of efficiencies.
 
@@ -151,7 +151,6 @@ def brute_force_psa(routing: RoutingSolution, physics: PhysicsConstants,
     combination is solved as a GP, pinned on a form compiled once.  Only
     small request sets are accepted; the grid grows as 6^|Q|.
     """
-    modulations = ModulationTable() if modulations is None else modulations
     n = len(routing.requests)
     if not 0 < n <= 4:
         raise InstanceError("brute force supports 1..4 requests")
@@ -176,33 +175,30 @@ def brute_force_psa(routing: RoutingSolution, physics: PhysicsConstants,
     return allocation, dict(enumerate(combo))
 
 
-# ----------------------------------------------------------------- harnesses
+# ---------------------------------------------------------------- comparison
 
-def sweep_margin(instance: NetworkInstance, margins,
-                 scenario: ScenarioConfig | None = None):
-    """Run the heuristic per margin floor; returns (margin, alloc, report)."""
-    from .heuristic import run
-
-    scenario = instance.scenario if scenario is None else scenario
-    series = []
-    for margin in margins:
-        cfg = replace(scenario, min_margin=float(margin))
-        routing, allocation, _ = run(instance, cfg)
-        series.append((float(margin), allocation,
-                       validate(allocation, routing, instance, cfg)))
-    return series
+@dataclass(frozen=True)
+class Comparison:
+    """One pipeline run: the scenario, what the heuristic returned, the
+    exact-model report and the heuristic's wall time."""
+    scenario: ScenarioConfig
+    routing: RoutingSolution
+    allocation: psa.Allocation
+    trace: heuristic.HeuristicTrace
+    report: ValidationReport
+    runtime_s: float
 
 
-def compare_rto(instance: NetworkInstance, methods=RTO_METHODS,
-                scenario: ScenarioConfig | None = None):
-    """Run the heuristic per routing method at the scenario's formulation."""
-    from .heuristic import run
-
-    scenario = instance.scenario if scenario is None else scenario
+def compare(instance: NetworkInstance, scenarios) -> list[Comparison]:
+    """Run the heuristic on `instance` under each scenario, timed, and
+    validate the result; the demands keep the scale `instance` gave them."""
     results = []
-    for method in methods:
-        cfg = replace(scenario, rto_method=method)
-        routing, allocation, _ = run(instance, cfg)
-        results.append((method, routing, allocation,
-                        validate(allocation, routing, instance, cfg)))
+    for scenario in scenarios:
+        inst = replace(instance, scenario=scenario)
+        started = time.perf_counter()
+        routing, allocation, trace = heuristic.run(inst)
+        runtime = time.perf_counter() - started
+        results.append(Comparison(scenario, routing, allocation, trace,
+                                  validate(allocation, routing, inst),
+                                  runtime))
     return results

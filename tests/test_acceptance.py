@@ -10,6 +10,7 @@ import itertools
 import math
 import statistics
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -251,7 +252,7 @@ def test_criterion_6_heuristic_near_oracle(cost239):
         scenario = ScenarioConfig(num_requests=n, seed=seed,
                                   formulation=1 + seed % 3)
         instance = make_instance(cost239, scenario)
-        routing, allocation, trace = heuristic.run(instance, scenario)
+        routing, allocation, trace = heuristic.run(instance)
         assert trace.iterations <= n
         oracle, _ = validate.brute_force_psa(routing, phys, scenario)
         worst = max(worst, (allocation.objective - oracle.objective)
@@ -301,8 +302,8 @@ def test_criterion_7_qos_soundness_and_model_gap(cost239):
             scenario = ScenarioConfig(weight_spectrum=3e-9, seed=seed,
                                       formulation=formulation)
             allocation, _ = heuristic.assign(routing, phys, scenario)
-            report = validate.validate(allocation, routing, instance,
-                                       scenario)
+            report = validate.validate(
+                allocation, routing, replace(instance, scenario=scenario))
             worst_slack = min(worst_slack, min(report.slack))
             gap_means[formulation].append(
                 statistics.fmean(report.model_error))
@@ -334,9 +335,9 @@ def test_criterion_8_runtime_log_full_scale(cost239):
                                   formulation=formulation)
         instance = make_instance(cost239, scenario)
         started = time.perf_counter()
-        routing, allocation, trace = heuristic.run(instance, scenario)
+        routing, allocation, trace = heuristic.run(instance)
         elapsed = time.perf_counter() - started
-        report = validate.validate(allocation, routing, instance, scenario)
+        report = validate.validate(allocation, routing, instance)
         ok &= len(routing.requests) == 46 and report.admissible
         lines.append(f"  formulation {formulation}: {elapsed:.2f}s, "
                      f"{trace.iterations} rounding rounds, mean model error "
@@ -354,9 +355,10 @@ def test_criterion_8_runtime_log_full_scale(cost239):
 def test_criterion_9_margin_sweep_direction(cost239):
     scenario = ScenarioConfig(weight_margin=0.0, num_requests=10, seed=0)
     instance = make_instance(cost239, scenario)
-    series = validate.sweep_margin(instance, (1.0, 2.0, 4.0), scenario)
-    rates = [report.mean_rate_per_resource for _, _, report in series]
-    noises = [report.total_noise_w for _, _, report in series]
+    runs = validate.compare(instance, [replace(scenario, min_margin=margin)
+                                       for margin in (1.0, 2.0, 4.0)])
+    rates = [run.report.mean_rate_per_resource for run in runs]
+    noises = [run.report.total_noise_w for run in runs]
     ok = all(b <= a * (1 + 1e-6) for a, b in zip(rates, rates[1:]))
     conclude("criterion 9", ok,
              "mean rate per resource non-increasing over margin floors "
@@ -380,8 +382,10 @@ def test_criterion_10_routing_method_comparison(cost239):
     for seed in range(10):
         scenario = ScenarioConfig(num_requests=46, seed=seed, formulation=1)
         instance = make_instance(cost239, scenario)
-        results = {method: report for method, _, _, report in
-                   validate.compare_rto(instance, ("spr", "scprr"), scenario)}
+        results = {run.scenario.rto_method: run.report for run in
+                   validate.compare(instance, [
+                       replace(scenario, rto_method=method)
+                       for method in ("spr", "scprr")])}
         goal = {method: scenario.weight_power * report.total_power_w
                 + scenario.weight_spectrum * report.spectrum_edge_hz
                 for method, report in results.items()}

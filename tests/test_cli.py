@@ -65,6 +65,7 @@ def test_run_artifacts(tmp_path):
 
     trace = json.loads((tmp_path / "trace.json").read_text())
     assert 1 <= trace["trace"]["iterations"] <= 4
+    assert trace["trace"]["iterations"] == len(trace["trace"]["rounds"])
     assert trace["runtime_s"] > 0
     fixed = [f["request"] for r in trace["trace"]["rounds"]
              for f in r["fixes"]]
@@ -126,7 +127,13 @@ def test_compare_gpsa_rows(tmp_path):
     _, rows = cli.read_artifact_csv(tmp_path / "curves.csv")
     assert [int(r["formulation"]) for r in rows] == [1, 2, 3, 4, 5, 6]
     payload = json.loads((tmp_path / "validation.json").read_text())
-    assert all(run["runtime_s"] > 0 for run in payload["runs"])
+    # the keys that readers of the artifact, the benchmark among them, use
+    runs = payload["runs"]
+    assert [run["formulation"] for run in runs] == [1, 2, 3, 4, 5, 6]
+    for run in runs:
+        assert run["runtime_s"] > 0
+        assert 1 <= run["rounding_rounds"] <= 2
+        assert run["report"]["admissible"] is True
 
 
 def test_exit_codes(tmp_path):
@@ -175,10 +182,35 @@ def no_solve(monkeypatch):
     ("max_iterations", -5), ("max_iterations", 0), ("max_iterations", 2.5),
     ("gap_tol", -1), ("gap_tol", 0), ("gap_tol", "x"), ("gap_tol", math.inf),
     ("feas_tol", -1), ("feas_tol", math.nan),
+    ("weight_power", math.inf), ("weight_spectrum", math.nan),
+    ("weight_margin", True), ("min_margin", math.inf), ("formulation", True),
+    ("traffic_scale_gbps", math.inf),
 ])
 def test_bad_scenario_value_in_config_exits_4(tmp_path, no_solve, key, value):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"scenario": {key: value}}))
+    assert run_cli("run", "--requests", 3, "--config", config,
+                   "--out", tmp_path) == 4
+
+
+@pytest.mark.parametrize("key, value", [
+    ("span_km", math.inf), ("band_thz", math.inf), ("guard_ghz", math.nan),
+    ("capacity_gbps", True),
+])
+def test_bad_physics_value_in_config_exits_4(tmp_path, no_solve, key, value):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"physics": {key: value}}))
+    assert run_cli("run", "--requests", 3, "--config", config,
+                   "--out", tmp_path) == 4
+
+
+@pytest.mark.parametrize("table", [
+    [[2, math.nan]], [[math.inf, 3.52]], [[True, 3.52]], [[2, "x"]],
+    [[2]], [[2, 3.52, 1]], "ab", 5,
+])
+def test_bad_modulations_in_config_exit_4(tmp_path, no_solve, table):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"modulations": table}))
     assert run_cli("run", "--requests", 3, "--config", config,
                    "--out", tmp_path) == 4
 
@@ -189,6 +221,25 @@ def test_tiny_round_step_exits_4(tmp_path, no_solve):
     config.write_text(json.dumps({"physics": {"round_step": 1e-300}}))
     assert run_cli("run", "--requests", 3, "--config", config,
                    "--out", tmp_path) == 4
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--margin", "inf"], ["run", "--margin", "nan"],
+    ["run", "--scale", "inf"], ["sweep-margin", "--margins", "1,inf"],
+])
+def test_non_finite_flag_exits_4(tmp_path, no_solve, argv):
+    assert run_cli(*argv, "--requests", 3, "--out", tmp_path) == 4
+
+
+def test_smallest_round_step_completes(tmp_path):
+    # the rounding window is solved for, so a step of 1e-12 costs no more
+    # than the default step
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"physics": {"round_step": 1e-12}}))
+    assert run_cli("run", "--requests", 3, "--config", config,
+                   "--out", tmp_path) == 0
+    trace = json.loads((tmp_path / "trace.json").read_text())
+    assert trace["trace"]["iterations"] >= 1
 
 
 def test_negative_formulation_size_exits_4(tmp_path):

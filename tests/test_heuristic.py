@@ -1,6 +1,7 @@
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from eongp import gp, heuristic, psa, validate
 from eongp.heuristic import HeuristicError, _pick_fixes
@@ -58,6 +59,46 @@ def test_window_fixes_whole_batch():
 def test_window_scans_in_given_order():
     batch = _pick_fixes(vars_for([5.0, 6.0]), [1, 0], TABLE, 0.1)
     assert [r.request for r in batch] == [1]
+
+
+def reference_fixes(solution_vars, unfixed, candidates, step):
+    # the window recurrence the computed width must reproduce
+    width = 0.0
+    while True:
+        batch = []
+        for q in unfixed:
+            relaxed = solution_vars[psa.c_var(q)]
+            for value in candidates:
+                if abs(relaxed - value) <= width + 1e-12:
+                    batch.append(heuristic.FixRecord(q, relaxed, value, width))
+                    break
+        if batch:
+            return batch
+        width = round(width + step, 12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), thousandths=st.integers(1, 3000),
+       size=st.integers(1, 3))
+def test_computed_window_matches_the_recurrence(data, thousandths, size):
+    step = thousandths / 1000
+    # relaxed values anywhere within 18 of the table, or a whole number of
+    # steps off a table value, where the window edge decides
+    near_edge = st.builds(lambda v, k, nudge: v + k * step + nudge,
+                          st.sampled_from(TABLE), st.integers(-200, 200),
+                          st.sampled_from([0.0, 1e-13, -1e-13, 2e-12]))
+    values = data.draw(st.lists(st.floats(0.0, 30.0) | near_edge.filter(
+        lambda c: 0 <= c <= 30), min_size=size, max_size=size))
+    unfixed = data.draw(st.permutations(range(size)))
+    assert _pick_fixes(vars_for(values), unfixed, TABLE, step) == \
+        reference_fixes(vars_for(values), unfixed, TABLE, step)
+
+
+def test_window_at_the_smallest_step_is_computed():
+    # 4.5 is 0.5 from the table: about 5e11 steps of 1e-12, which the
+    # recurrence would take one by one; the 1e-12 slack admits it a step early
+    [record] = _pick_fixes(vars_for([4.5]), [0], TABLE, 1e-12)
+    assert (record.fixed, record.width) == (4.0, 0.499999999999)
 
 
 # ---------------------------------------------------------------- full runs

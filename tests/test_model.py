@@ -101,12 +101,26 @@ def test_si_conversions():
 
 
 def test_round_step_floor():
-    # the rounding window grows in steps rounded to 1e-12: a finer step
-    # would never move it
+    # rounding widths are rounded to 1e-12, which a finer step cannot resolve
     assert PhysicsConstants(round_step=1e-12).round_step == 1e-12
     for step in (5e-13, 1e-300):
         with pytest.raises(InstanceError):
             PhysicsConstants(round_step=step)
+
+
+def test_numbers_must_be_finite_reals():
+    for bad in (math.inf, math.nan, True, "1", None):
+        with pytest.raises(InstanceError):
+            PhysicsConstants(span_km=bad)
+        with pytest.raises(InstanceError):
+            ScenarioConfig(weight_spectrum=bad)
+        with pytest.raises(InstanceError):
+            ModulationTable(((2.0, 3.5), (4.0, bad)))
+    assert ScenarioConfig(weight_spectrum=0).weight_spectrum == 0
+    # a whole number counts as the integer; table entries are stored as floats
+    assert type(ScenarioConfig(formulation=2.0).formulation) is int
+    assert [type(x) for x in ModulationTable(((2, 3),)).entries[0]] == \
+        [float, float]
 
 
 def test_derived_constants_against_high_precision():

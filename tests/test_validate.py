@@ -133,8 +133,8 @@ def test_validate_never_raises(line_setup, power, bandwidth, centers, picks,
     alloc = psa.Allocation(
         tuple(power), center, tuple(efficiency), (1.0,) * 3, tuple(bandwidth),
         max(w + 0.5 * b for w, b in zip(center, bandwidth)), math.nan)
-    scenario = replace(inst.scenario, formulation=formulation)
-    rep = validate.validate(alloc, routing, inst, scenario)
+    rep = validate.validate(alloc, routing, replace(
+        inst, scenario=replace(inst.scenario, formulation=formulation)))
     assert len(rep.exact_osnr) == len(rep.model_osnr) == len(rep.slack) == 3
     for q, i in ((0, 2), (1, 2)):
         if center[q] == center[i]:
@@ -213,36 +213,43 @@ def test_brute_force_dominates_heuristic(pair_setup):
     assert oracle.objective <= alloc.objective * (1 + 1e-6)
 
 
-# --------------------------------------------------------------- harnesses
+# ------------------------------------------------------- comparison loop
 
 def test_sweep_margin_mechanics(pair_setup):
     _, inst = pair_setup
-    assert validate.sweep_margin(inst, []) == []
-    series = validate.sweep_margin(inst, [1.0, 2.0])
-    assert [m for m, _, _ in series] == [1.0, 2.0]
+    assert validate.compare(inst, []) == []
+    runs = validate.compare(inst, [replace(inst.scenario, min_margin=m)
+                                   for m in (1.0, 2.0)])
+    assert [run.scenario.min_margin for run in runs] == [1.0, 2.0]
     # a higher floor cannot raise the rate carried per unit of power and
     # spectrum
-    first, second = (rep for _, _, rep in series)
+    first, second = (run.report for run in runs)
     assert second.mean_rate_per_resource <= \
         first.mean_rate_per_resource * (1 + 1e-6)
-    single = validate.sweep_margin(inst, [1.0])
-    assert single[0][2].total_power_w == pytest.approx(
+    [single] = validate.compare(inst, [inst.scenario])
+    assert single.report.total_power_w == pytest.approx(
         first.total_power_w, rel=1e-6)
 
 
 def test_compare_rto_mechanics(pair_setup):
     _, inst = pair_setup
-    rows = validate.compare_rto(inst, methods=("spr", "scprr"))
-    assert [m for m, *_ in rows] == ["spr", "scprr"]
-    for _, routing, alloc, rep in rows:
-        assert routing.method in ("spr", "scprr")
-        assert len(alloc.power_w) == len(routing.requests)
-        assert rep.violations == ()
+    runs = validate.compare(inst, [replace(inst.scenario, rto_method=m)
+                                   for m in ("spr", "scprr")])
+    assert [run.routing.method for run in runs] == ["spr", "scprr"]
+    for run in runs:
+        assert len(run.allocation.power_w) == len(run.routing.requests)
+        assert run.report.violations == ()
+        assert run.trace.method == run.scenario.rto_method
+        assert run.runtime_s > 0
 
 
 def test_compare_rto_keeps_formulation(pair_setup):
     _, inst = pair_setup
-    scenario = replace(inst.scenario, formulation=2)
-    [(_, _, alloc, _)] = validate.compare_rto(inst, ("spr",), scenario)
-    _, expected, _ = heuristic.run(inst, replace(scenario, rto_method="spr"))
-    assert alloc.objective == expected.objective
+    scenario = replace(inst.scenario, formulation=2, rto_method="scprr")
+    [run] = validate.compare(inst, [scenario])
+    assert run.scenario is scenario and run.trace.formulation == 2
+    expected_inst = replace(inst, scenario=scenario)
+    _, expected, _ = heuristic.run(expected_inst)
+    assert run.allocation == expected
+    assert run.report == validate.validate(expected, run.routing,
+                                           expected_inst)
