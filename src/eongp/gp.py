@@ -5,14 +5,16 @@ monomials.  A program minimizes a posynomial subject to posynomial <= 1
 constraints.  Substituting x = exp(u) turns every posynomial into
 log-sum-exp(A u + b), a smooth convex function, and the program into a
 standard convex one.  The solver below works on that compiled form with a
-primal-dual interior-point method whose Newton systems are assembled and
-factored as sparse matrices.  Their pattern, and so their fill-reducing
-order, is fixed when the form compiles: the order is computed once per
-form, each Newton matrix is assembled already permuted, and each step
-factors it in natural order.  A phase-1 stage finds a strictly feasible
-start or certifies infeasibility.  Pinning x_j = v shifts each offset by
-a_j log v and drops column j, so `fix_variable` transforms a compiled form:
-a program compiles once, however often it is pinned.
+primal-dual interior-point method.  Each Newton matrix is assembled in a
+pattern fixed when the form compiles.  A small one (`_DENSE_MAX` rows at
+most) is scattered into a dense array and factored by LAPACK's Cholesky.
+A larger one is factored by SuperLU as a sparse matrix: its fill-reducing
+order is computed once per form, each matrix is assembled already
+permuted, and each step factors it in natural order.  Both factors accept
+a matrix exactly when it is positive definite.  A phase-1 stage finds a
+strictly feasible start or certifies infeasibility.  Pinning x_j = v shifts
+each offset by a_j log v and drops column j, so `fix_variable` transforms a
+compiled form: a program compiles once, however often it is pinned.
 
 Contract: a solution with status "optimal" has relative KKT residual at most
 1e-6 and every constraint satisfied to within 1e-8 (iterates are kept
@@ -29,6 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 STATUS_OPTIMAL = "optimal"
 STATUS_INFEASIBLE = "infeasible"
@@ -210,6 +213,22 @@ def _pairs(indptr):
     return group, start + r - second * (second + 1) // 2, start + second
 
 
+def _affine(A, b, term, u):
+    """A u + b for a CSR matrix A whose entry k lies in row term[k].  Each
+    row sums its products in stored order from 0, as `A @ u` does, so the
+    floats are those of `A @ u + b`."""
+    return np.bincount(term, A.data * u.take(A.indices), minlength=len(b)) + b
+
+
+# Newton matrices of at most this many rows are factored by dense Cholesky,
+# larger ones by SuperLU in a fill-reducing order.  Timed per step on
+# Cost239 psa forms and their phase-1 forms (one BLAS thread), dense was
+# faster on 23 of 24 forms of up to 289 rows (4x at 136), the two were even
+# from 308 to 347 rows, and SuperLU was faster on 27 of 28 forms from 384
+# rows up (2x at 620).
+_DENSE_MAX = 300
+
+
 class ConvexForm:
     """log-sum-exp compilation of a program over u = log x."""
 
@@ -245,10 +264,13 @@ class ConvexForm:
         here say which product lands on which stored entry, so each call
         fills J.data, or K's upper triangle, with one bincount.
 
-        K's pattern is fixed here, and so is its symmetric fill-reducing
-        order: SuperLU's MMD computes it once, on a diagonally dominant
-        matrix with K's upper-triangle pattern, and K is stored already
-        permuted, P K P^T with row and column i of K at `_kkt_perm[i]`.
+        K's pattern is fixed here.  A K of at most `_DENSE_MAX` rows keeps
+        the identity order, and `_kkt_dense` holds each slot's offset in K
+        stored densely by columns.  A larger K gets its symmetric
+        fill-reducing order here: SuperLU's MMD computes it once, on a
+        diagonally dominant matrix with K's upper-triangle pattern, and K is
+        stored already permuted in CSC form, P K P^T with row and column i
+        of K at `_kkt_perm[i]`.
         """
         self.n, self.m = len(self.variables), len(self.constraints)
         self.seg = np.repeat(np.arange(self.m), np.diff(self.ptr))
@@ -281,16 +303,21 @@ class ConvexForm:
         del T, p, q, i, j
         upper, self._kkt_pos = np.unique(upper, return_inverse=True)
         col, row = np.divmod(upper, N)
-        # MMD orders the pattern of A^T + A, so K's upper triangle is probe
-        # enough; being diagonally dominant, it factors on its diagonal.
-        # perm_c is a view that keeps the whole probe factor alive: copy it
-        probe = sp.csc_matrix((np.where(row == col, float(N), -1.0), row,
-                               _indptr(col, N)), shape=(N, N))
-        perm = spla.splu(probe, permc_spec="MMD_AT_PLUS_A",
-                         diag_pivot_thresh=0.0,
-                         options={"SymmetricMode": True}).perm_c.astype(
-                             np.int64)
-        del probe
+        dense = N <= _DENSE_MAX
+        if dense:
+            perm = diag
+        else:
+            # MMD orders the pattern of A^T + A, so K's upper triangle is
+            # probe enough; being diagonally dominant, it factors on its
+            # diagonal.  perm_c is a view that keeps the whole probe factor
+            # alive: copy it
+            probe = sp.csc_matrix((np.where(row == col, float(N), -1.0), row,
+                                   _indptr(col, N)), shape=(N, N))
+            perm = spla.splu(probe, permc_spec="MMD_AT_PLUS_A",
+                             diag_pivot_thresh=0.0,
+                             options={"SymmetricMode": True}).perm_c.astype(
+                                 np.int64)
+            del probe
         self._kkt_perm = perm
         self._kkt_order = np.argsort(perm)
         # the full symmetric pattern, permuted: K[r, c] sits at
@@ -304,8 +331,16 @@ class ConvexForm:
         order = np.argsort(keys)
         keys = keys[order]
         self._kkt_mirror = np.concatenate((np.arange(len(upper)), off))[order]
-        self._kkt_indices = perm[keys % N]
-        self._kkt_indptr = _indptr(keys // N, N)
+        if dense:
+            # in the identity order a slot's key is its offset in K stored
+            # by columns
+            self._kkt_dense = keys
+            self._kkt_indices = self._kkt_indptr = None
+        else:
+            # splu takes C ints: stored so, they are not cast on every step
+            self._kkt_dense = None
+            self._kkt_indices = perm[keys % N].astype(np.intc)
+            self._kkt_indptr = _indptr(keys // N, N).astype(np.intc)
         # slots of K[j, j], j < n
         self._kkt_diag = np.searchsorted(keys, perm[:-1] * N + diag[:-1])
         # K[n, n] = 1; the zeros keep every diagonal slot stored for shifts
@@ -313,7 +348,7 @@ class ConvexForm:
 
     def objective_eval(self, u):
         """(value, gradient, term weights) of the compiled objective."""
-        z = self.obj_A @ u + self.obj_b
+        z = _affine(self.obj_A, self.obj_b, self._obj_term, u)
         zmax = z.max()
         e = np.exp(z - zmax)
         total = e.sum()
@@ -326,7 +361,7 @@ class ConvexForm:
         """(values, term weights) of all compiled constraints."""
         if self.m == 0:
             return np.empty(0), np.empty(0)
-        z = self.con_A @ u + self.con_b
+        z = _affine(self.con_A, self.con_b, self._con_term, u)
         zmax = np.maximum.reduceat(z, self.ptr[:-1])
         e = np.exp(z - zmax[self.seg])
         sums = np.add.reduceat(e, self.ptr[:-1])
@@ -472,15 +507,31 @@ def _shifted(form: ConvexForm, kdata, shift):
     return out
 
 
-def _factor(K):
-    """SuperLU factor of a symmetric CSC matrix K, or None unless K is
-    positive definite.
+class _Cholesky:
+    """Upper Cholesky factor of a dense K from LAPACK, solved like SuperLU's."""
+    __slots__ = ("c",)
 
-    K is factored in its natural order with diagonal pivots, so the factor
-    is accepted exactly when every pivot is positive, the test a Cholesky
-    factorization makes.  The fill-reducing order is already in K: a
+    def __init__(self, c):
+        self.c = c
+
+    def solve(self, b):
+        return dpotrs(self.c, b)[0]
+
+
+def _factor(K):
+    """Factor of a symmetric K, or None unless K is positive definite.
+
+    A dense K (an array stored by columns) is factored by LAPACK's Cholesky,
+    which fails exactly when a pivot is not positive; it is overwritten.  A
+    sparse K (CSC) is factored by SuperLU in its natural order with diagonal
+    pivots, so the factor is accepted exactly when every pivot is positive,
+    the same test.  The fill-reducing order is already in a sparse K: a
     compiled form stores its Newton system permuted (`ConvexForm._compile`).
+    Either factor has a `solve(b)`.
     """
+    if isinstance(K, np.ndarray):
+        c, info = dpotrf(K, clean=0, overwrite_a=1)
+        return _Cholesky(c) if info == 0 else None
     try:
         lu = spla.splu(K, permc_spec="NATURAL", diag_pivot_thresh=0.0,
                        options={"SymmetricMode": True})
@@ -493,12 +544,22 @@ def _factor(K):
 
 
 def _solve_newton(form: ConvexForm, kdata, rhs):
-    """H du = rhs by one factor of K; None unless H is positive definite."""
-    K = sp.csc_matrix((kdata, form._kkt_indices, form._kkt_indptr),
-                      shape=(form.n + 1, form.n + 1))
-    # no duplicates, and rows in K's order on purpose (see
-    # `ConvexForm._compile`): keep splu from sorting them
-    K.has_canonical_format = True
+    """H du = rhs by one factor of K; None unless H is positive definite.
+
+    K's compiled slots are scattered into a dense array when the form is
+    small enough (`_DENSE_MAX`), and wrapped as a CSC matrix otherwise.
+    """
+    N = form.n + 1
+    if form._kkt_dense is not None:
+        K = np.zeros(N * N)
+        K[form._kkt_dense] = kdata
+        K = K.reshape(N, N, order="F")
+    else:
+        K = sp.csc_matrix((kdata, form._kkt_indices, form._kkt_indptr),
+                          shape=(N, N))
+        # no duplicates, and rows in K's order on purpose (see
+        # `ConvexForm._compile`): keep splu from sorting them
+        K.has_canonical_format = True
     lu = _factor(K)
     if lu is None:
         return None

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -159,14 +160,32 @@ def test_tightening_constraint_raises_optimum():
 
 
 @pytest.fixture(scope="module")
-def cost239_program(data_dir):
-    # 24 Cost239 requests on shortest paths: 135 variables, 197 rows
+def cost239_routing(data_dir):
+    # 24 Cost239 requests on shortest paths
     inst = load_instance(str(data_dir / "cost239_topology.txt"),
                          str(data_dir / "cost239_traffic.txt"))
     requests = select_requests(partition_traffic(inst.demands, 100e9), 24,
                                seed=0)
-    routing = solve_routing(inst.topology, requests, "spr")
+    return inst, solve_routing(inst.topology, requests, "spr")
+
+
+@pytest.fixture(scope="module")
+def cost239_program(cost239_routing):
+    # 135 variables, 197 rows
+    inst, routing = cost239_routing
     return psa.build_program(routing, inst.physics, inst.scenario)
+
+
+@pytest.fixture(scope="module")
+def cost239_forms(cost239_routing):
+    # the six formulations, each also as its phase-1 form
+    inst, routing = cost239_routing
+    forms = []
+    for f in sorted(psa.FORMULATION_FIT):
+        form = ConvexForm(psa.build_program(
+            routing, inst.physics, replace(inst.scenario, formulation=f)))
+        forms += [form, form.with_slack()]
+    return forms
 
 
 def test_solver_is_deterministic(cost239_program):
@@ -232,6 +251,20 @@ def random_program(rng, n_vars=4, n_terms=3):
         terms.append(Monomial.make(float(np.exp(rng.normal())), exps))
     obj = posy(mono(1.0, **{names[0]: 1.0}))
     return GpProgram(obj, (("c", Posynomial(tuple(terms))),), tuple(names))
+
+
+@settings(deadline=None, derandomize=True, max_examples=300)
+@given(which=st.integers(0, 11), scale=st.floats(0.01, 30.0),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_point_evaluation_forms_the_sparse_products(cost239_forms, which,
+                                                    scale, seed):
+    # objective_eval and constraint_eval form A u + b by a bincount over
+    # the stored term of each entry; the floats are those of A @ u + b
+    form = cost239_forms[which]
+    u = np.random.default_rng(seed).normal(scale=scale, size=form.n)
+    for A, b, term in ((form.obj_A, form.obj_b, form._obj_term),
+                       (form.con_A, form.con_b, form._con_term)):
+        assert np.array_equal(gp._affine(A, b, term, u), A @ u + b)
 
 
 def test_compiled_gradient_matches_finite_difference():
@@ -351,6 +384,8 @@ def test_newton_factor_keeps_the_compiled_fill(cost239_program, monkeypatch):
         return lu
 
     monkeypatch.setattr(gp, "_factor", recording)
+    # with the dense bound just below it, this form is factored sparse
+    monkeypatch.setattr(gp, "_DENSE_MAX", len(cost239_program.variables))
     rng = np.random.default_rng(5)
     base = ConvexForm(cost239_program)
     for form in (base, base.with_slack()):
@@ -412,20 +447,24 @@ def newton_system(program, seed, F_range):
 
 
 def test_shift_ladder_gives_up_after_41_factors(cost239_program, monkeypatch):
-    calls = []
+    # the cap counts factor attempts on either path: dense, then sparse
+    for bound in (gp._DENSE_MAX, 0):
+        calls = []
 
-    def never(K):
-        calls.append(K)
-        return None
+        def never(K):
+            calls.append(K)
+            return None
 
-    monkeypatch.setattr(gp, "_factor", never)
-    form, kdata, rhs = newton_system(cost239_program, 1, (0.05, 0.95))
-    assert gp._trust_region_step(form, kdata, rhs) is None
-    assert len(calls) <= 41
-    # the solver reports the failure as a status, not as an exception
-    sol = solve(am_gm_program())
-    assert sol.status == gp.STATUS_NUMERICAL
-    assert 0 < len(calls) - 41 <= 41
+        monkeypatch.setattr(gp, "_DENSE_MAX", bound)
+        monkeypatch.setattr(gp, "_factor", never)
+        form, kdata, rhs = newton_system(cost239_program, 1, (0.05, 0.95))
+        assert gp._trust_region_step(form, kdata, rhs) is None
+        assert len(calls) <= 41
+        # the solver reports the failure as a status, not as an exception
+        sol = solve(am_gm_program())
+        assert sol.status == gp.STATUS_NUMERICAL
+        assert 0 < len(calls) - 41 <= 41
+        assert all(isinstance(K, np.ndarray) == (bound > 0) for K in calls)
 
 
 def test_indefinite_newton_matrix_still_gives_a_descent_step(cost239_program):
@@ -444,25 +483,87 @@ def test_indefinite_newton_matrix_still_gives_a_descent_step(cost239_program):
 
 @settings(deadline=None, derandomize=True)
 @given(n=st.integers(1, 6), scale=st.floats(0.0, 3.0),
-       seed=st.integers(0, 2 ** 32 - 1))
-def test_sparse_factor_accepts_exactly_positive_definite(n, scale, seed):
+       seed=st.integers(0, 2 ** 32 - 1), singular=st.booleans())
+def test_sparse_factor_accepts_exactly_positive_definite(n, scale, seed,
+                                                         singular):
     # K = [[H_s, g0], [g0^T, 1]] must be accepted exactly when
     # H = H_s - g0 g0^T passes Cholesky; H_s is SPD, so H has at most one
-    # negative eigenvalue, kept clear of 0 so the verdict is robust
+    # negative eigenvalue, kept clear of 0 so the verdict is robust.  A
+    # singular draw zeroes a row and column of H_s and that entry of g0, so
+    # K is exactly singular.  The dense and the sparse factor give the same
+    # verdict and the same step
     rng = np.random.default_rng(seed)
     B = rng.normal(size=(n, n)) * (rng.random((n, n)) < 0.6)
     Hs = B @ B.T + 0.1 * np.eye(n)
     g0 = scale * rng.normal(size=n)
+    if singular:
+        k = rng.integers(n)
+        Hs[k, :] = Hs[:, k] = g0[k] = 0.0
     H = Hs - np.outer(g0, g0)
     eigs = np.abs(np.linalg.eigvalsh(H))
-    assume(eigs.min() >= 1e-3 * eigs.max())
-    K = sp.csc_matrix(np.block([[Hs, g0[:, None]], [g0[None, :], 1.0]]))
+    assume(singular or eigs.min() >= 1e-3 * eigs.max())
+    dense = np.block([[Hs, g0[:, None]], [g0[None, :], 1.0]])
     try:
         np.linalg.cholesky(H)
         positive_definite = True
     except np.linalg.LinAlgError:
         positive_definite = False
-    assert (gp._factor(K) is not None) == positive_definite
+    assert not (singular and positive_definite)
+    rhs = rng.normal(size=n + 1)
+    steps = []
+    for K in (sp.csc_matrix(dense), np.asfortranarray(dense)):
+        factor = gp._factor(K)
+        assert (factor is not None) == positive_definite
+        if factor is not None:
+            steps.append(factor.solve(rhs))
+    if positive_definite:
+        sparse, dense_step = steps
+        assert np.linalg.norm(dense_step - sparse) <= \
+            1e-12 * np.linalg.norm(sparse)
+
+
+def test_small_forms_compute_no_sparse_order(cost239_program, monkeypatch):
+    # below the dense bound no compile, slack form or pin runs SuperLU's
+    # MMD ordering, and no Newton step runs splu at all
+    calls = []
+
+    def recording(A, *args, splu=spla.splu, **kwargs):
+        calls.append(kwargs.get("permc_spec"))
+        return splu(A, *args, **kwargs)
+
+    monkeypatch.setattr(spla, "splu", recording)
+    form = ConvexForm(cost239_program)
+    assert form.n + 1 <= gp._DENSE_MAX
+    sol = solve(form)
+    assert sol.status == "optimal"
+    name = form.variables[0]
+    assert solve(fix_variable(form, {name: sol.value(name)})).status == \
+        "optimal"
+    assert calls == []
+
+
+def test_form_just_above_the_dense_bound_factors_sparse(cost239_program,
+                                                        monkeypatch):
+    # the choice rests on K's size alone: with N = n + 1 rows the form is
+    # dense at a bound of N and sparse, in its MMD order, at a bound of
+    # N - 1; both factors give the same step
+    n = len(cost239_program.variables)
+    kinds, steps = [], []
+
+    def recording(K, factor=gp._factor):
+        kinds.append(type(K))
+        return factor(K)
+
+    monkeypatch.setattr(gp, "_factor", recording)
+    for bound in (n + 1, n):
+        monkeypatch.setattr(gp, "_DENSE_MAX", bound)
+        form, kdata, rhs = newton_system(cost239_program, 4, (0.05, 0.95))
+        identity = np.array_equal(form._kkt_perm, np.arange(n + 1))
+        assert identity == (bound > n)
+        steps.append(gp._solve_newton(form, kdata, rhs))
+    assert kinds == [np.ndarray, sp.csc_matrix]
+    dense, sparse = steps
+    assert np.linalg.norm(dense - sparse) <= 1e-12 * np.linalg.norm(sparse)
 
 
 # ---------------------------------------------------------------- fixing
