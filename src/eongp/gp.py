@@ -5,21 +5,23 @@ monomials.  A program minimizes a posynomial subject to posynomial <= 1
 constraints.  Substituting x = exp(u) turns every posynomial into
 log-sum-exp(A u + b), a smooth convex function, and the program into a
 standard convex one.  The solver below works on that compiled form with a
-primal-dual interior-point method.  Each Newton matrix is assembled in a
-pattern fixed when the form compiles.  A small one (`_DENSE_MAX` rows at
-most) is scattered into a dense array and factored by LAPACK's Cholesky.
-A larger one is factored by SuperLU as a sparse matrix: its fill-reducing
-order is computed once per form, each matrix is assembled already
-permuted, and each step factors it in natural order.  Both factors accept
-a matrix exactly when it is positive definite.  A phase-1 stage finds a
-strictly feasible start or certifies infeasibility.  Pinning x_j = v shifts
-each offset by a_j log v and drops column j, so `fix_variable` transforms a
+primal-dual interior-point method.  Each Newton matrix is assembled as its
+upper triangle, in a pattern fixed when the form compiles.  A small one
+(`_DENSE_MAX` rows at most) is scattered into a dense array and factored
+by LAPACK's Cholesky, which reads only that triangle.  A larger one is
+factored by SuperLU: its fill-reducing order is computed once per form,
+and each step gathers the triangle into the full matrix, already
+permuted, and factors it in natural order.  Both factors accept a matrix
+exactly when it is positive definite.  A phase-1 stage finds a strictly
+feasible start or certifies infeasibility.  Pinning x_j = v shifts each
+offset by a_j log v and drops column j, so `fix_variable` transforms a
 compiled form: a program compiles once, however often it is pinned.
 
 Contract: a solution with status "optimal" has relative KKT residual at most
 1e-6 and every constraint satisfied to within 1e-8 (iterates are kept
-strictly feasible, so the latter holds with margin).  Runs are deterministic:
-no randomness is used anywhere.
+strictly feasible, so the latter holds with margin).  Runs are deterministic
+at a fixed BLAS thread count: no randomness is used anywhere, but LAPACK's
+Cholesky rounds differently on several threads.
 """
 
 from __future__ import annotations
@@ -264,13 +266,14 @@ class ConvexForm:
         here say which product lands on which stored entry, so each call
         fills J.data, or K's upper triangle, with one bincount.
 
-        K's pattern is fixed here.  A K of at most `_DENSE_MAX` rows keeps
-        the identity order, and `_kkt_dense` holds each slot's offset in K
-        stored densely by columns.  A larger K gets its symmetric
-        fill-reducing order here: SuperLU's MMD computes it once, on a
-        diagonally dominant matrix with K's upper-triangle pattern, and K is
-        stored already permuted in CSC form, P K P^T with row and column i
-        of K at `_kkt_perm[i]`.
+        On both paths K's data is its upper triangle, one slot per entry
+        in column-major order.  For a K of at most `_DENSE_MAX` rows,
+        `_kkt_dense` holds each slot's offset in K stored densely by
+        columns.  A larger K gets its symmetric fill-reducing order here:
+        SuperLU's MMD computes it once, on a diagonally dominant matrix with
+        K's upper-triangle pattern, and `_kkt_mirror` gathers the slots into
+        K stored permuted in CSC form, P K P^T with row and column i of K at
+        `_kkt_perm[i]`.
         """
         self.n, self.m = len(self.variables), len(self.constraints)
         self.seg = np.repeat(np.arange(self.m), np.diff(self.ptr))
@@ -302,23 +305,28 @@ class ConvexForm:
         # free the product-length temporaries before the sort and ordering
         del T, p, q, i, j
         upper, self._kkt_pos = np.unique(upper, return_inverse=True)
+        # slots of K[j, j], j < n; K[n, n] = 1, and the zeros keep every
+        # diagonal slot stored for shifts
+        self._kkt_diag = np.searchsorted(upper, diag[:-1] * (N + 1))
+        self._kkt_diag_weight = np.append(np.zeros(n), 1.0)
+        if N <= _DENSE_MAX:
+            # a slot's key is its offset in K stored densely by columns; the
+            # SuperLU arrays are cleared, so a copy keeps none of a parent's
+            self._kkt_dense = upper
+            self._kkt_perm = self._kkt_order = self._kkt_mirror = None
+            self._kkt_indices = self._kkt_indptr = None
+            return
+        self._kkt_dense = None
         col, row = np.divmod(upper, N)
-        dense = N <= _DENSE_MAX
-        if dense:
-            perm = diag
-        else:
-            # MMD orders the pattern of A^T + A, so K's upper triangle is
-            # probe enough; being diagonally dominant, it factors on its
-            # diagonal.  perm_c is a view that keeps the whole probe factor
-            # alive: copy it
-            probe = sp.csc_matrix((np.where(row == col, float(N), -1.0), row,
-                                   _indptr(col, N)), shape=(N, N))
-            perm = spla.splu(probe, permc_spec="MMD_AT_PLUS_A",
-                             diag_pivot_thresh=0.0,
-                             options={"SymmetricMode": True}).perm_c.astype(
-                                 np.int64)
-            del probe
-        self._kkt_perm = perm
+        # MMD orders the pattern of A^T + A, so K's upper triangle is probe
+        # enough; being diagonally dominant, it factors on its diagonal.
+        # perm_c is a view that keeps the whole probe factor alive: copy it
+        probe = sp.csc_matrix((np.where(row == col, float(N), -1.0), row,
+                               _indptr(col, N)), shape=(N, N))
+        self._kkt_perm = perm = spla.splu(
+            probe, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+            options={"SymmetricMode": True}).perm_c.astype(np.int64)
+        del probe
         self._kkt_order = np.argsort(perm)
         # the full symmetric pattern, permuted: K[r, c] sits at
         # (perm[r], perm[c]); each slot reads its upper entry.  Within a
@@ -331,20 +339,9 @@ class ConvexForm:
         order = np.argsort(keys)
         keys = keys[order]
         self._kkt_mirror = np.concatenate((np.arange(len(upper)), off))[order]
-        if dense:
-            # in the identity order a slot's key is its offset in K stored
-            # by columns
-            self._kkt_dense = keys
-            self._kkt_indices = self._kkt_indptr = None
-        else:
-            # splu takes C ints: stored so, they are not cast on every step
-            self._kkt_dense = None
-            self._kkt_indices = perm[keys % N].astype(np.intc)
-            self._kkt_indptr = _indptr(keys // N, N).astype(np.intc)
-        # slots of K[j, j], j < n
-        self._kkt_diag = np.searchsorted(keys, perm[:-1] * N + diag[:-1])
-        # K[n, n] = 1; the zeros keep every diagonal slot stored for shifts
-        self._kkt_diag_weight = np.append(np.zeros(n), 1.0)
+        # splu takes C ints: stored so, they are not cast on every step
+        self._kkt_indices = perm[keys % N].astype(np.intc)
+        self._kkt_indptr = _indptr(keys // N, N).astype(np.intc)
 
     def objective_eval(self, u):
         """(value, gradient, term weights) of the compiled objective."""
@@ -488,16 +485,15 @@ def _hessian(form: ConvexForm, sigma0, g0, lam, F, sigma, jdata):
     Its rank-1 term is dense, so it enters K as a border instead: the Schur
     complement of K's last entry is H, so K is positive definite exactly
     when H is, and K [du; -g0^T du] = [rhs; 0] solves H du = rhs.  `jdata`
-    is J's data from `form._jac_data`.  The pattern is the permuted one of
-    `ConvexForm._compile`.
+    is J's data from `form._jac_data`.  The data is K's upper triangle in
+    the slot order of `ConvexForm._compile`.
     """
     weights = np.concatenate((sigma0, lam[form.seg] * sigma))
     coefs = lam * (1.0 / (-F) - 1.0)
-    upper = np.bincount(form._kkt_pos, np.concatenate((
+    return np.bincount(form._kkt_pos, np.concatenate((
         weights[form._pair_term] * form._pair_coef,
         coefs[form._jac_pair_row] * jdata[form._jac_p] * jdata[form._jac_q],
         g0[form._border], form._kkt_diag_weight)))
-    return upper[form._kkt_mirror]
 
 
 def _shifted(form: ConvexForm, kdata, shift):
@@ -507,31 +503,15 @@ def _shifted(form: ConvexForm, kdata, shift):
     return out
 
 
-class _Cholesky:
-    """Upper Cholesky factor of a dense K from LAPACK, solved like SuperLU's."""
-    __slots__ = ("c",)
-
-    def __init__(self, c):
-        self.c = c
-
-    def solve(self, b):
-        return dpotrs(self.c, b)[0]
-
-
 def _factor(K):
-    """Factor of a symmetric K, or None unless K is positive definite.
+    """SuperLU factor of a CSC K, or None unless K is positive definite.
 
-    A dense K (an array stored by columns) is factored by LAPACK's Cholesky,
-    which fails exactly when a pivot is not positive; it is overwritten.  A
-    sparse K (CSC) is factored by SuperLU in its natural order with diagonal
-    pivots, so the factor is accepted exactly when every pivot is positive,
-    the same test.  The fill-reducing order is already in a sparse K: a
-    compiled form stores its Newton system permuted (`ConvexForm._compile`).
-    Either factor has a `solve(b)`.
+    K is factored in its natural order with diagonal pivots, so the factor
+    is accepted exactly when every pivot is positive, the test that LAPACK's
+    Cholesky makes on the dense path.  The fill-reducing order is already
+    in K: a compiled form stores its Newton system permuted
+    (`ConvexForm._compile`).
     """
-    if isinstance(K, np.ndarray):
-        c, info = dpotrf(K, clean=0, overwrite_a=1)
-        return _Cholesky(c) if info == 0 else None
     try:
         lu = spla.splu(K, permc_spec="NATURAL", diag_pivot_thresh=0.0,
                        options={"SymmetricMode": True})
@@ -546,26 +526,28 @@ def _factor(K):
 def _solve_newton(form: ConvexForm, kdata, rhs):
     """H du = rhs by one factor of K; None unless H is positive definite.
 
-    K's compiled slots are scattered into a dense array when the form is
-    small enough (`_DENSE_MAX`), and wrapped as a CSC matrix otherwise.
+    The one place a step branches on the form's path.  A small form
+    (`_DENSE_MAX`) scatters K's upper triangle into a dense array for
+    LAPACK's Cholesky; a larger one gathers it into K's permuted CSC matrix
+    for `_factor`.
     """
     N = form.n + 1
+    b = np.append(rhs, 0.0)
     if form._kkt_dense is not None:
         K = np.zeros(N * N)
         K[form._kkt_dense] = kdata
-        K = K.reshape(N, N, order="F")
-    else:
-        K = sp.csc_matrix((kdata, form._kkt_indices, form._kkt_indptr),
-                          shape=(N, N))
-        # no duplicates, and rows in K's order on purpose (see
-        # `ConvexForm._compile`): keep splu from sorting them
-        K.has_canonical_format = True
+        c, info = dpotrf(K.reshape(N, N, order="F"), clean=0, overwrite_a=1)
+        return dpotrs(c, b)[0][:-1] if info == 0 else None
+    K = sp.csc_matrix((kdata[form._kkt_mirror], form._kkt_indices,
+                       form._kkt_indptr), shape=(N, N))
+    # no duplicates, and rows in K's order on purpose (see
+    # `ConvexForm._compile`): keep splu from sorting them
+    K.has_canonical_format = True
     lu = _factor(K)
     if lu is None:
         return None
     # P K P^T (P x) = P b: gather b into the order, x back out of it
-    x = lu.solve(np.append(rhs, 0.0)[form._kkt_order])
-    return x[form._kkt_perm[:-1]]
+    return lu.solve(b[form._kkt_order])[form._kkt_perm[:-1]]
 
 
 def _trust_region_step(form: ConvexForm, kdata, rhs):
@@ -599,7 +581,7 @@ def _point(form: ConvexForm, u):
 def _residual_norm(r_dual, lam, F, t):
     """Euclidean norm of the dual and centering residuals."""
     r_cent = -lam * F - 1.0 / t
-    return float(np.sqrt(np.sum(r_dual ** 2) + np.sum(r_cent ** 2)))
+    return math.sqrt((r_dual ** 2).sum() + (r_cent ** 2).sum())
 
 
 def _pdipm(form: ConvexForm, u, gap_tol, feas_tol, max_iter,

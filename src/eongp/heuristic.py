@@ -138,9 +138,9 @@ def assign(routing: RoutingSolution, physics: PhysicsConstants,
     return allocation, trace
 
 
-def run(instance: NetworkInstance
-        ) -> tuple[RoutingSolution, psa.Allocation, HeuristicTrace]:
-    """Full pipeline: partition traffic, route, order, assign."""
+def route(instance: NetworkInstance) -> RoutingSolution:
+    """Stage 1: partition traffic, draw, route and order the requests; of
+    the scenario it reads only `num_requests`, `seed` and `rto_method`."""
     scenario = instance.scenario
     requests = partition_traffic(instance.demands,
                                  instance.physics.capacity_bps)
@@ -149,9 +149,14 @@ def run(instance: NetworkInstance
                                    scenario.seed)
     if not requests:
         raise InstanceError("no requests to allocate")
-    routing = solve_routing(instance.topology, requests, scenario.rto_method,
-                            span_km=instance.physics.span_km,
-                            seed=scenario.seed)
-    allocation, trace = assign(routing, instance.physics, scenario,
+    return solve_routing(instance.topology, requests, scenario.rto_method,
+                         span_km=instance.physics.span_km, seed=scenario.seed)
+
+
+def run(instance: NetworkInstance
+        ) -> tuple[RoutingSolution, psa.Allocation, HeuristicTrace]:
+    """Full pipeline: partition traffic, route, order, assign."""
+    routing = route(instance)
+    allocation, trace = assign(routing, instance.physics, instance.scenario,
                                instance.modulations)
     return routing, allocation, trace

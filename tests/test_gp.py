@@ -447,16 +447,21 @@ def newton_system(program, seed, F_range):
 
 
 def test_shift_ladder_gives_up_after_41_factors(cost239_program, monkeypatch):
-    # the cap counts factor attempts on either path: dense, then sparse
-    for bound in (gp._DENSE_MAX, 0):
-        calls = []
+    # the cap counts factor attempts on either path: LAPACK's Cholesky on
+    # the dense one, then SuperLU on the sparse one
+    calls = []
 
-        def never(K):
-            calls.append(K)
-            return None
+    def failing(path, result):
+        def factor(K, **kwargs):
+            calls.append(path)
+            return result
+        return factor
 
+    monkeypatch.setattr(gp, "dpotrf", failing("dense", (None, 1)))
+    monkeypatch.setattr(gp, "_factor", failing("sparse", None))
+    for bound, path in ((gp._DENSE_MAX, "dense"), (0, "sparse")):
+        calls.clear()
         monkeypatch.setattr(gp, "_DENSE_MAX", bound)
-        monkeypatch.setattr(gp, "_factor", never)
         form, kdata, rhs = newton_system(cost239_program, 1, (0.05, 0.95))
         assert gp._trust_region_step(form, kdata, rhs) is None
         assert len(calls) <= 41
@@ -464,7 +469,7 @@ def test_shift_ladder_gives_up_after_41_factors(cost239_program, monkeypatch):
         sol = solve(am_gm_program())
         assert sol.status == gp.STATUS_NUMERICAL
         assert 0 < len(calls) - 41 <= 41
-        assert all(isinstance(K, np.ndarray) == (bound > 0) for K in calls)
+        assert set(calls) == {path}
 
 
 def test_indefinite_newton_matrix_still_gives_a_descent_step(cost239_program):
@@ -510,21 +515,20 @@ def test_sparse_factor_accepts_exactly_positive_definite(n, scale, seed,
         positive_definite = False
     assert not (singular and positive_definite)
     rhs = rng.normal(size=n + 1)
-    steps = []
-    for K in (sp.csc_matrix(dense), np.asfortranarray(dense)):
-        factor = gp._factor(K)
-        assert (factor is not None) == positive_definite
-        if factor is not None:
-            steps.append(factor.solve(rhs))
+    factor = gp._factor(sp.csc_matrix(dense))
+    assert (factor is not None) == positive_definite
+    # the dense path hands LAPACK only K's upper triangle: poison the rest
+    upper = np.triu(dense) + np.tril(np.full_like(dense, np.nan), -1)
+    c, info = gp.dpotrf(np.asfortranarray(upper), clean=0)
+    assert (info == 0) == positive_definite
     if positive_definite:
-        sparse, dense_step = steps
+        sparse, dense_step = factor.solve(rhs), gp.dpotrs(c, rhs)[0]
         assert np.linalg.norm(dense_step - sparse) <= \
             1e-12 * np.linalg.norm(sparse)
 
 
-def test_small_forms_compute_no_sparse_order(cost239_program, monkeypatch):
-    # below the dense bound no compile, slack form or pin runs SuperLU's
-    # MMD ordering, and no Newton step runs splu at all
+def recording_splu(monkeypatch):
+    """The permc_spec of every splu call from now on."""
     calls = []
 
     def recording(A, *args, splu=spla.splu, **kwargs):
@@ -532,6 +536,13 @@ def test_small_forms_compute_no_sparse_order(cost239_program, monkeypatch):
         return splu(A, *args, **kwargs)
 
     monkeypatch.setattr(spla, "splu", recording)
+    return calls
+
+
+def test_small_forms_compute_no_sparse_order(cost239_program, monkeypatch):
+    # below the dense bound no compile, slack form or pin runs SuperLU's
+    # MMD ordering, and no Newton step runs splu at all
+    calls = recording_splu(monkeypatch)
     form = ConvexForm(cost239_program)
     assert form.n + 1 <= gp._DENSE_MAX
     sol = solve(form)
@@ -548,22 +559,54 @@ def test_form_just_above_the_dense_bound_factors_sparse(cost239_program,
     # dense at a bound of N and sparse, in its MMD order, at a bound of
     # N - 1; both factors give the same step
     n = len(cost239_program.variables)
-    kinds, steps = [], []
-
-    def recording(K, factor=gp._factor):
-        kinds.append(type(K))
-        return factor(K)
-
-    monkeypatch.setattr(gp, "_factor", recording)
+    calls = recording_splu(monkeypatch)
+    runs, steps = [], []
     for bound in (n + 1, n):
+        calls.clear()
         monkeypatch.setattr(gp, "_DENSE_MAX", bound)
         form, kdata, rhs = newton_system(cost239_program, 4, (0.05, 0.95))
-        identity = np.array_equal(form._kkt_perm, np.arange(n + 1))
-        assert identity == (bound > n)
+        assert (form._kkt_dense is None) == (bound == n)
+        assert (form._kkt_perm is None) == (bound > n)
+        if bound == n:
+            assert not np.array_equal(form._kkt_perm, np.arange(n + 1))
         steps.append(gp._solve_newton(form, kdata, rhs))
-    assert kinds == [np.ndarray, sp.csc_matrix]
+        runs.append(list(calls))
+    # the sparse form orders K once at compile and factors it once per step
+    assert runs == [[], ["MMD_AT_PLUS_A", "NATURAL"]]
     dense, sparse = steps
     assert np.linalg.norm(dense - sparse) <= 1e-12 * np.linalg.norm(sparse)
+
+
+def test_pin_that_crosses_the_dense_bound_factors_dense(cost239_program,
+                                                       monkeypatch):
+    # at a bound of n the base form (N = n + 1) is sparse and a form with
+    # one variable pinned (N = n) is dense: it keeps none of its parent's
+    # SuperLU arrays and factors every step by LAPACK
+    n = len(cost239_program.variables)
+    monkeypatch.setattr(gp, "_DENSE_MAX", n)
+    base = ConvexForm(cost239_program)
+    assert base._kkt_dense is None
+    # a loose solve stops strictly inside every constraint, so the pinned
+    # form starts there without a phase-1 form (N = n + 1, sparse)
+    sol = solve(base, gap_tol=1e-4)
+    name = base.variables[0]
+    pins = {name: sol.value(name)}
+    calls = recording_splu(monkeypatch)
+    pinned = fix_variable(base, pins)
+    assert pinned._kkt_dense is not None
+    assert all(getattr(pinned, attr) is None for attr in (
+        "_kkt_perm", "_kkt_order", "_kkt_mirror", "_kkt_indices",
+        "_kkt_indptr"))
+    dense = solve(pinned, sol.variables)
+    assert calls == []
+    # the same pin with the bound lowered stays sparse
+    monkeypatch.setattr(gp, "_DENSE_MAX", n - 1)
+    sparse_form = fix_variable(ConvexForm(cost239_program), pins)
+    assert sparse_form._kkt_dense is None
+    sparse = solve(sparse_form, sol.variables)
+    assert calls
+    assert dense.status == sparse.status == "optimal"
+    assert dense.objective == pytest.approx(sparse.objective, rel=1e-9)
 
 
 # ---------------------------------------------------------------- fixing

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from eongp import heuristic, physics as ph, psa, validate
 from eongp.model import (
-    DEFAULT_MODULATIONS, ConnectionRequest, InstanceError, Link,
+    DEFAULT_MODULATIONS, RTO_METHODS, ConnectionRequest, InstanceError, Link,
     NetworkInstance, NetworkTopology, PhysicsConstants, ScenarioConfig,
     TrafficDemand, derived_constants, load_topology,
 )
@@ -74,6 +74,19 @@ def test_report_matches_hand_recomputation(pair_setup):
     assert rep.mean_rate_per_resource == pytest.approx(
         100e9 / (1e-3 * 50e9), rel=1e-12)
     assert rep.span_usage == 10
+
+
+@pytest.mark.parametrize("ids", [(10, 11), (1, 0)])
+def test_rate_per_resource_reads_requests_by_position(pair_setup, ids):
+    # the allocation lists requests in routing order, whatever their ids
+    routing, inst = pair_setup
+    requests = tuple(replace(req, id=i, rate_bps=rate) for req, i, rate
+                     in zip(routing.requests, ids, (100e9, 50e9)))
+    alloc = replace(hand_allocation(), power_w=(1e-3, 2e-3),
+                    bandwidth_hz=(50e9, 40e9))
+    rep = validate.validate(alloc, replace(routing, requests=requests), inst)
+    assert rep.mean_rate_per_resource == pytest.approx(
+        (100e9 / (1e-3 * 50e9) + 50e9 / (2e-3 * 40e9)) / 2, rel=1e-12)
 
 
 def test_fit_requirement_for_offtable_efficiency(pair_setup):
@@ -241,6 +254,26 @@ def test_compare_rto_mechanics(pair_setup):
         assert run.report.violations == ()
         assert run.trace.method == run.scenario.rto_method
         assert run.runtime_s > 0
+
+
+def test_compare_routes_once_per_stage_1_key(pair_setup, monkeypatch):
+    # stage 1 reads only rto_method, seed and num_requests of a scenario
+    _, inst = pair_setup
+    methods = []
+
+    def counting(topology, requests, method, **kwargs):
+        methods.append(method)
+        return solve_routing(topology, requests, method, **kwargs)
+
+    monkeypatch.setattr(heuristic, "solve_routing", counting)
+    runs = validate.compare(inst, [replace(inst.scenario, formulation=f)
+                                   for f in sorted(psa.FORMULATION_FIT)])
+    assert methods == [inst.scenario.rto_method]
+    assert all(run.routing is runs[0].routing for run in runs)
+    methods.clear()
+    validate.compare(inst, [replace(inst.scenario, rto_method=m)
+                            for m in RTO_METHODS])
+    assert methods == list(RTO_METHODS)
 
 
 def test_compare_rto_keeps_formulation(pair_setup):
