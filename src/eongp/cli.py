@@ -12,10 +12,11 @@ Commands
 Every CSV artifact opens with a '# config: {...}' comment carrying the
 resolved configuration, so the file alone identifies the run that produced
 it.  Numbers are written with fixed formatting and the pipeline is seeded,
-so identical inputs give byte-identical CSV files; wall-clock times appear
-only in the JSON artifacts.  The four pipeline commands run through
-`validate.compare`, one scenario per margin, method or formulation (one for
-`run`); JSON artifacts hold its records as they are, non-finite numbers null.
+so identical inputs at a fixed BLAS thread count (LAPACK rounds by thread
+count) give byte-identical CSV files; wall-clock times appear only in the
+JSON artifacts.  The four pipeline commands run through `validate.compare`,
+one scenario per margin, method or formulation (one for `run`); JSON
+artifacts hold its records as they are, non-finite numbers null.
 
 Exit codes: 0 success, 2 usage, 3 I/O, 4 input parse or validation,
 5 infeasible instance, 6 solver breakdown.

@@ -15,7 +15,8 @@ permuted, and factors it in natural order.  Both factors accept a matrix
 exactly when it is positive definite.  A phase-1 stage finds a strictly
 feasible start or certifies infeasibility.  Pinning x_j = v shifts each
 offset by a_j log v and drops column j, so `fix_variable` transforms a
-compiled form: a program compiles once, however often it is pinned.
+compiled form: a program compiles once, however often it is pinned, and
+its solution reports each pinned variable at its pinned value.
 
 Contract: a solution with status "optimal" has relative KKT residual at most
 1e-6 and every constraint satisfied to within 1e-8 (iterates are kept
@@ -232,10 +233,12 @@ _DENSE_MAX = 300
 
 
 class ConvexForm:
-    """log-sum-exp compilation of a program over u = log x."""
+    """log-sum-exp compilation of a program over u = log x; `variables` are
+    the free ones and `fixed` maps each pinned one to its value."""
 
     def __init__(self, program: GpProgram):
         self.variables = program.variables
+        self.fixed: dict[str, float] = {}
         self.constraints = tuple(name for name, _ in program.constraints)
         col = {v: i for i, v in enumerate(self.variables)}
         self.obj_A, self.obj_b = self._matrix(program.objective.terms, col)
@@ -413,7 +416,8 @@ def fix_variable(program, values: dict[str, float]) -> ConvexForm:
     first.  Each pin x_j = v adds a_j log v to every term's offset, in the
     mapping's order, so one call gives the same floats as a chain of pins.
     Constraints that become constant are checked and removed; a constant
-    constraint above 1 means the fix is infeasible and raises GpError.
+    constraint above 1 means the fix is infeasible and raises GpError.  The
+    result's `fixed` holds every pin of the chain, which `solve` reports.
     """
     form = _compiled(program)
     col = {v: i for i, v in enumerate(form.variables)}
@@ -442,6 +446,7 @@ def fix_variable(program, values: dict[str, float]) -> ConvexForm:
             raise GpError(f"fixing {pins} violates {form.constraints[r]} "
                           f"({const:.9g} > 1)")
     out.variables = tuple(v for v, f in zip(form.variables, free) if f)
+    out.fixed = {**form.fixed, **values}
     out.constraints = tuple(c for c, k in zip(form.constraints, live) if k)
     out.con_A, out.con_b = con_A[live[form.seg]], con_b[live[form.seg]]
     out.ptr = np.concatenate(([0], np.cumsum(np.diff(form.ptr)[live])))
@@ -455,6 +460,8 @@ def fix_variable(program, values: dict[str, float]) -> ConvexForm:
 
 @dataclass(frozen=True)
 class GpSolution:
+    """`variables` maps every variable of the original program to its value,
+    a pinned one to its pinned value; it is empty when phase 1 fails."""
     status: str
     variables: dict[str, float]
     objective: float
@@ -654,29 +661,6 @@ def _pdipm(form: ConvexForm, u, gap_tol, feas_tol, max_iter,
     return u, lam, point, STATUS_MAX_ITER, max_iter, kkt
 
 
-def _solve_phase1(form: ConvexForm, u0, feas_tol, max_iter):
-    """Find a strictly feasible point or certify infeasibility."""
-    F, _ = form.constraint_eval(u0)
-    if (F < -1e-9).all():  # also when there are no constraints
-        return u0, STATUS_OPTIMAL, 0
-    u = np.append(u0, F.max() + 1.0)
-
-    def reached(uu, Fext):
-        # constraint values of the original program are F_ext + s
-        return float((Fext + uu[-1]).max()) <= -1e-6
-
-    u, _, _, status, iters, _ = _pdipm(form.with_slack(), u, gap_tol=1e-9,
-                                       feas_tol=feas_tol, max_iter=max_iter,
-                                       early_stop=reached)
-    F, _ = form.constraint_eval(u[:-1])
-    if float(F.max()) <= -1e-6:
-        return u[:-1], STATUS_OPTIMAL, iters
-    if status == STATUS_OPTIMAL:
-        # converged with nonnegative slack: no strictly feasible point
-        return u[:-1], STATUS_INFEASIBLE, iters
-    return u[:-1], status, iters
-
-
 def _exp(z: float) -> float:
     return math.exp(z) if z < 709.0 else math.inf
 
@@ -686,29 +670,40 @@ def solve(program, x0=None, *, gap_tol: float = 1e-8,
     """Solve a geometric program, given as a GpProgram or a compiled form.
 
     x0 maps variable names to positive starting values; missing names start
-    at 1 and names the program lacks are ignored.  A strictly feasible
-    start skips phase 1.
+    at 1 and names the program lacks are ignored.  A start that is not
+    strictly feasible runs phase 1 first: the `with_slack()` form from
+    there, until the program's constraints hold with a margin of 1e-6.
+    The solution reports a pinned form's pins among its variables.
     """
     form = _compiled(program)
-    u0 = np.zeros(form.n)
+    u = np.zeros(form.n)
     if x0:
         for i, v in enumerate(form.variables):
             if v in x0:
                 if not x0[v] > 0:
                     raise GpError(f"start value for {v} must be positive")
-                u0[i] = math.log(x0[v])
+                u[i] = math.log(x0[v])
 
-    u0, p1_status, p1_iters = _solve_phase1(form, u0, feas_tol,
-                                            max_iterations)
-    if p1_status == STATUS_INFEASIBLE:
-        return GpSolution(STATUS_INFEASIBLE, {}, math.inf, (), (), p1_iters,
-                          math.inf, "phase 1 found no strictly feasible point")
-    if p1_status != STATUS_OPTIMAL:
-        return GpSolution(p1_status, {}, math.inf, (), (), p1_iters,
-                          math.inf, "phase 1 did not converge")
+    F, _ = form.constraint_eval(u)
+    p1_iters = 0
+    if not (F < -1e-9).all():  # an empty F is strictly feasible
+        # the program's own constraint values are those of the slack form
+        # plus the slack s = us[-1]
+        us, _, _, status, p1_iters, _ = _pdipm(
+            form.with_slack(), np.append(u, F.max() + 1.0), gap_tol=1e-9,
+            feas_tol=feas_tol, max_iter=max_iterations,
+            early_stop=lambda us, Fs: float((Fs + us[-1]).max()) <= -1e-6)
+        u = us[:-1]
+        if float(form.constraint_eval(u)[0].max()) > -1e-6:
+            # converged with nonnegative slack: no strictly feasible point
+            infeasible = status == STATUS_OPTIMAL
+            message = ("phase 1 found no strictly feasible point" if infeasible
+                       else "phase 1 did not converge")
+            return GpSolution(STATUS_INFEASIBLE if infeasible else status, {},
+                              math.inf, (), (), p1_iters, math.inf, message)
 
     u, lam, (F, _, F0, *_), status, iters, kkt = _pdipm(
-        form, u0, gap_tol, feas_tol, max_iterations)
+        form, u, gap_tol, feas_tol, max_iterations)
     x = {v: _exp(u[i]) for i, v in enumerate(form.variables)}
-    return GpSolution(status, x, _exp(F0), tuple(lam), tuple(np.exp(F)),
-                      p1_iters + iters, kkt)
+    return GpSolution(status, {**x, **form.fixed}, _exp(F0), tuple(lam),
+                      tuple(np.exp(F)), p1_iters + iters, kkt)

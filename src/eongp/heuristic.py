@@ -7,11 +7,11 @@ efficiencies to modulation-table values: the acceptance window is the
 least multiple of the configured precision (rounded to 1e-12) that puts at
 least one relaxed efficiency within it of a table value; every such
 request is pinned in the same round (a tie goes to the smaller table value)
-and the program, compiled once, is re-solved with the pinned values moved
-into its offsets.  Each round pins at least one request, so the loop runs
-at most once per request.  The closing solve, with every efficiency
-pinned, yields the continuous powers, centers, margins, spacings and
-spectrum edge.
+by `psa.pin`, and the program, compiled once, is re-solved with the pinned
+values moved into its offsets.  Each round pins at least one request, so
+the loop runs at most once per request.  The closing solve, with every
+efficiency pinned, reports the efficiencies at their table values beside
+the continuous powers, centers, margins, spacings and spectrum edge.
 
 Rounding failures are not repaired: if any re-solve comes back infeasible
 the run aborts with a stage-tagged error carrying the partial trace.
@@ -98,40 +98,37 @@ def assign(routing: RoutingSolution, physics: PhysicsConstants,
     """Stage 2: relax, iteratively round efficiencies, re-solve."""
     form = gp.ConvexForm(
         psa.build_program(routing, physics, scenario, modulations))
-    start = psa.warm_start(routing, physics, scenario)
-    tols = dict(gap_tol=scenario.gap_tol, feas_tol=scenario.feas_tol,
-                max_iterations=scenario.max_iterations)
+    rounds: list[RoundingRound] = []
 
-    def solve_or_abort(compiled, x0, stage, trace):
-        sol = gp.solve(compiled, x0, **tols)
+    def solve_or_abort(compiled, x0, stage):
+        sol = gp.solve(compiled, x0, gap_tol=scenario.gap_tol,
+                       feas_tol=scenario.feas_tol,
+                       max_iterations=scenario.max_iterations)
         if sol.status != "optimal":
+            partial = HeuristicTrace(
+                routing.method, scenario.formulation, tuple(rounds),
+                relaxed_objective, math.nan) if rounds else None
             raise HeuristicError(
                 f"assignment solve failed ({sol.status}) at {stage}",
-                stage, trace, status=sol.status)
+                stage, partial, status=sol.status)
         return sol
 
-    solution = solve_or_abort(form, start, "relaxation", None)
+    solution = solve_or_abort(
+        form, psa.warm_start(routing, physics, scenario), "relaxation")
     relaxed_objective = solution.objective
 
     unfixed = list(routing.order)
-    pinned: dict[str, float] = {}
-    rounds: list[RoundingRound] = []
     while unfixed:
         batch = _pick_fixes(solution.variables, unfixed,
                             modulations.efficiencies, physics.round_step)
         rounds.append(RoundingRound(solution.objective, tuple(batch)))
-        pins = {psa.c_var(rec.request): rec.fixed for rec in batch}
-        form = gp.fix_variable(form, pins)
-        pinned.update(pins)
-        unfixed = [q for q in unfixed if psa.c_var(q) not in pins]
-        partial = HeuristicTrace(routing.method, scenario.formulation,
-                                 tuple(rounds), relaxed_objective,
-                                 float("nan"))
+        pins = {rec.request: rec.fixed for rec in batch}
+        form = psa.pin(form, pins)
+        unfixed = [q for q in unfixed if q not in pins]
         solution = solve_or_abort(form, solution.variables,
-                                  f"round {len(rounds)}", partial)
+                                  f"round {len(rounds)}")
 
-    allocation = psa.extract({**solution.variables, **pinned}, routing,
-                             solution.objective)
+    allocation = psa.extract(solution.variables, routing, solution.objective)
     trace = HeuristicTrace(routing.method, scenario.formulation,
                            tuple(rounds), relaxed_objective,
                            solution.objective)

@@ -148,6 +148,7 @@ class ModulationTable:
         return tuple(e for e, _ in self.entries)
 
     def required_osnr(self, eff: float) -> float:
+        """The one table-entry test: the OSNR of the entry within 1e-9."""
         for e, o in self.entries:
             if math.isclose(e, eff, rel_tol=0, abs_tol=1e-9):
                 return o

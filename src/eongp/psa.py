@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .gp import GpProgram, Monomial, Posynomial
+from .gp import ConvexForm, GpProgram, Monomial, Posynomial, fix_variable
 from .model import (
     InstanceError, ModulationTable, PhysicsConstants, ScenarioConfig,
     derived_constants,
@@ -255,6 +255,12 @@ def warm_start(routing: RoutingSolution, physics: PhysicsConstants,
         lo, hi = (q, i) if rank[q] < rank[i] else (i, q)
         start[d_var(q, i)] = 0.9 * (start[w_var(hi)] - start[w_var(lo)])
     return start
+
+
+def pin(form: ConvexForm, efficiencies: dict[int, float]) -> ConvexForm:
+    """`form` with c[q] pinned to each request's given efficiency: the one
+    place that pins efficiencies, for rounding and the exact oracle alike."""
+    return fix_variable(form, {c_var(q): v for q, v in efficiencies.items()})
 
 
 @dataclass(frozen=True)

@@ -61,10 +61,10 @@ def _channels(allocation: psa.Allocation) -> list[ph.ChannelState]:
 
 
 def _required(eff: float, fit: str, table: ModulationTable) -> float:
-    for known, osnr in table.entries:
-        if abs(eff - known) <= 1e-9 * max(1.0, known):
-            return osnr
-    return ph.required_osnr(eff, fit, table)
+    try:
+        return table.required_osnr(eff)
+    except InstanceError:
+        return ph.required_osnr(eff, fit)
 
 
 def _osnr_or_nan(q: int, channels, ctx: ph.NoiseContext, mode: str) -> float:
@@ -160,14 +160,13 @@ def brute_force_psa(routing: RoutingSolution, physics: PhysicsConstants,
     start = psa.warm_start(routing, physics, scenario)
     best = None
     for combo in itertools.product(modulations.efficiencies, repeat=n):
-        pins = {psa.c_var(q): value for q, value in enumerate(combo)}
-        sol = gp.solve(gp.fix_variable(base, pins), start,
+        sol = gp.solve(psa.pin(base, dict(enumerate(combo))), start,
                        gap_tol=scenario.gap_tol, feas_tol=scenario.feas_tol,
                        max_iterations=scenario.max_iterations)
         if sol.status != "optimal":
             continue
         if best is None or sol.objective < best[0]:
-            best = (sol.objective, {**sol.variables, **pins}, combo)
+            best = (sol.objective, sol.variables, combo)
     if best is None:
         raise InstanceError("every efficiency combination is infeasible")
     objective, full, combo = best

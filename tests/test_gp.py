@@ -1,3 +1,4 @@
+import copy
 import math
 from dataclasses import replace
 
@@ -145,6 +146,43 @@ def test_warm_start_and_bad_start():
     assert cold.objective == pytest.approx(2.0, abs=1e-6)
     with pytest.raises(GpError):
         solve(prog, {"x": -1.0})
+
+
+@pytest.fixture
+def no_trial_accepted(monkeypatch):
+    # every residual reads infinite, so each line search runs out of steps
+    # and `_pdipm` takes its stall branch
+    monkeypatch.setattr(gp, "_residual_norm", lambda *args: math.inf)
+
+
+def test_stall_at_a_converged_start_is_optimal(no_trial_accepted):
+    # min x + 4/x from x = 2 e^1e-8: the KKT residual is about 1e-8, above
+    # the zero tolerances yet within the 1e-6 that a stall accepts
+    start = 2.0 * math.exp(1e-8)
+    sol = solve(assemble(posy(mono(1.0, x=1.0), mono(4.0, x=-1.0)), []),
+                {"x": start}, gap_tol=0.0, feas_tol=0.0)
+    assert sol.status == "optimal"
+    assert sol.iterations == 1
+    assert 1e-12 < sol.kkt <= 1e-6
+    assert sol.value("x") == math.exp(math.log(start))
+
+
+def test_stall_recenters_the_duals_twice_then_fails(no_trial_accepted):
+    # at a strictly feasible start the gap residual is far above 1e-6: each
+    # of two stalls re-centers the duals and retries at the same point, and
+    # the third gives up
+    start = {"x": 3.0, "y": 3.0}
+    sol = solve(am_gm_program(), start)
+    assert sol.status == "numerical-failure"
+    assert sol.iterations == 3
+    assert sol.kkt > 1e-6
+    assert sol.variables == pytest.approx(start, rel=1e-15)
+    assert sol.duals == pytest.approx((1.0 / math.log(9.0),), rel=1e-15)
+    # without constraints there are no duals to re-center
+    unconstrained = solve(assemble(posy(mono(1.0, x=1.0),
+                                        mono(4.0, x=-1.0)), []), {"x": 3.0})
+    assert unconstrained.status == "numerical-failure"
+    assert unconstrained.iterations == 1
 
 
 def test_tightening_constraint_raises_optimum():
@@ -709,6 +747,32 @@ def test_sparse_newton_step_on_random_programs(objective, rows, seed):
                                    for k, row in enumerate(rows)])
     assume(program.variables)
     check_sparse_newton_step(program, seed)
+
+
+def test_pinned_solution_reports_every_pin():
+    # min a + b + x + y  s.t.  1/(a x) <= 1, 1/(b y) <= 1, pinned a = 2 and
+    # then b = 4: x = 1/2, y = 1/4 and the objective 6.75
+    prog = assemble(posy(mono(1.0, a=1.0), mono(1.0, b=1.0),
+                         mono(1.0, x=1.0), mono(1.0, y=1.0)),
+                    [("ax", posy(mono(1.0, a=-1.0, x=-1.0))),
+                     ("by", posy(mono(1.0, b=-1.0, y=-1.0)))])
+    once = fix_variable(prog, {"a": 2.0})
+    twice = fix_variable(once, {"b": 4.0})
+    assert (once.fixed, twice.fixed) == ({"a": 2.0}, {"a": 2.0, "b": 4.0})
+    assert twice.variables == ("x", "y")
+    sol = solve(twice)
+    assert sol.status == "optimal"
+    assert set(sol.variables) == set(prog.variables)
+    assert sol.value("a") == 2.0 and sol.value("b") == 4.0
+    assert sol.objective == pytest.approx(6.75, rel=1e-8)
+    assert sol.value("x") == pytest.approx(0.5, rel=1e-6)
+    assert sol.value("y") == pytest.approx(0.25, rel=1e-6)
+    # the free variables are those of the same pinned form solved without
+    # the record of its pins
+    bare = copy.copy(twice)
+    bare.fixed = {}
+    assert solve(bare).variables == {"x": sol.value("x"),
+                                     "y": sol.value("y")}
 
 
 def test_fix_keeps_constant_objective_terms():

@@ -86,3 +86,43 @@ def test_no_unreferenced_definitions(path, words):
     dead = [f"{path.name}:{line} {name}" for name, line in defined_names(tree)
             if words[name] <= defs[name]]
     assert not dead, f"defined but never referenced: {dead}"
+
+
+def imported_modules(tree):
+    """Top-level package of every module an import statement loads."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module and \
+                not node.level:
+            yield node.module.split(".")[0]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_signal_handling(path):
+    # bench/probe.py samples the host's speed from a SIGALRM handler on an
+    # ITIMER_REAL timer that runs through every timed pass: a module that
+    # installs, resets or restores a handler or a timer ends the bench
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert "signal" not in set(imported_modules(tree))
+
+
+def referrers(node, name, owner=None):
+    """Innermost function around each read of `name` as a name or an
+    attribute; None at module level."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        owner = node.name
+    if isinstance(node, ast.Name) and node.id == name or \
+            isinstance(node, ast.Attribute) and node.attr == name:
+        yield owner
+    for child in ast.iter_child_nodes(node):
+        yield from referrers(child, name, owner)
+
+
+def test_efficiencies_are_pinned_in_one_place():
+    # rounding and the exact oracle must pin alike, so psa.pin is the only
+    # code that reaches gp.fix_variable
+    callers = {(path.name, owner) for path in MODULES
+               for owner in referrers(ast.parse(path.read_text()),
+                                      "fix_variable")}
+    assert callers == {("psa.py", "pin")}

@@ -101,6 +101,23 @@ def test_fit_requirement_for_offtable_efficiency(pair_setup):
     assert rep.required_osnr[1] == pytest.approx(3.52)
 
 
+@pytest.mark.parametrize("eff, entry", [(12.0 - 5e-9, None),
+                                        (12.0 + 5e-9, None),
+                                        (12.0 + 5e-10, 127.51)])
+def test_required_osnr_follows_the_tables_lookup(pair_setup, eff, entry):
+    # the table matches an efficiency within an absolute 1e-9; the report
+    # takes the table's requirement exactly there and the fit elsewhere
+    routing, inst = pair_setup
+    rep = validate.validate(replace(hand_allocation(), efficiency=(eff, 2.0)),
+                            routing, inst)
+    if entry is None:
+        with pytest.raises(InstanceError):
+            inst.modulations.required_osnr(eff)
+        entry = ph.required_osnr(eff, "power_law")
+    assert inst.scenario.min_margin == 1.0
+    assert rep.required_osnr[0] == pytest.approx(entry, rel=1e-12)
+
+
 def test_overlap_recorded_not_raised(pair_setup):
     routing, inst = pair_setup
     rep = validate.validate(hand_allocation(spacing_hz=40e9), routing, inst)
