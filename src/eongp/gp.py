@@ -4,19 +4,20 @@ A monomial is c * prod(x_j^a_j) with c > 0; a posynomial is a sum of
 monomials.  A program minimizes a posynomial subject to posynomial <= 1
 constraints.  Substituting x = exp(u) turns every posynomial into
 log-sum-exp(A u + b), a smooth convex function, and the program into a
-standard convex one.  The solver below works on that compiled form with a
-primal-dual interior-point method.  Each Newton matrix is assembled as its
-upper triangle, in a pattern fixed when the form compiles.  A small one
-(`_DENSE_MAX` rows at most) is scattered into a dense array and factored
-by LAPACK's Cholesky, which reads only that triangle.  A larger one is
-factored by SuperLU: its fill-reducing order is computed once per form,
+standard convex one.  The compiled form keeps A and b as plain arrays,
+one (term, column, exponent) per entry, and the solver below works on it
+with a primal-dual interior-point method.  Each Newton matrix is assembled
+as its upper triangle, in a pattern fixed when the form compiles.  A small
+one (`_DENSE_MAX` rows at most) is factored by LAPACK's Cholesky, which
+reads only that triangle.  A larger one is factored by SuperLU, the one
+user of scipy.sparse: its fill-reducing order is computed once per form,
 and each step gathers the triangle into the full matrix, already
-permuted, and factors it in natural order.  Both factors accept a matrix
-exactly when it is positive definite.  A phase-1 stage finds a strictly
-feasible start or certifies infeasibility.  Pinning x_j = v shifts each
-offset by a_j log v and drops column j, so `fix_variable` transforms a
-compiled form: a program compiles once, however often it is pinned, and
-its solution reports each pinned variable at its pinned value.
+permuted.  Both factors accept a matrix exactly when it is positive
+definite.  A phase-1 stage finds a strictly feasible start or certifies
+infeasibility.  Pinning x_j = v shifts each offset by a_j log v and drops
+column j's entries, so `fix_variable` transforms a compiled form: a
+program compiles once, however often it is pinned, and its solution
+reports each pinned variable at its pinned value.
 
 Contract: a solution with status "optimal" has relative KKT residual at most
 1e-6 and every constraint satisfied to within 1e-8 (iterates are kept
@@ -29,6 +30,7 @@ from __future__ import annotations
 
 import copy
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,6 +57,9 @@ class Monomial:
     def __post_init__(self):
         if not (self.coef > 0 and math.isfinite(self.coef)):
             raise GpError(f"monomial coefficient must be positive, got {self.coef}")
+        for var, exp in self.exponents:
+            if not math.isfinite(exp):
+                raise GpError(f"exponent of {var} must be finite, got {exp}")
 
     @staticmethod
     def make(coef: float, exponents=()) -> "Monomial":
@@ -97,8 +102,7 @@ class GpProgram:
         if len(known) != len(self.variables):
             raise GpError("duplicate variable names")
         used = self.objective.variables.union(
-            *(p.variables for _, p in self.constraints)) if self.constraints \
-            else self.objective.variables
+            *(p.variables for _, p in self.constraints))
         stray = used - known
         if stray:
             raise GpError(f"undeclared variables {sorted(stray)}")
@@ -112,14 +116,9 @@ class GpProgram:
 
 def assemble(objective: Posynomial, constraints) -> GpProgram:
     """Build a program, inferring variable order from first appearance."""
-    seen: dict[str, None] = {}
-    for term in objective.terms:
-        for v, _ in term.exponents:
-            seen.setdefault(v)
-    for _, posy in constraints:
-        for term in posy.terms:
-            for v, _ in term.exponents:
-                seen.setdefault(v)
+    posys = [objective] + [posy for _, posy in constraints]
+    seen = dict.fromkeys(v for posy in posys for term in posy.terms
+                         for v, _ in term.exponents)
     return GpProgram(objective, tuple(constraints), tuple(seen))
 
 
@@ -151,9 +150,7 @@ def _parse_term(line: str, lineno: int) -> Monomial:
 
 
 def to_text(program: GpProgram) -> str:
-    lines = ["gp 1"]
-    lines += [f"var {v}" for v in program.variables]
-    lines.append("minimize")
+    lines = ["gp 1", *(f"var {v}" for v in program.variables), "minimize"]
     lines += ["  " + _term_text(t) for t in program.objective.terms]
     for name, posy in program.constraints:
         lines.append(f"st {name}")
@@ -199,28 +196,29 @@ def _indptr(major, size):
     return np.concatenate(([0], np.cumsum(np.bincount(major, minlength=size))))
 
 
-def _pairs(indptr):
+def _pairs(groups, size):
     """(group, first, second) entry indices of every pair first <= second
-    within each group of an index pointer; k entries give k(k+1)/2 pairs.
+    in one group, for entries sorted by `groups`: k entries give k(k+1)/2.
 
     Pair r of a group is (r - b(b+1)/2, b) with b(b+1)/2 <= r < (b+1)(b+2)/2,
     so b is the floor of (sqrt(8r + 1) - 1) / 2, exact in floating point
     for any r below 2^40.
     """
-    counts = np.diff(indptr).astype(np.int64)
+    counts = np.bincount(groups, minlength=size)
     sizes = counts * (counts + 1) // 2
-    group = np.repeat(np.arange(len(counts)), sizes)
+    group = np.repeat(np.arange(size), sizes)
     r = np.arange(int(sizes.sum())) - np.repeat(np.cumsum(sizes) - sizes, sizes)
     second = ((np.sqrt(8.0 * r + 1.0) - 1.0) // 2.0).astype(np.int64)
-    start = np.asarray(indptr, dtype=np.int64)[group]
+    start = (np.cumsum(counts) - counts)[group]
     return group, start + r - second * (second + 1) // 2, start + second
 
 
-def _affine(A, b, term, u):
-    """A u + b for a CSR matrix A whose entry k lies in row term[k].  Each
-    row sums its products in stored order from 0, as `A @ u` does, so the
-    floats are those of `A @ u + b`."""
-    return np.bincount(term, A.data * u.take(A.indices), minlength=len(b)) + b
+def _affine(entries, u):
+    """A u + b of `_Entries` A and b.  Each term sums its products in
+    column order from 0, as a CSR product `A @ u` does, so the floats are
+    those of `A @ u + b`."""
+    term, col, exp, b = entries
+    return np.bincount(term, exp * u.take(col), minlength=len(b)) + b
 
 
 # Newton matrices of at most this many rows are factored by dense Cholesky,
@@ -232,42 +230,49 @@ def _affine(A, b, term, u):
 _DENSE_MAX = 300
 
 
+# a matrix of monomial exponents and each row's offset (see `ConvexForm`)
+_Entries = namedtuple("_Entries", "term col exp b")
+
+
+def _entries(terms, col) -> _Entries:
+    """The entries of monomials `terms` over the column map `col`; np.unique
+    sorts them, and sums the exponents of a variable repeated in a term."""
+    keys, pos = np.unique(np.array(
+        [r * len(col) + col[v] for r, t in enumerate(terms)
+         for v, _ in t.exponents], dtype=np.int64), return_inverse=True)
+    exps = [e for t in terms for _, e in t.exponents]
+    term, column = np.divmod(keys, max(len(col), 1))
+    return _Entries(term, column, np.bincount(pos, exps, len(keys)),
+                    np.array([math.log(t.coef) for t in terms]))
+
+
 class ConvexForm:
     """log-sum-exp compilation of a program over u = log x; `variables` are
-    the free ones and `fixed` maps each pinned one to its value."""
+    the free ones and `fixed` maps each pinned one to its value.  `obj` and
+    `con` are `_Entries` of A0, b0 and of C, b: entry k is exponent exp[k]
+    of column col[k] in term term[k], sorted by term and then by column;
+    b[t] is term t's offset, and `ptr[i]:ptr[i + 1]` are constraint i's."""
 
     def __init__(self, program: GpProgram):
         self.variables = program.variables
         self.fixed: dict[str, float] = {}
         self.constraints = tuple(name for name, _ in program.constraints)
         col = {v: i for i, v in enumerate(self.variables)}
-        self.obj_A, self.obj_b = self._matrix(program.objective.terms, col)
-        self.con_A, self.con_b = self._matrix(
+        self.obj = _entries(program.objective.terms, col)
+        self.con = _entries(
             [t for _, posy in program.constraints for t in posy.terms], col)
         sizes = [len(posy.terms) for _, posy in program.constraints]
         self.ptr = np.concatenate(([0], np.cumsum(sizes, dtype=np.int64)))
         self._compile()
 
-    def _matrix(self, terms, col):
-        rows, cols, vals = [], [], []
-        b = np.empty(len(terms))
-        for r, t in enumerate(terms):
-            b[r] = math.log(t.coef)
-            for v, e in t.exponents:
-                rows.append(r)
-                cols.append(col[v])
-                vals.append(e)
-        A = sp.csr_matrix((vals, (rows, cols)), shape=(len(terms), len(col)))
-        return A, b
-
     def _compile(self):
         """Fix the sizes and the sparsity patterns of J and the Newton system.
 
-        Every entry of J = S diag(sigma) con_A (S sums the terms of each
+        Every entry of J = S diag(sigma) C (S sums the terms of each
         constraint) and of K = [[H_s, g0], [g0^T, 1]] (see `_hessian`) is a
-        sum of weight x fixed-coefficient products.  The index arrays built
-        here say which product lands on which stored entry, so each call
-        fills J.data, or K's upper triangle, with one bincount.
+        sum of weight x fixed-coefficient products.  Index arrays built here
+        from `obj` and `con` say which product lands on which stored entry,
+        so one bincount fills J's data or K's upper triangle.
 
         On both paths K's data is its upper triangle, one slot per entry
         in column-major order.  For a K of at most `_DENSE_MAX` rows,
@@ -281,32 +286,30 @@ class ConvexForm:
         self.n, self.m = len(self.variables), len(self.constraints)
         self.seg = np.repeat(np.arange(self.m), np.diff(self.ptr))
         n, N = self.n, self.n + 1
-        C = self.con_A
-        # J: entry e of con_A, in term t and column j, adds to J[seg[t], j]
-        self._con_term = np.repeat(np.arange(C.shape[0]), np.diff(C.indptr))
-        self._obj_term = np.repeat(np.arange(self.obj_A.shape[0]),
-                                   np.diff(self.obj_A.indptr))
-        keys, self._jac_pos = np.unique(
-            self.seg[self._con_term] * n + C.indices, return_inverse=True)
+        obj, con = self.obj, self.con
+        # J: entry e of C, in term t and column j, adds to J[seg[t], j]
+        keys, self._jac_pos = np.unique(self.seg[con.term] * n + con.col,
+                                        return_inverse=True)
         self._jac_rows, self._jac_indices = np.divmod(keys, max(n, 1))
-        self._jac_indptr = _indptr(self._jac_rows, self.m)
         # K: the term pairs of A0^T diag(sigma0) A0 and C^T diag(w) C, the
         # row pairs of J^T diag(c) J, the g0 border and the diagonal, each
         # summed once into K's upper triangle (CSC key: column * N + row)
-        T = sp.vstack([self.obj_A, C]).tocsr()
-        self._pair_term, p, q = _pairs(T.indptr)
-        self._pair_coef = T.data[p] * T.data[q]
+        cols = np.concatenate((obj.col, con.col))
+        exps = np.concatenate((obj.exp, con.exp))
+        self._pair_term, p, q = _pairs(np.concatenate(
+            (obj.term, con.term + len(obj.b))), len(obj.b) + len(con.b))
+        self._pair_coef = exps[p] * exps[q]
         self._jac_pair_row, self._jac_p, self._jac_q = _pairs(
-            self._jac_indptr)
-        self._border = np.unique(self.obj_A.indices)
+            self._jac_rows, self.m)
+        self._border = np.unique(obj.col)
         diag = np.arange(N)
-        i = np.concatenate((T.indices[p], self._jac_indices[self._jac_p],
+        i = np.concatenate((cols[p], self._jac_indices[self._jac_p],
                             self._border, diag))
-        j = np.concatenate((T.indices[q], self._jac_indices[self._jac_q],
+        j = np.concatenate((cols[q], self._jac_indices[self._jac_q],
                             np.full(len(self._border), n), diag))
         upper = np.maximum(i, j) * N + np.minimum(i, j)
         # free the product-length temporaries before the sort and ordering
-        del T, p, q, i, j
+        del cols, exps, p, q, i, j
         upper, self._kkt_pos = np.unique(upper, return_inverse=True)
         # slots of K[j, j], j < n; K[n, n] = 1, and the zeros keep every
         # diagonal slot stored for shifts
@@ -348,20 +351,20 @@ class ConvexForm:
 
     def objective_eval(self, u):
         """(value, gradient, term weights) of the compiled objective."""
-        z = _affine(self.obj_A, self.obj_b, self._obj_term, u)
+        z = _affine(self.obj, u)
         zmax = z.max()
         e = np.exp(z - zmax)
         total = e.sum()
         sigma = e / total
-        grad = np.bincount(self.obj_A.indices, sigma[self._obj_term]
-                           * self.obj_A.data, minlength=self.n)
+        grad = np.bincount(self.obj.col, sigma[self.obj.term] * self.obj.exp,
+                           minlength=self.n)
         return zmax + math.log(total), grad, sigma
 
     def constraint_eval(self, u):
         """(values, term weights) of all compiled constraints."""
         if self.m == 0:
             return np.empty(0), np.empty(0)
-        z = _affine(self.con_A, self.con_b, self._con_term, u)
+        z = _affine(self.con, u)
         zmax = np.maximum.reduceat(z, self.ptr[:-1])
         e = np.exp(z - zmax[self.seg])
         sums = np.add.reduceat(e, self.ptr[:-1])
@@ -375,23 +378,20 @@ class ConvexForm:
         """
         ext = copy.copy(self)
         ext.variables = self.variables + ("<slack>",)
-        ext.obj_A = sp.csr_matrix(([1.0], ([0], [self.n])),
-                                  shape=(1, self.n + 1))
-        ext.obj_b = np.zeros(1)
-        ext.con_A = sp.hstack(
-            [self.con_A, -np.ones((self.con_A.shape[0], 1))]).tocsr()
+        ext.obj = _Entries(np.zeros(1, np.int64), np.array([self.n]),
+                           np.ones(1), np.zeros(1))
+        # every term, one without variables too, ends in (slack, -1)
+        term, col, exp, b = self.con
+        ends = _indptr(term, len(b))[1:]
+        ext.con = _Entries(np.insert(term, ends, np.arange(len(b))),
+                           np.insert(col, ends, self.n),
+                           np.insert(exp, ends, -1.0), b)
         ext._compile()
         return ext
 
-    def jacobian(self, sigma):
-        """Constraint gradients (m x n, sparse) from the term weights."""
-        return sp.csr_matrix((self._jac_data(sigma), self._jac_indices,
-                              self._jac_indptr), shape=(self.m, self.n))
-
     def _jac_data(self, sigma):
         """J's data in the compiled CSR pattern."""
-        return np.bincount(self._jac_pos,
-                           sigma[self._con_term] * self.con_A.data)
+        return np.bincount(self._jac_pos, sigma[self.con.term] * self.con.exp)
 
     def _jac_t(self, jdata, y):
         """J^T y from J's data."""
@@ -420,27 +420,30 @@ def fix_variable(program, values: dict[str, float]) -> ConvexForm:
     result's `fixed` holds every pin of the chain, which `solve` reports.
     """
     form = _compiled(program)
-    col = {v: i for i, v in enumerate(form.variables)}
+    column = {v: i for i, v in enumerate(form.variables)}
     for name, value in values.items():
-        if name not in col:
+        if name not in column:
             raise GpError(f"unknown variable {name!r}")
-        if not value > 0:
+        if not 0 < value < math.inf:
             raise GpError(f"fixed value for {name} must be positive")
     free = np.array([v not in values for v in form.variables], dtype=bool)
+    renumber = np.cumsum(free) - 1
 
-    def shift(A, b, term):
+    def shift(entries):
+        term, col, exp, b = entries
         b = b.copy()
         for name, value in values.items():
-            hit = A.indices == col[name]
-            b[term[hit]] += A.data[hit] * math.log(value)
-        return A[:, free], b
+            hit = col == column[name]
+            b[term[hit]] += exp[hit] * math.log(value)
+        keep = free[col]
+        return _Entries(term[keep], renumber[col[keep]], exp[keep], b)
 
     out = copy.copy(form)
-    out.obj_A, out.obj_b = shift(form.obj_A, form.obj_b, form._obj_term)
-    con_A, con_b = shift(form.con_A, form.con_b, form._con_term)
-    live = np.bincount(form.seg, np.diff(con_A.indptr), minlength=form.m) > 0
+    out.obj = shift(form.obj)
+    term, col, exp, b = shift(form.con)
+    live = np.bincount(form.seg[term], minlength=form.m) > 0
     for r in np.flatnonzero(~live):
-        const = float(np.exp(con_b[form.ptr[r]:form.ptr[r + 1]]).sum())
+        const = float(np.exp(b[form.ptr[r]:form.ptr[r + 1]]).sum())
         if const > 1.0 + 1e-9:
             pins = ", ".join(f"{n}={v:g}" for n, v in values.items())
             raise GpError(f"fixing {pins} violates {form.constraints[r]} "
@@ -448,7 +451,8 @@ def fix_variable(program, values: dict[str, float]) -> ConvexForm:
     out.variables = tuple(v for v, f in zip(form.variables, free) if f)
     out.fixed = {**form.fixed, **values}
     out.constraints = tuple(c for c, k in zip(form.constraints, live) if k)
-    out.con_A, out.con_b = con_A[live[form.seg]], con_b[live[form.seg]]
+    kept = live[form.seg]
+    out.con = _Entries((np.cumsum(kept) - 1)[term], col, exp, b[kept])
     out.ptr = np.concatenate(([0], np.cumsum(np.diff(form.ptr)[live])))
     out._compile()
     return out
@@ -677,12 +681,11 @@ def solve(program, x0=None, *, gap_tol: float = 1e-8,
     """
     form = _compiled(program)
     u = np.zeros(form.n)
-    if x0:
-        for i, v in enumerate(form.variables):
-            if v in x0:
-                if not x0[v] > 0:
-                    raise GpError(f"start value for {v} must be positive")
-                u[i] = math.log(x0[v])
+    for i, v in enumerate(form.variables):
+        if x0 and v in x0:
+            if not 0 < x0[v] < math.inf:
+                raise GpError(f"start value for {v} must be positive")
+            u[i] = math.log(x0[v])
 
     F, _ = form.constraint_eval(u)
     p1_iters = 0

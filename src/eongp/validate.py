@@ -5,7 +5,10 @@ re-evaluates every allocation under the exact expressions (exact cross-talk
 kernel, asinh self-interference) and reports the headroom each request
 actually has, the gap between model and exact signal quality, aggregate
 resource metrics, and any physical-validity violations.  Violations are
-recorded, never raised, so reports on bad allocations are still complete.
+recorded, never raised, so reports on bad allocations are still complete;
+a value that cannot be computed for a request (overlapping channels, a
+zero or non-finite power, bandwidth or efficiency) reads NaN, and a NaN
+position or width is a violation.
 """
 
 from __future__ import annotations
@@ -61,19 +64,32 @@ def _channels(allocation: psa.Allocation) -> list[ph.ChannelState]:
 
 
 def _required(eff: float, fit: str, table: ModulationTable) -> float:
+    """The table's requirement at one of its entries, else the fit's; NaN
+    off the fits' domain of positive efficiencies, or where a fit
+    overflows."""
     try:
         return table.required_osnr(eff)
     except InstanceError:
-        return ph.required_osnr(eff, fit)
+        pass
+    try:
+        return ph.required_osnr(eff, fit) if eff > 0 else math.nan
+    except OverflowError:
+        return math.nan
 
 
 def _osnr_or_nan(q: int, channels, ctx: ph.NoiseContext, mode: str) -> float:
-    """OSNR under `mode`, NaN where channels sharing spans overlap; the
-    geometry check reports the overlap itself."""
+    """OSNR under `mode`, NaN where it cannot be computed: channels sharing
+    spans overlap (a ValueError; the geometry check reports the overlap
+    itself), or a power or bandwidth is zero, negative or out of range."""
     try:
         return ph.osnr(q, channels, ctx, mode).value
-    except ph.ChannelOverlapError:
+    except (ArithmeticError, ValueError):
         return math.nan
+
+
+def _ratio(num: float, den: float) -> float:
+    """num / den, NaN where den is zero."""
+    return num / den if den else math.nan
 
 
 def validate(allocation: psa.Allocation, routing: RoutingSolution,
@@ -102,7 +118,7 @@ def validate(allocation: psa.Allocation, routing: RoutingSolution,
         need = scenario.min_margin * _required(allocation.efficiency[q], fit,
                                                instance.modulations)
         required.append(need)
-        slack.append(exact[q] / need)
+        slack.append(_ratio(exact[q], need))
         if math.isfinite(exact[q]) and exact[q] > 0:
             gap.append(abs(exact[q] - model[q]) / exact[q])
             noise += allocation.power_w[q] / exact[q]
@@ -110,8 +126,8 @@ def validate(allocation: psa.Allocation, routing: RoutingSolution,
             gap.append(math.nan)
 
     violations = list(_geometry_violations(allocation, routing, physics))
-    rate_density = [req.rate_bps / (allocation.power_w[q]
-                                    * allocation.bandwidth_hz[q])
+    rate_density = [_ratio(req.rate_bps, allocation.power_w[q]
+                           * allocation.bandwidth_hz[q])
                     for q, req in enumerate(routing.requests)]
     return ValidationReport(
         tuple(exact), tuple(model), tuple(required), tuple(slack), tuple(gap),
@@ -121,21 +137,22 @@ def validate(allocation: psa.Allocation, routing: RoutingSolution,
 
 
 def _geometry_violations(allocation, routing, physics: PhysicsConstants):
+    # each test is negated so that a NaN position or width is a violation
     half = [0.5 * b for b in allocation.bandwidth_hz]
     w = allocation.center_hz
     tol = _REL_TOL * physics.band_hz
     for link, seq in routing.link_order:
         for a, b in zip(seq, seq[1:]):
             gap = (w[b] - half[b]) - (w[a] + half[a])
-            if gap < physics.guard_hz - tol:
+            if not gap >= physics.guard_hz - tol:
                 yield Violation("nonoverlap", (link, a, b),
                                 physics.guard_hz - gap)
     for q in range(len(w)):
         over = w[q] + half[q] - physics.band_hz
-        if over > tol:
+        if not over <= tol:
             yield Violation("band", (q,), over)
         under = half[q] - w[q]
-        if under > tol:
+        if not under <= tol:
             yield Violation("lower-edge", (q,), under)
 
 

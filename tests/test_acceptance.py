@@ -161,7 +161,9 @@ def test_criterion_4_solver_and_gradients():
         form = ConvexForm(program)
         u = rng.uniform(-1.0, 1.0, form.n)
         _, sigma = form.constraint_eval(u)
-        grad = form.jacobian(sigma)[0].toarray().ravel()
+        # the one constraint's gradient: J's data in the compiled pattern
+        grad = np.zeros(form.n)
+        grad[form._jac_indices] = form._jac_data(sigma)
         for j in range(form.n):
             up, dn = u.copy(), u.copy()
             up[j] += 1e-6

@@ -40,6 +40,23 @@ def test_monomial_canonical_form():
         Posynomial(())
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("entry", ["exponent", "start", "pin"])
+def test_non_finite_input_is_rejected(entry, bad):
+    # an exponent, a start value or a pin that is not finite would reach
+    # the offsets or the start as NaN or infinity
+    program = from_text("gp 1\nvar x\nvar y\nminimize\n  1 x^-1\n  1 y^1\n"
+                        "st cap\n  0.5 x^1 y^-1\n")
+    with pytest.raises(GpError):
+        if entry == "exponent":
+            from_text(f"gp 1\nvar x\nminimize\n  1 x^-1\n"
+                      f"st cap\n  0.5 x^{bad!r}\n")
+        elif entry == "start":
+            solve(program, {"x": bad})
+        else:
+            fix_variable(program, {"x": bad})
+
+
 def test_program_validation():
     obj = posy(mono(1.0, x=1.0))
     with pytest.raises(GpError):
@@ -216,13 +233,16 @@ def cost239_program(cost239_routing):
 
 @pytest.fixture(scope="module")
 def cost239_forms(cost239_routing):
-    # the six formulations, each also as its phase-1 form
+    # the six formulations, each also as its phase-1 form, with the dense
+    # reference matrices of each
     inst, routing = cost239_routing
     forms = []
     for f in sorted(psa.FORMULATION_FIT):
-        form = ConvexForm(psa.build_program(
-            routing, inst.physics, replace(inst.scenario, formulation=f)))
-        forms += [form, form.with_slack()]
+        program = psa.build_program(
+            routing, inst.physics, replace(inst.scenario, formulation=f))
+        form = ConvexForm(program)
+        forms += [(form, dense_reference(program)),
+                  (form.with_slack(), dense_reference(program, slack=True))]
     return forms
 
 
@@ -280,6 +300,90 @@ def test_program_without_variables(program, status, objective):
 
 # ---------------------------------------------------------------- gradients
 
+def dense_reference(program, pins=None, slack=False):
+    """(A0, b0, C, b, ptr) of `program`, built densely from its posynomials
+    without the compiled form.  `pins` are substituted: each adds a_j log v
+    to the offsets, in the mapping's order, its column is dropped and so is
+    every constraint left without a free variable.  `slack` gives the
+    phase-1 program: objective s, and a -1 entry for s in every
+    constraint term."""
+    pins = {} if pins is None else pins
+    free = [v for v in program.variables if v not in pins]
+    col = {v: j for j, v in enumerate(free)}
+
+    def matrix(terms):
+        A = np.zeros((len(terms), len(free)))
+        b = np.empty(len(terms))
+        for t, term in enumerate(terms):
+            exps = dict(term.exponents)
+            b[t] = math.log(term.coef)
+            for name, value in pins.items():
+                if name in exps:
+                    b[t] += exps[name] * math.log(value)
+            for v, e in exps.items():
+                if v in col:
+                    A[t, col[v]] = e
+        return A, b
+
+    rows = [posy for _, posy in program.constraints
+            if not pins or posy.variables - set(pins)]
+    A0, b0 = matrix(program.objective.terms)
+    C, b = matrix([term for posy in rows for term in posy.terms])
+    if slack:
+        A0, b0 = np.eye(len(free) + 1)[-1:], np.zeros(1)
+        C = np.hstack((C, -np.ones((len(C), 1))))
+    ptr = np.cumsum([0] + [len(posy.terms) for posy in rows])
+    return A0, b0, C, b, ptr
+
+
+def assert_entries_are(entries, A, b):
+    """`entries` hold exactly the nonzeros of A, in (term, column) order,
+    and the offsets b."""
+    term, col, exp, offsets = entries
+    rows, cols = np.nonzero(A)
+    assert np.array_equal(term, rows) and np.array_equal(col, cols)
+    assert np.array_equal(exp, A[rows, cols])
+    assert np.array_equal(offsets, b)
+
+
+def jacobian(form, sigma):
+    """J as a csr_matrix, from `_jac_data` and the compiled pattern."""
+    return sp.csr_matrix((form._jac_data(sigma),
+                          (form._jac_rows, form._jac_indices)),
+                         shape=(form.m, form.n))
+
+
+def constant_term_program():
+    """A random program with a second constraint whose middle term is a
+    constant, a term without entries."""
+    prog = random_program(np.random.default_rng(3))
+    row = posy(mono(0.25, v1=1.0), mono(0.5), mono(0.125, v0=2.0, v3=-1.0))
+    return GpProgram(prog.objective, prog.constraints + (("k", row),),
+                     prog.variables)
+
+
+@pytest.mark.parametrize("case", ["constant term", "psa", "pinned",
+                                  "phase 1"])
+def test_entries_match_the_dense_reference(cost239_program, case):
+    # the compiled form's entry arrays against A0, C and the offsets built
+    # from the posynomials: pinning drops columns and dead rows and shifts
+    # offsets, and the phase-1 form adds s to every term, constants too
+    program = cost239_program if case in ("psa", "pinned") else \
+        constant_term_program()
+    pins = {psa.c_var(0): 4.0, psa.c_var(5): 8.0} if case == "pinned" \
+        else None
+    form = ConvexForm(program)
+    if pins:
+        form = fix_variable(form, pins)
+        assert form.m < len(program.constraints)
+    if case == "phase 1":
+        form = form.with_slack()
+    A0, b0, C, b, ptr = dense_reference(program, pins, case == "phase 1")
+    assert_entries_are(form.obj, A0, b0)
+    assert_entries_are(form.con, C, b)
+    assert np.array_equal(form.ptr, ptr)
+
+
 def random_program(rng, n_vars=4, n_terms=3):
     names = [f"v{i}" for i in range(n_vars)]
     terms = []
@@ -298,11 +402,11 @@ def test_point_evaluation_forms_the_sparse_products(cost239_forms, which,
                                                     scale, seed):
     # objective_eval and constraint_eval form A u + b by a bincount over
     # the stored term of each entry; the floats are those of A @ u + b
-    form = cost239_forms[which]
+    form, (A0, b0, C, b, _) = cost239_forms[which]
     u = np.random.default_rng(seed).normal(scale=scale, size=form.n)
-    for A, b, term in ((form.obj_A, form.obj_b, form._obj_term),
-                       (form.con_A, form.con_b, form._con_term)):
-        assert np.array_equal(gp._affine(A, b, term, u), A @ u + b)
+    for entries, A, b in ((form.obj, A0, b0), (form.con, C, b)):
+        assert np.array_equal(gp._affine(entries, u),
+                              sp.csr_matrix(A) @ u + b)
 
 
 def test_compiled_gradient_matches_finite_difference():
@@ -312,7 +416,7 @@ def test_compiled_gradient_matches_finite_difference():
         form = ConvexForm(prog)
         u = rng.uniform(-1, 1, size=form.n)
         _, sigma = form.constraint_eval(u)
-        grad = form.jacobian(sigma)[0].toarray().ravel()
+        grad = jacobian(form, sigma)[0].toarray().ravel()
         fd = np.empty_like(grad)
         h = 1e-6
         for j in range(form.n):
@@ -327,9 +431,10 @@ def test_compiled_gradient_matches_finite_difference():
 def test_with_slack_is_the_phase1_program():
     rng = np.random.default_rng(11)
     for _ in range(10):
-        form = ConvexForm(random_program(rng))
-        before = (form.n, form.variables, form.obj_A.toarray(),
-                  form.obj_b.copy(), form.con_A.toarray())
+        program = random_program(rng)
+        form = ConvexForm(program)
+        A0, b0, C, b, _ = dense_reference(program)
+        before = (form.n, form.variables)
         ext = form.with_slack()
         assert ext.n == form.n + 1 and ext.m == form.m
         u = rng.uniform(-1, 1, size=form.n)
@@ -345,17 +450,16 @@ def test_with_slack_is_the_phase1_program():
         assert np.array_equal(grad, np.eye(ext.n)[-1])
         # the base form is left untouched
         assert form.n == before[0] and form.variables == before[1]
-        assert np.array_equal(form.obj_A.toarray(), before[2])
-        assert np.array_equal(form.obj_b, before[3])
-        assert np.array_equal(form.con_A.toarray(), before[4])
+        assert_entries_are(form.obj, A0, b0)
+        assert_entries_are(form.con, C, b)
 
 
-def dense_newton_matrix(form, sigma0, g0, lam, F, sigma, J):
+def dense_newton_matrix(form, A0, C, sigma0, g0, lam, F, sigma, J):
     """The Newton matrix H, assembled densely term by term."""
-    H = (form.obj_A.T @ sp.diags(sigma0) @ form.obj_A).toarray()
+    A0, C = sp.csr_matrix(A0), sp.csr_matrix(C)
+    H = (A0.T @ sp.diags(sigma0) @ A0).toarray()
     H -= np.outer(g0, g0)
-    H += (form.con_A.T @ sp.diags(lam[form.seg] * sigma)
-          @ form.con_A).toarray()
+    H += (C.T @ sp.diags(lam[form.seg] * sigma) @ C).toarray()
     Jd = J.toarray()
     H += (Jd * (lam * (1.0 / (-F) - 1.0))[:, None]).T @ Jd
     return H
@@ -364,23 +468,24 @@ def dense_newton_matrix(form, sigma0, g0, lam, F, sigma, J):
 def check_sparse_newton_step(program, seed):
     rng = np.random.default_rng(seed)
     base = ConvexForm(program)
-    for form in (base, base.with_slack()):
+    for form, slack in ((base, False), (base.with_slack(), True)):
+        A0, _, C, _, _ = dense_reference(program, slack=slack)
         u = rng.uniform(-1.0, 1.0, form.n)
         _, g0, sigma0 = form.objective_eval(u)
         _, sigma = form.constraint_eval(u)
         S = sp.csr_matrix((np.ones(len(form.seg)),
                            (form.seg, np.arange(len(form.seg)))),
                           shape=(form.m, len(form.seg)))
-        J = S @ sp.diags(sigma) @ form.con_A
+        J = S @ sp.diags(sigma) @ sp.csr_matrix(C)
         want = J.toarray()
         # equal up to the order in which each entry's terms are summed
-        np.testing.assert_allclose(form.jacobian(sigma).toarray(), want,
+        np.testing.assert_allclose(jacobian(form, sigma).toarray(), want,
                                    rtol=1e-14,
                                    atol=1e-14 * np.abs(want).max(initial=0.0))
         # duals and values with F in (-1, 0) keep every term of H PSD
         lam = rng.uniform(0.1, 2.0, form.m)
         F = -rng.uniform(0.05, 0.95, form.m)
-        H = dense_newton_matrix(form, sigma0, g0, lam, F, sigma, J)
+        H = dense_newton_matrix(form, A0, C, sigma0, g0, lam, F, sigma, J)
         kdata = gp._hessian(form, sigma0, g0, lam, F, sigma,
                             form._jac_data(sigma))
         eigs = np.linalg.eigvalsh(H)
@@ -396,7 +501,7 @@ def check_sparse_newton_step(program, seed):
         assert np.linalg.norm(got - want) <= 1e-8 * np.linalg.norm(want)
         # the solver's J^T lam, J^T (1/(t(-F))) and J du, formed from J's
         # data, against the products of the same J as a csr_matrix
-        jdata, Jc = form._jac_data(sigma), form.jacobian(sigma)
+        jdata, Jc = form._jac_data(sigma), jacobian(form, sigma)
         for mine, ref in ((form._jac_t(jdata, lam), Jc.T @ lam),
                           (form._jac_t(jdata, 1.0 / (-F)), Jc.T @ (1.0 / (-F))),
                           (form._jac_dot(jdata, got), Jc @ got)):
@@ -700,13 +805,14 @@ def test_one_substitution_equals_a_chain_of_pins(objective, rows, va, vb):
     chain = fix_variable(fix_variable(prog, {"b": vb}), {"a": va})
     assert once.variables == chain.variables == ("x", "y")
     assert once.constraints == chain.constraints
-    for name in ("obj_b", "con_b", "ptr"):
-        assert np.array_equal(getattr(once, name), getattr(chain, name))
-    for name in ("obj_A", "con_A"):
-        mine, theirs = getattr(once, name), getattr(chain, name)
-        assert mine.shape == theirs.shape
-        for part in ("data", "indices", "indptr"):
-            assert np.array_equal(getattr(mine, part), getattr(theirs, part))
+    assert np.array_equal(once.ptr, chain.ptr)
+    A0, b0, C, b, ptr = dense_reference(prog, {"b": vb, "a": va})
+    assert np.array_equal(once.ptr, ptr)
+    for mine, theirs, (A, offsets) in ((once.obj, chain.obj, (A0, b0)),
+                                       (once.con, chain.con, (C, b))):
+        assert_entries_are(mine, A, offsets)
+        for part, other in zip(mine, theirs):
+            assert np.array_equal(part, other)
 
 
 @settings(deadline=None, derandomize=True)

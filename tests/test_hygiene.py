@@ -126,3 +126,14 @@ def test_efficiencies_are_pinned_in_one_place():
                for owner in referrers(ast.parse(path.read_text()),
                                       "fix_variable")}
     assert callers == {("psa.py", "pin")}
+
+
+def test_scipy_sparse_only_where_superlu_needs_it():
+    # the compiled form keeps its matrices as plain entry arrays: only the
+    # MMD probe, the sparse factor and the sparse Newton step build scipy
+    # objects, for SuperLU
+    readers = {(path.name, owner) for path in MODULES
+               for name in ("sp", "spla")
+               for owner in referrers(ast.parse(path.read_text()), name)}
+    assert readers == {("gp.py", "_compile"), ("gp.py", "_factor"),
+                       ("gp.py", "_solve_newton")}

@@ -144,15 +144,21 @@ def line_setup():
 
 
 _EFFS = [eff for eff, _ in DEFAULT_MODULATIONS]
+# values no formula of the report can take everywhere: zero, negative,
+# not a number, infinite, and ones whose powers underflow or overflow
+_EXTREMES = st.sampled_from([0.0, -1.0, math.nan, math.inf, -math.inf,
+                             1e-300, 1e300])
 
 
 @settings(deadline=None, derandomize=True)
-@given(power=st.lists(st.floats(1e-6, 1.0), min_size=3, max_size=3),
-       bandwidth=st.lists(st.floats(1e9, 2e11), min_size=3, max_size=3),
+@given(power=st.lists(st.floats(1e-6, 1.0) | _EXTREMES, min_size=3,
+                      max_size=3),
+       bandwidth=st.lists(st.floats(1e9, 2e11) | _EXTREMES, min_size=3,
+                          max_size=3),
        centers=st.lists(st.floats(-1e13, 1e13), min_size=3, max_size=3),
        picks=st.lists(st.integers(0, 2), min_size=3, max_size=3),
-       efficiency=st.lists(st.sampled_from(_EFFS) | st.floats(2.0, 12.0),
-                           min_size=3, max_size=3),
+       efficiency=st.lists(st.sampled_from(_EFFS) | st.floats(2.0, 12.0)
+                           | _EXTREMES, min_size=3, max_size=3),
        formulation=st.integers(1, 6))
 def test_validate_never_raises(line_setup, power, bandwidth, centers, picks,
                                efficiency, formulation):
@@ -166,6 +172,11 @@ def test_validate_never_raises(line_setup, power, bandwidth, centers, picks,
     rep = validate.validate(alloc, routing, replace(
         inst, scenario=replace(inst.scenario, formulation=formulation)))
     assert len(rep.exact_osnr) == len(rep.model_osnr) == len(rep.slack) == 3
+    # a value that cannot be computed is NaN, never a complex number
+    for value in (*rep.exact_osnr, *rep.model_osnr, *rep.required_osnr,
+                  *rep.slack, *rep.model_error, rep.total_power_w,
+                  rep.total_noise_w, rep.mean_rate_per_resource):
+        assert isinstance(value, float)
     for q, i in ((0, 2), (1, 2)):
         if center[q] == center[i]:
             # a shared span carries both channels on one center: no OSNR
