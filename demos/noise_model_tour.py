@@ -6,7 +6,7 @@ Every quantity is in SI units: powers in watts, frequencies in hertz.
 import numpy as np
 
 from eongp import physics
-from eongp.model import PhysicsConstants, derived_constants
+from eongp.model import ModulationTable, PhysicsConstants, derived_constants
 
 
 def main():
@@ -23,9 +23,9 @@ def main():
                                shared_spans=np.full((3, 3), n),
                                constants=ctx_const)
     channels = [
-        physics.ChannelState(1e-4, 193.10e12, 32e9, 4.0),
-        physics.ChannelState(2e-4, 193.15e12, 32e9, 6.0),
-        physics.ChannelState(1e-4, 193.21e12, 50e9, 4.0),
+        physics.ChannelState(1e-4, 193.10e12, 32e9),
+        physics.ChannelState(2e-4, 193.15e12, 32e9),
+        physics.ChannelState(1e-4, 193.21e12, 50e9),
     ]
 
     print("\nper-channel noise budget (5 shared spans)")
@@ -34,21 +34,21 @@ def main():
         a = physics.ase(idx, channels, ctx)
         x = physics.xci_exact(idx, channels, ctx)
         s = physics.sci_exact(idx, channels, ctx)
-        o = physics.osnr(idx, channels, ctx).value
+        o = physics.osnr(idx, channels, ctx)
         print(f"  {idx}   {a:.3e}  {x:.3e}  {s:.3e}  {o:9.1f}  {10 * np.log10(o):7.2f}")
 
     # the posynomial surrogates track the exact model closely here
     print("\nexact vs approximate OSNR")
     for idx in range(3):
-        exact = physics.osnr(idx, channels, ctx, "exact").value
-        a1 = physics.osnr(idx, channels, ctx, "approx1").value
-        a3 = physics.osnr(idx, channels, ctx, "approx3").value
+        exact = physics.osnr(idx, channels, ctx, "exact")
+        a1 = physics.osnr(idx, channels, ctx, "approx1")
+        a3 = physics.osnr(idx, channels, ctx, "approx3")
         print(f"  ch {idx}: exact {exact:9.1f}   order1 {a1:9.1f} "
               f"({a1 / exact - 1:+.2%})   order3 {a3:9.1f} ({a3 / exact - 1:+.2%})")
 
     # overlapping channels are rejected rather than silently mis-modeled
     bad = [channels[0],
-           physics.ChannelState(1e-4, 193.102e12, 32e9, 4.0),
+           physics.ChannelState(1e-4, 193.102e12, 32e9),
            channels[2]]
     try:
         physics.xci_exact(0, bad, ctx)
@@ -57,8 +57,9 @@ def main():
 
     # required OSNR grows steeply with spectral efficiency
     print("\nrequired OSNR per modulation level (table)")
-    for eff in (2.0, 4.0, 6.0, 8.0, 10.0, 12.0):
-        print(f"  {eff:4.0f} bit/s/Hz -> {physics.required_osnr(eff):8.2f}")
+    table = ModulationTable()
+    for eff in table.efficiencies:
+        print(f"  {eff:4.0f} bit/s/Hz -> {table.required_osnr(eff):8.2f}")
 
 
 if __name__ == "__main__":

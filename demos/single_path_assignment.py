@@ -7,9 +7,9 @@ exhaustive-in-efficiency oracle.
 from importlib import resources
 
 from eongp import heuristic, physics, validate
-from eongp.model import (ConnectionRequest, NetworkInstance, PhysicsConstants,
-                         ScenarioConfig, demands_from_matrix, load_topology,
-                         load_traffic)
+from eongp.model import (ConnectionRequest, ModulationTable, NetworkInstance,
+                         PhysicsConstants, ScenarioConfig, demands_from_matrix,
+                         load_topology, load_traffic)
 from eongp.routing import solve_routing
 
 DATA = resources.files("eongp") / "data"
@@ -55,7 +55,8 @@ def main():
     eff = allocation.efficiency[0]
     print(f"fitted requirement at eff {eff:.0f}: "
           f"{physics.required_osnr(eff, 'power_law'):.2f} vs table "
-          f"{physics.required_osnr(eff):.2f}; the gap explains slack < 1 here")
+          f"{ModulationTable().required_osnr(eff):.2f}; "
+          "the gap explains slack < 1 here")
 
 
 if __name__ == "__main__":

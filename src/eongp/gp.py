@@ -145,8 +145,8 @@ def _parse_term(line: str, lineno: int) -> Monomial:
             v, _, e = tok.rpartition("^")
             exps.append((v, float(e)))
         return Monomial.make(coef, exps)
-    except (ValueError, IndexError):
-        raise GpError(f"line {lineno}: bad term {line!r}") from None
+    except (ValueError, IndexError, GpError) as exc:
+        raise GpError(f"line {lineno}: bad term {line!r}: {exc}") from None
 
 
 def to_text(program: GpProgram) -> str:

@@ -14,7 +14,8 @@ import numbers
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
-from scipy.constants import h as PLANCK_H
+
+PLANCK_H = 6.62607015e-34  # J s, exact in the SI since 2019
 
 
 class InstanceError(Exception):
@@ -263,6 +264,8 @@ class ScenarioConfig:
     def __post_init__(self):
         if self.rto_method not in RTO_METHODS:
             raise InstanceError(f"unknown rto_method {self.rto_method!r}")
+        if not isinstance(self.clamp_efficiency, bool):
+            raise InstanceError("clamp_efficiency must be true or false")
         integers = ("formulation", "max_iterations")
         if self.num_requests is not None:
             integers += ("num_requests",)

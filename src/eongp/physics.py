@@ -3,10 +3,11 @@
 The channel quality metric is OSNR = signal power / (ASE + XCI + SCI), where
 ASE is the accumulated amplifier noise, XCI the nonlinear cross-channel
 interference and SCI the nonlinear self-channel interference of the incoherent
-Gaussian-noise picture.  Every function here is a pure scalar map over
-immutable inputs; the `_approx` variants are the monomial/posynomial forms the
-optimizer consumes, and they are characterized against the exact expressions
-by the error-grid helpers at the bottom.
+Gaussian-noise picture.  Every function here is a pure map from immutable
+inputs to a plain float; the `_approx` variants are the monomial/posynomial
+forms the optimizer consumes, characterized against the exact expressions by
+the error-grid helpers at the bottom, and `required_osnr` evaluates the
+posynomial fits to the modulation table's exact OSNR requirements.
 """
 
 from __future__ import annotations
@@ -44,7 +45,6 @@ class ChannelState:
     power_w: float
     center_hz: float
     bandwidth_hz: float
-    spectral_eff: float
 
 
 @dataclass(frozen=True)
@@ -69,13 +69,6 @@ class NoiseContext:
             raise ValueError("shared_spans diagonal must equal span_counts")
 
 
-@dataclass(frozen=True)
-class ApproxValue:
-    """Approximation result; `flagged` lists neighbors outside the fit range."""
-    value: float
-    flagged: tuple[int, ...] = ()
-
-
 def log_ratio_exact(x: float) -> float:
     """log10((1 + x/2) / (1 - x/2)), the spectral overlap kernel of XCI."""
     return math.log10((1.0 + 0.5 * x) / (1.0 - 0.5 * x))
@@ -93,8 +86,8 @@ def xci_exact(idx: int, channels, ctx: NoiseContext) -> float:
     """Cross-channel interference power (W) picked up by channel `idx`."""
     ch = channels[idx]
     total = 0.0
-    for i, other in enumerate(channels):
-        n_shared = ctx.shared_spans[idx, i]
+    for i, (other, n_shared) in enumerate(zip(channels,
+                                              ctx.shared_spans[idx].tolist())):
         if i == idx or n_shared == 0:
             continue
         spacing = abs(ch.center_hz - other.center_hz)
@@ -107,15 +100,14 @@ def xci_exact(idx: int, channels, ctx: NoiseContext) -> float:
     return ctx.constants.kerr * ch.power_w * total
 
 
-def xci_approx(idx: int, channels, ctx: NoiseContext, order: int = 1) -> ApproxValue:
+def xci_approx(idx: int, channels, ctx: NoiseContext, order: int = 1) -> float:
     """Posynomial XCI: order 1 keeps the linear log term, order 3 adds the cubic."""
     if order not in (1, 3):
         raise ValueError("order must be 1 or 3")
     ch = channels[idx]
     total = 0.0
-    flagged = []
-    for i, other in enumerate(channels):
-        n_shared = ctx.shared_spans[idx, i]
+    for i, (other, n_shared) in enumerate(zip(channels,
+                                              ctx.shared_spans[idx].tolist())):
         if i == idx or n_shared == 0:
             continue
         spacing = abs(ch.center_hz - other.center_hz)
@@ -124,14 +116,11 @@ def xci_approx(idx: int, channels, ctx: NoiseContext, order: int = 1) -> ApproxV
             # kernel is singular, an overlap the fits cannot express
             raise ChannelOverlapError(
                 f"channels {idx} and {i} share a center: spacing {spacing:g} Hz")
-        ratio = other.bandwidth_hz / spacing
-        if not 0.0 < ratio <= XCI_VALID_LIMIT:
-            flagged.append(i)
         term = XCI_LOG_SLOPE / (other.bandwidth_hz * spacing)
         if order == 3:
             term += XCI_LOG_CUBIC * other.bandwidth_hz / spacing ** 3
         total += other.power_w ** 2 * n_shared * term
-    return ApproxValue(ctx.constants.kerr * ch.power_w * total, tuple(flagged))
+    return ctx.constants.kerr * ch.power_w * total
 
 
 def sci_exact(idx: int, channels, ctx: NoiseContext) -> float:
@@ -154,43 +143,30 @@ def ase(idx: int, channels, ctx: NoiseContext) -> float:
     return ctx.constants.ase * ctx.span_counts[idx] * channels[idx].bandwidth_hz
 
 
-@dataclass(frozen=True)
-class OsnrValue:
-    value: float
-    finite: bool = True
-    flagged: tuple[int, ...] = ()
-
-
-def osnr(idx: int, channels, ctx: NoiseContext, mode: str = "exact") -> OsnrValue:
-    """OSNR of channel `idx` under the exact or an approximate noise model.
+def osnr(idx: int, channels, ctx: NoiseContext, mode: str = "exact") -> float:
+    """OSNR of channel `idx` under the exact or an approximate noise model,
+    infinite where the channel picks up no noise at all.
 
     mode is "exact", "approx1" (linear XCI kernel + monomial SCI) or
     "approx3" (cubic XCI kernel + monomial SCI).
     """
     noise_ase = ase(idx, channels, ctx)
-    flagged: tuple[int, ...] = ()
     if mode == "exact":
         noise = noise_ase + xci_exact(idx, channels, ctx) + sci_exact(idx, channels, ctx)
     elif mode in ("approx1", "approx3"):
         xci = xci_approx(idx, channels, ctx, order=1 if mode == "approx1" else 3)
-        noise = noise_ase + xci.value + sci_approx(idx, channels, ctx)
-        flagged = xci.flagged
+        noise = noise_ase + xci + sci_approx(idx, channels, ctx)
     else:
         raise ValueError(f"unknown mode {mode!r}")
     if noise == 0.0:
-        return OsnrValue(math.inf, finite=False, flagged=flagged)
-    return OsnrValue(channels[idx].power_w / noise, flagged=flagged)
+        return math.inf
+    return channels[idx].power_w / noise
 
 
-def required_osnr(eff: float, fit: str = "table",
-                  table: ModulationTable | None = None) -> float:
-    """Minimum OSNR (linear ratio) a spectral efficiency needs.
-
-    "table" looks the value up exactly; the fitted modes evaluate the
-    posynomial approximations valid for efficiencies in [2, 12].
-    """
-    if fit == "table":
-        return (table or ModulationTable()).required_osnr(eff)
+def required_osnr(eff: float, fit: str) -> float:
+    """Minimum OSNR (linear ratio) that efficiency `eff` needs by `fit`, one
+    of the posynomial OSNR_FITS valid on [2, 12]; the exact requirement of a
+    modulation level is `ModulationTable.required_osnr`."""
     if fit == "power_law":
         return OSNR_POW_COEF * eff ** OSNR_POW_EXP
     if fit == "binomial_int":

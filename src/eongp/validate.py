@@ -57,10 +57,9 @@ class ValidationReport:
 
 
 def _channels(allocation: psa.Allocation) -> list[ph.ChannelState]:
-    return [ph.ChannelState(p, w, b, c)
-            for p, w, b, c in zip(allocation.power_w, allocation.center_hz,
-                                  allocation.bandwidth_hz,
-                                  allocation.efficiency)]
+    return [ph.ChannelState(p, w, b)
+            for p, w, b in zip(allocation.power_w, allocation.center_hz,
+                               allocation.bandwidth_hz)]
 
 
 def _required(eff: float, fit: str, table: ModulationTable) -> float:
@@ -82,7 +81,7 @@ def _osnr_or_nan(q: int, channels, ctx: ph.NoiseContext, mode: str) -> float:
     spans overlap (a ValueError; the geometry check reports the overlap
     itself), or a power or bandwidth is zero, negative or out of range."""
     try:
-        return ph.osnr(q, channels, ctx, mode).value
+        return ph.osnr(q, channels, ctx, mode)
     except (ArithmeticError, ValueError):
         return math.nan
 

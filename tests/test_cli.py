@@ -102,6 +102,11 @@ def test_config_layering(tmp_path):
     config, _ = cli.read_artifact_csv(tmp_path / "allocation.csv")
     assert config["scenario"]["seed"] == 2
 
+    assert run_cli("run", "--requests", 3, "--clamp-c", "off",
+                   "--out", tmp_path) == 0
+    header = (tmp_path / "allocation.csv").read_text().splitlines()[0]
+    assert '"clamp_efficiency":false' in header
+
 
 def test_sweep_margin_rows(tmp_path):
     assert run_cli("sweep-margin", "--requests", 3, "--seed", 1,
@@ -184,7 +189,8 @@ def no_solve(monkeypatch):
     ("feas_tol", -1), ("feas_tol", math.nan),
     ("weight_power", math.inf), ("weight_spectrum", math.nan),
     ("weight_margin", True), ("min_margin", math.inf), ("formulation", True),
-    ("traffic_scale_gbps", math.inf),
+    ("traffic_scale_gbps", math.inf), ("clamp_efficiency", "off"),
+    ("clamp_efficiency", 0), ("clamp_efficiency", None),
 ])
 def test_bad_scenario_value_in_config_exits_4(tmp_path, no_solve, key, value):
     config = tmp_path / "config.json"
@@ -254,6 +260,15 @@ def test_infeasible_exit_code(tmp_path):
     tiny.write_text(json.dumps({"physics": {"band_thz": 0.02}}))
     assert run_cli("run", "--requests", 3, "--seed", 0,
                    "--constants", tiny, "--out", tmp_path) == 5
+
+
+def test_solver_breakdown_exit_code(tmp_path):
+    # one Newton iteration cannot converge: the solve stops at
+    # max-iterations, a solver breakdown rather than an infeasible instance
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"scenario": {"max_iterations": 1}}))
+    assert run_cli("run", "--requests", 3, "--config", config,
+                   "--out", tmp_path) == 6
 
 
 def test_module_entry_point(tmp_path):

@@ -911,3 +911,7 @@ def test_text_errors():
         from_text("gp 1\nminimize\n  banana x^1\n")
     with pytest.raises(GpError):
         from_text("gp 1\n  1.0 x^1\n")
+    # terms that Monomial itself rejects still name their line
+    for term in ("0 x^1", "-2 x^1", "1 x^nan", "1 x^inf"):
+        with pytest.raises(GpError, match="^line 4: .* must be "):
+            from_text(f"gp 1\nvar x\nminimize\n  {term}\n")

@@ -4,8 +4,10 @@ import math
 import mpmath
 import numpy as np
 import pytest
+import scipy.constants
 from hypothesis import given, strategies as st
 
+from eongp import model
 from eongp.model import (
     ConnectionRequest, InstanceError, Link, ModulationTable, NetworkTopology,
     PhysicsConstants, ScenarioConfig, TrafficDemand, demands_from_matrix,
@@ -41,6 +43,18 @@ def test_partition_splits_at_capacity():
     assert [r.rate_bps for r in reqs] == [100e9, 100e9, 50e9]
     assert [r.id for r in reqs] == [0, 1, 2]
     assert all((r.source, r.dest) == ("a", "b") for r in reqs)
+
+
+def test_demand_and_request_validation():
+    for source, dest, rate in (("a", "a", 1e9), ("a", "b", 0.0),
+                               ("a", "b", -1e9)):
+        with pytest.raises(InstanceError):
+            TrafficDemand(source, dest, rate)
+        with pytest.raises(InstanceError):
+            ConnectionRequest(0, source, dest, rate)
+    for capacity in (0.0, -100e9):
+        with pytest.raises(InstanceError):
+            partition_traffic([TrafficDemand("a", "b", 1e9)], capacity)
 
 
 def test_partition_exact_multiple_has_no_stub():
@@ -123,6 +137,10 @@ def test_numbers_must_be_finite_reals():
         [float, float]
 
 
+def test_planck_constant_is_scipys():
+    assert model.PLANCK_H == scipy.constants.h
+
+
 def test_derived_constants_against_high_precision():
     # Recompute the three coefficients with 50-digit arithmetic.
     mp = mpmath.mp
@@ -200,6 +218,17 @@ def test_topology_round_trip(tmp_path, data_dir):
     assert again.nodes == topo.nodes
 
 
+def test_topology_round_trip_keeps_oneway_links(tmp_path):
+    # an asymmetric pair and a lone one-way link are written as one-way
+    topo = NetworkTopology(("a", "b", "c"), (
+        Link(0, "a", "b", 10.0), Link(1, "b", "a", 12.0),
+        Link(2, "b", "c", 5.0)))
+    out = tmp_path / "topo.txt"
+    save_topology(topo, out)
+    assert out.read_text().count(" oneway\n") == 3
+    assert load_topology(out) == topo
+
+
 def test_topology_oneway_and_errors(tmp_path):
     p = tmp_path / "t.txt"
     p.write_text("node a\nnode b\nlink a b 10 oneway\n")
@@ -211,6 +240,11 @@ def test_topology_oneway_and_errors(tmp_path):
     p.write_text("node a\nnode b\nlink a b ten\n")
     with pytest.raises(InstanceError):
         load_topology(p)
+    p.write_text("node a\nnode b\nlane a b 10\n")
+    with pytest.raises(InstanceError):
+        load_topology(p)
+    with pytest.raises(InstanceError):
+        NetworkTopology(("a", "a"), ())
     with pytest.raises(InstanceError):
         NetworkTopology(("a",), (Link(0, "a", "a", 5.0),))
     with pytest.raises(InstanceError):
@@ -252,6 +286,9 @@ def test_traffic_round_trip(tmp_path):
     p.write_text("0 x\ny 0\n")
     with pytest.raises(InstanceError):
         load_traffic(p)
+    p.write_text("0 -1\n1 0\n")
+    with pytest.raises(InstanceError):
+        load_traffic(p)
 
 
 # ---------------------------------------------------------------- config I/O
@@ -278,6 +315,11 @@ def test_config_rejects_unknown_keys(tmp_path):
     p.write_text("{not json")
     with pytest.raises(InstanceError):
         load_config(p)
+    # a section, or the top level, that is not an object
+    for payload in ({"physics": [1]}, {"scenario": 5}, [1]):
+        p.write_text(json.dumps(payload))
+        with pytest.raises(InstanceError):
+            load_config(p)
 
 
 def test_bundled_defaults_config(data_dir):

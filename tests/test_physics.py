@@ -6,8 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from eongp import physics as ph
-from eongp.model import DerivedConstants, ModulationTable, PhysicsConstants, \
-    derived_constants
+from eongp.model import DerivedConstants, PhysicsConstants, derived_constants
 
 DER = derived_constants(PhysicsConstants())
 
@@ -19,9 +18,8 @@ def ctx_for(span_counts, shared=None):
     return ph.NoiseContext(tuple(span_counts), np.asarray(shared), DER)
 
 
-def chan(p, f, bw, eff=4.0):
-    return ph.ChannelState(power_w=p, center_hz=f, bandwidth_hz=bw,
-                           spectral_eff=eff)
+def chan(p, f, bw):
+    return ph.ChannelState(power_w=p, center_hz=f, bandwidth_hz=bw)
 
 
 # ---------------------------------------------------------------- log kernel
@@ -104,21 +102,16 @@ def test_xci_ignores_disjoint_and_detects_overlap():
         ph.xci_exact(0, chs, ctx2)
 
 
-def test_xci_approx_accuracy_and_flags():
+def test_xci_approx_accuracy():
     # ratio bw/spacing = 0.1: both orders should be well under 1 percent off
     chs = [chan(2e-3, 400e9, 25e9), chan(3e-3, 200e9, 20e9)]
     ctx = ctx_for([4, 3], [[4, 3], [3, 3]])
     exact = ph.xci_exact(0, chs, ctx)
     a1 = ph.xci_approx(0, chs, ctx, order=1)
     a3 = ph.xci_approx(0, chs, ctx, order=3)
-    assert a1.flagged == () and a3.flagged == ()
-    assert abs(a1.value / exact - 1) < 0.005
-    assert abs(a3.value / exact - 1) < 0.001
-    assert a1.value < exact  # linear kernel underestimates
-    # squeeze the spacing so the ratio passes the validity limit
-    tight = [chan(2e-3, 400e9, 25e9), chan(3e-3, 385e9, 20e9)]
-    flagged = ph.xci_approx(0, tight, ctx, order=1)
-    assert flagged.flagged == (1,)
+    assert abs(a1 / exact - 1) < 0.005
+    assert abs(a3 / exact - 1) < 0.001
+    assert a1 < exact  # linear kernel underestimates
     with pytest.raises(ValueError):
         ph.xci_approx(0, chs, ctx, order=2)
 
@@ -131,7 +124,7 @@ def test_xci_approx_rejects_coincident_centers():
         with pytest.raises(ph.ChannelOverlapError):
             ph.xci_approx(0, chs, ctx, order=order)
     # without a common span the pair does not interact
-    assert ph.xci_approx(0, chs, ctx_for([4, 3]), order=1).value == 0.0
+    assert ph.xci_approx(0, chs, ctx_for([4, 3]), order=1) == 0.0
 
 
 # ---------------------------------------------------------------- SCI / ASE
@@ -173,19 +166,19 @@ def test_osnr_combines_noise_terms():
     want = chs[0].power_w / (ph.ase(0, chs, ctx) + ph.xci_exact(0, chs, ctx)
                              + ph.sci_exact(0, chs, ctx))
     got = ph.osnr(0, chs, ctx, mode="exact")
-    assert got.finite and got.value == pytest.approx(want, rel=1e-15)
+    assert got == pytest.approx(want, rel=1e-15)
     approx = ph.osnr(0, chs, ctx, mode="approx1")
     wanted = chs[0].power_w / (ph.ase(0, chs, ctx)
-                               + ph.xci_approx(0, chs, ctx, 1).value
+                               + ph.xci_approx(0, chs, ctx, 1)
                                + ph.sci_approx(0, chs, ctx))
-    assert approx.value == pytest.approx(wanted, rel=1e-15)
+    assert approx == pytest.approx(wanted, rel=1e-15)
     with pytest.raises(ValueError):
         ph.osnr(0, chs, ctx, mode="huh")
 
 
 def test_osnr_isolated_channel_is_infinite():
     got = ph.osnr(0, [chan(2e-3, 200e9, 25e9)], ctx_for([0]))
-    assert not got.finite and math.isinf(got.value)
+    assert got == math.inf
 
 
 def test_approx_osnr_overestimates_with_roomy_spacing():
@@ -193,19 +186,17 @@ def test_approx_osnr_overestimates_with_roomy_spacing():
     # differences stay small
     chs = [chan(1e-3, 300e9, 10e9), chan(1e-3, 200e9, 10e9)]
     ctx = ctx_for([5, 4], [[5, 2], [2, 4]])
-    exact = ph.osnr(0, chs, ctx, "exact").value
-    a1 = ph.osnr(0, chs, ctx, "approx1").value
+    exact = ph.osnr(0, chs, ctx, "exact")
+    a1 = ph.osnr(0, chs, ctx, "approx1")
     assert abs(a1 / exact - 1) < 0.02
 
 
 # ---------------------------------------------------------------- OSNR fits
 
-def test_required_osnr_table_mode():
-    table = ModulationTable()
-    for eff in table.efficiencies:
-        assert ph.required_osnr(eff, "table", table) == table.required_osnr(eff)
-    with pytest.raises(ValueError):
-        ph.required_osnr(4.0, "nearest")
+def test_required_osnr_rejects_unknown_fit():
+    for fit in ("nearest", "table"):
+        with pytest.raises(ValueError):
+            ph.required_osnr(4.0, fit)
 
 
 def test_fit_anchor_values():

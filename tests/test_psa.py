@@ -93,15 +93,14 @@ def test_qos_matches_physics_model(chain_routing, formulation):
                           chain_routing.shared_spans, DER)
     channels = [ph.ChannelState(point[psa.p_var(q)], point[psa.w_var(q)],
                                 chain_routing.requests[q].rate_bps
-                                / point[psa.c_var(q)],
-                                point[psa.c_var(q)])
+                                / point[psa.c_var(q)])
                 for q in range(3)]
     order = psa.FORMULATION_ORDER[formulation]
     fit = psa.FORMULATION_FIT[formulation]
     for q in range(3):
         noise = (ph.ase(q, channels, ctx)
                  + ph.sci_approx(q, channels, ctx)
-                 + ph.xci_approx(q, channels, ctx, order=order).value)
+                 + ph.xci_approx(q, channels, ctx, order=order))
         want = point[psa.m_var(q)] * ph.required_osnr(point[psa.c_var(q)], fit) \
             * noise / point[psa.p_var(q)]
         got = prog.constraint(f"qos[{q}]").value(point)
@@ -186,10 +185,10 @@ def test_margin_equals_model_headroom(chain_routing):
     ctx = ph.NoiseContext(chain_routing.span_counts,
                           chain_routing.shared_spans, DER)
     channels = [ph.ChannelState(alloc.power_w[q], alloc.center_hz[q],
-                                alloc.bandwidth_hz[q], alloc.efficiency[q])
+                                alloc.bandwidth_hz[q])
                 for q in range(3)]
     for q in range(3):
-        model = ph.osnr(q, channels, ctx, "approx1").value
+        model = ph.osnr(q, channels, ctx, "approx1")
         need = ph.required_osnr(alloc.efficiency[q], "power_law")
         assert alloc.margin[q] == pytest.approx(model / need, rel=1e-4)
 
