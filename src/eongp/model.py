@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
+import sys
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
@@ -49,8 +50,9 @@ class NetworkTopology:
                 raise InstanceError(f"link {link.id} references unknown node")
             if link.begin == link.end:
                 raise InstanceError(f"link {link.id} is a self-loop")
-            if not link.length_km > 0:
-                raise InstanceError(f"link {link.id} has nonpositive length")
+            if not 0 < link.length_km < math.inf:
+                raise InstanceError(f"link {link.id} has nonpositive or "
+                                    f"non-finite length {link.length_km}")
 
 
 def span_count(length_km: float, span_km: float) -> int:
@@ -71,8 +73,9 @@ class TrafficDemand:
     def __post_init__(self):
         if self.source == self.dest:
             raise InstanceError("demand source equals destination")
-        if not self.rate_bps > 0:
-            raise InstanceError("demand rate must be positive")
+        if not 0 < self.rate_bps < math.inf:
+            raise InstanceError(f"demand {self.source}->{self.dest} rate must "
+                                f"be positive and finite, got {self.rate_bps}")
 
 
 @dataclass(frozen=True)
@@ -285,10 +288,10 @@ class ScenarioConfig:
 
 def _number(value, what: str, least: float, strict: bool = False,
             integer: bool = False):
-    """`value` checked as a finite real, not a bool, of at least `least`
+    """`value` checked as a real in float range, not a bool, of at least `least`
     (above it if `strict`); an `integer` is returned as an int, 10.0 as 10."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real) \
-            or not math.isfinite(value) \
+            or not abs(value) <= sys.float_info.max \
             or not (value > least if strict else value >= least) \
             or (integer and value != int(value)):
         kind = "an integer" if integer else "a finite number"
@@ -378,8 +381,9 @@ def load_traffic(path) -> np.ndarray:
     if matrix.shape[0] != matrix.shape[1]:
         raise InstanceError(f"{path}: traffic matrix must be square, "
                             f"got {matrix.shape}")
-    if (matrix < 0).any():
-        raise InstanceError(f"{path}: traffic entries must be nonnegative")
+    if not (np.isfinite(matrix) & (matrix >= 0)).all():
+        raise InstanceError(f"{path}: traffic entries must be finite and "
+                            "nonnegative")
     return matrix
 
 
@@ -396,11 +400,11 @@ def demands_from_matrix(matrix: np.ndarray, topology: NetworkTopology,
     if np.diagonal(matrix).any():
         raise InstanceError("traffic matrix has nonzero diagonal entries")
     demands = []
-    for i in range(n):
-        for j in range(n):
-            if i != j and matrix[i, j] > 0:
+    for i, row in enumerate(matrix.tolist()):
+        for j, units in enumerate(row):
+            if i != j and units > 0:
                 demands.append(TrafficDemand(topology.nodes[i], topology.nodes[j],
-                                             matrix[i, j] * scale_gbps * 1e9))
+                                             units * scale_gbps * 1e9))
     return tuple(demands)
 
 

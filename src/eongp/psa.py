@@ -71,13 +71,6 @@ def d_var(q: int, i: int) -> str:
 TAU = "tau"
 
 
-def shared_pairs(routing: RoutingSolution) -> list[tuple[int, int]]:
-    """Ordered pairs of distinct requests whose paths share spans."""
-    n = len(routing.requests)
-    return [(q, i) for q in range(n) for i in range(n)
-            if q != i and routing.shared_spans[q, i] > 0]
-
-
 def adjacent_pairs(routing: RoutingSolution) -> list[tuple[int, int]]:
     """Order-consecutive request pairs on some link, deduplicated."""
     seen: dict[tuple[int, int], None] = {}
@@ -112,8 +105,6 @@ def build_program(routing: RoutingSolution, physics: PhysicsConstants,
     rates = [r.rate_bps for r in routing.requests]
     spans = routing.span_counts
     shared = routing.shared_spans
-    pairs = shared_pairs(routing)
-    rank = {q: k for k, q in enumerate(routing.order)}
 
     # goal: spectrum edge, total power, inverse margins, inverse spacings
     goal: list[Monomial] = []
@@ -124,7 +115,7 @@ def build_program(routing: RoutingSolution, physics: PhysicsConstants,
             goal.append(_mono(scenario.weight_power, [(p_var(q), 1.0)]))
         if scenario.weight_margin > 0:
             goal.append(_mono(scenario.weight_margin, [(m_var(q), -1.0)]))
-    for q, i in pairs:
+    for q, i in routing.pairs:
         if scenario.weight_spacing > 0:
             goal.append(_mono(scenario.weight_spacing, [(d_var(q, i), -1.0)]))
     if not goal:
@@ -196,8 +187,8 @@ def build_program(routing: RoutingSolution, physics: PhysicsConstants,
 
     # each distance variable is capped by its actual frequency gap; the
     # lower-frequency member is the earlier one in the processing order
-    for q, i in pairs:
-        lo, hi = (q, i) if rank[q] < rank[i] else (i, q)
+    for q, i in routing.pairs:
+        lo, hi = (q, i) if routing.rank[q] < routing.rank[i] else (i, q)
         constraints.append((f"gap[{q},{i}]", Posynomial((
             _mono(1.0, [(d_var(q, i), 1.0), (w_var(hi), -1.0)]),
             _mono(1.0, [(w_var(lo), 1.0), (w_var(hi), -1.0)])))))
@@ -216,7 +207,7 @@ def build_program(routing: RoutingSolution, physics: PhysicsConstants,
         + [c_var(q) for q in range(n)] + [m_var(q) for q in range(n)]
     if fit == "binomial_frac":
         variables += [t_var(q) for q in range(n)]
-    variables += [d_var(q, i) for q, i in pairs]
+    variables += [d_var(q, i) for q, i in routing.pairs]
     variables.append(TAU)
     return GpProgram(Posynomial(tuple(goal)), tuple(constraints),
                      tuple(variables))
@@ -250,9 +241,8 @@ def warm_start(routing: RoutingSolution, physics: PhysicsConstants,
         noise_cub = der.kerr * der.sci_shape * routing.span_counts[q]
         start[p_var(q)] = (noise_lin / (2.0 * noise_cub)) ** (1.0 / 3.0)
     start[TAU] = min(1.3 * edge, physics.band_hz)
-    rank = {q: k for k, q in enumerate(routing.order)}
-    for q, i in shared_pairs(routing):
-        lo, hi = (q, i) if rank[q] < rank[i] else (i, q)
+    for q, i in routing.pairs:
+        lo, hi = (q, i) if routing.rank[q] < routing.rank[i] else (i, q)
         start[d_var(q, i)] = 0.9 * (start[w_var(hi)] - start[w_var(lo)])
     return start
 

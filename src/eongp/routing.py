@@ -1,11 +1,12 @@
 """Routing and traffic ordering: the first stage of the allocation pipeline.
 
 Three routing methods are provided.  "spr" routes every request on its
-shortest path independently.  "scpr" penalizes congestion: it minimizes
-sum_l length_l * n_l^2 with n_l the number of requests crossing link l, so
-stacking requests on a link costs quadratically.  "scprr" weights congestion
-by traffic volume instead, minimizing sum_l length_l * n_l * r_l with r_l
-the total bit rate on the link.
+shortest path independently.  The two congestion methods minimize
+sum_l length_l * n_l * load_l, with n_l the number of requests crossing link
+l and load_l the sum of their weights.  "scpr" weighs every request 1, so
+load_l = n_l and stacking requests on a link costs quadratically; "scprr"
+weighs a request by its bit rate in Gb/s, so congestion counts traffic
+volume.
 
 Besides paths, the stage emits the processing order used downstream: requests
 sorted by descending routing cost.  Projecting that global order onto each
@@ -35,14 +36,12 @@ class RoutingSolution:
     paths: tuple[tuple[int, ...], ...]        # link ids along each path
     costs: tuple[float, ...]                  # per-request ordering cost
     order: tuple[int, ...]                    # request indices, costliest first
+    rank: tuple[int, ...]                     # each request's position in order
     objective: float
     span_counts: tuple[int, ...]
     shared_spans: np.ndarray
+    pairs: tuple[tuple[int, int], ...]        # span-sharing q != i, row-major
     link_order: tuple[tuple[int, tuple[int, ...]], ...]
-
-    def rank(self, q: int) -> int:
-        """Position of request q in the processing order."""
-        return self.order.index(q)
 
 
 def build_graph(topology: NetworkTopology) -> nx.DiGraph:
@@ -120,59 +119,52 @@ def span_metrics(paths, topology: NetworkTopology,
 
 
 class _Congestion:
-    """Incremental evaluator of the congestion objectives."""
+    """Incremental evaluator of the congestion objective
+    sum_l length_l * n_l * load_l, where each request on link l adds 1 to
+    n_l and its weight to load_l."""
 
-    def __init__(self, topology: NetworkTopology, requests, rate_weighted: bool):
+    def __init__(self, topology: NetworkTopology, weights):
         self.length = {l.id: l.length_km for l in topology.links}
-        self.rates = [r.rate_bps / 1e9 for r in requests]  # Gb/s keeps sums tame
-        self.rate_weighted = rate_weighted
+        self.weights = weights
         self.count = {l.id: 0 for l in topology.links}
-        self.rate = {l.id: 0.0 for l in topology.links}
+        self.load = {l.id: 0 for l in topology.links}
         self.value = 0.0
 
     def add(self, q: int, path) -> None:
-        self._apply(q, path, +1)
+        w = self.weights[q]
+        for l in path:
+            n, x = self.count[l], self.load[l]
+            self.value += self.length[l] * (n * w + x + w)
+            self.count[l], self.load[l] = n + 1, x + w
 
     def remove(self, q: int, path) -> None:
-        self._apply(q, path, -1)
-
-    def _apply(self, q, path, sign):
-        rate_q = self.rates[q]
+        w = self.weights[q]
         for l in path:
-            n, r, length = self.count[l], self.rate[l], self.length[l]
-            if self.rate_weighted:
-                if sign > 0:
-                    self.value += length * (n * rate_q + r + rate_q)
-                else:
-                    self.value -= length * ((n - 1) * rate_q + r)
-            else:
-                self.value += length * (2 * n + 1) if sign > 0 else \
-                    -length * (2 * n - 1)
-            self.count[l] = n + sign
-            self.rate[l] = r + sign * rate_q
+            n, x = self.count[l], self.load[l]
+            self.value -= self.length[l] * ((n - 1) * w + x)
+            self.count[l], self.load[l] = n - 1, x - w
 
     def cost_of(self, path) -> float:
         """Ordering cost of a request currently routed on `path`."""
-        if self.rate_weighted:
-            return sum(self.length[l] * self.rate[l] for l in path)
-        return sum(self.length[l] * self.count[l] for l in path)
+        return sum(self.length[l] * self.load[l] for l in path)
 
 
-def _search_congestion(topology, requests, candidates, rate_weighted,
-                       seed, exhaustive_limit, restarts):
+# congestion search: candidate paths per request, the largest number of
+# path combinations searched exhaustively, and local-search starts beyond it
+_MAX_CANDIDATES = 8
+_EXHAUSTIVE_LIMIT = 200_000
+_RESTARTS = 16
+
+
+def _search_congestion(topology, weights, candidates, seed):
     """Pick one candidate path per request minimizing the congestion objective.
 
     Exhaustive when the product of candidate counts is small enough, otherwise
     best-response local search from several seeded starts.
     """
-    n = len(requests)
-    combos = 1
-    for c in candidates:
-        combos *= len(c)
-        if combos > exhaustive_limit:
-            break
-    if combos <= exhaustive_limit:
-        state = _Congestion(topology, requests, rate_weighted)
+    n = len(candidates)
+    if math.prod(len(c) for c in candidates) <= _EXHAUSTIVE_LIMIT:
+        state = _Congestion(topology, weights)
         best_val, best_choice = math.inf, None
         choice = [0] * n
 
@@ -193,12 +185,12 @@ def _search_congestion(topology, requests, candidates, rate_weighted,
 
     rng = np.random.default_rng(seed)
     best_val, best_choice = math.inf, None
-    for restart in range(restarts):
+    for restart in range(_RESTARTS):
         if restart == 0:
             choice = [0] * n  # shortest-path start
         else:
             choice = [int(rng.integers(len(c))) for c in candidates]
-        state = _Congestion(topology, requests, rate_weighted)
+        state = _Congestion(topology, weights)
         for q in range(n):
             state.add(q, candidates[q][choice[q]])
         scan = list(range(n))
@@ -225,9 +217,7 @@ def _search_congestion(topology, requests, candidates, rate_weighted,
 
 
 def solve_routing(topology: NetworkTopology, requests, method: str = "spr",
-                  *, span_km: float = 80.0, seed: int = 0,
-                  max_candidates: int = 8, exhaustive_limit: int = 200_000,
-                  restarts: int = 16) -> RoutingSolution:
+                  *, span_km: float = 80.0, seed: int = 0) -> RoutingSolution:
     """Route all requests and derive the processing order."""
     if method not in RTO_METHODS:
         raise InstanceError(f"unknown routing method {method!r}")
@@ -247,30 +237,34 @@ def solve_routing(topology: NetworkTopology, requests, method: str = "spr",
             key = (r.source, r.dest)
             if key not in cache:
                 cache[key] = candidate_paths(graph, r.source, r.dest,
-                                             max_candidates)
+                                             _MAX_CANDIDATES)
             candidates.append(cache[key])
-        choice, objective = _search_congestion(
-            topology, requests, candidates, method == "scprr", seed,
-            exhaustive_limit, restarts)
+        # Gb/s keeps the rate-weighted sums tame
+        weights = [r.rate_bps / 1e9 if method == "scprr" else 1
+                   for r in requests]
+        choice, objective = _search_congestion(topology, weights, candidates,
+                                               seed)
         paths = tuple(candidates[q][choice[q]] for q in range(len(requests)))
-        state = _Congestion(topology, requests, method == "scprr")
+        state = _Congestion(topology, weights)
         for q, p in enumerate(paths):
             state.add(q, p)
         costs = tuple(state.cost_of(p) for p in paths)
 
     order = tuple(sorted(range(len(requests)),
                          key=lambda q: (-costs[q], requests[q].id)))
+    rank = tuple(sorted(range(len(requests)), key=order.__getitem__))
     span_counts, shared = span_metrics(paths, topology, span_km)
-    position = {q: k for k, q in enumerate(order)}
+    pairs = tuple((q, i) for q, i in np.argwhere(shared > 0).tolist() if q != i)
     per_link: dict[int, list[int]] = {}
     for q, path in enumerate(paths):
         for l in path:
             per_link.setdefault(l, []).append(q)
-    link_order = tuple((l, tuple(sorted(qs, key=position.__getitem__)))
+    link_order = tuple((l, tuple(sorted(qs, key=rank.__getitem__)))
                        for l, qs in sorted(per_link.items()))
     return RoutingSolution(method=method, requests=requests, paths=paths,
-                           costs=costs, order=order, objective=float(objective),
-                           span_counts=span_counts, shared_spans=shared,
+                           costs=costs, order=order, rank=rank,
+                           objective=float(objective), span_counts=span_counts,
+                           shared_spans=shared, pairs=pairs,
                            link_order=link_order)
 
 

@@ -6,7 +6,6 @@ anchors are frozen from independent recomputation: high-precision arithmetic
 for the closed-form values, exhaustive search for the combinatorial ones.
 """
 
-import itertools
 import math
 import statistics
 import time
@@ -28,6 +27,7 @@ from eongp.routing import (
     build_graph, candidate_paths, enumerate_shortest, shortest_path,
     solve_routing,
 )
+from test_routing import brute_force_congestion
 
 mp.dps = 50
 
@@ -183,26 +183,9 @@ def test_criterion_4_solver_and_gradients():
 # 5. routing optimality against exhaustive search
 # -------------------------------------------------------------------------
 
-def brute_force_congestion(topology, requests, candidate_sets, rate_weighted):
-    length = {l.id: l.length_km for l in topology.links}
-    best = math.inf
-    for combo in itertools.product(*candidate_sets):
-        count: dict[int, int] = {}
-        rate: dict[int, float] = {}
-        for request, path in zip(requests, combo):
-            for l in path:
-                count[l] = count.get(l, 0) + 1
-                rate[l] = rate.get(l, 0.0) + request.rate_bps / 1e9
-        if rate_weighted:
-            value = sum(length[l] * count[l] * rate[l] for l in count)
-        else:
-            value = sum(length[l] * count[l] ** 2 for l in count)
-        best = min(best, value)
-    return best
-
-
-def test_criterion_5_routing_optimality(cost239):
+def test_criterion_5_routing_optimality(cost239, monkeypatch):
     topology, _, _ = cost239
+    monkeypatch.setattr("eongp.routing._MAX_CANDIDATES", 4)
     started = time.perf_counter()
     graph = build_graph(topology)
     length = {l.id: l.length_km for l in topology.links}
@@ -227,7 +210,7 @@ def test_criterion_5_routing_optimality(cost239):
                                       float(rng.integers(1, 11)) * 1e10)
                     for i, (s, t) in enumerate(sorted(endpoints))]
         method = "scpr" if trial % 2 == 0 else "scprr"
-        sol = solve_routing(topology, requests, method, max_candidates=4)
+        sol = solve_routing(topology, requests, method)
         sets = [candidate_paths(graph, r.source, r.dest, 4) for r in requests]
         want = brute_force_congestion(topology, requests, sets,
                                       rate_weighted=method == "scprr")

@@ -191,6 +191,8 @@ def no_solve(monkeypatch):
     ("weight_margin", True), ("min_margin", math.inf), ("formulation", True),
     ("traffic_scale_gbps", math.inf), ("clamp_efficiency", "off"),
     ("clamp_efficiency", 0), ("clamp_efficiency", None),
+    # beyond float range, where math.isfinite raises OverflowError
+    pytest.param("seed", 10 ** 400, id="seed-10**400"),
 ])
 def test_bad_scenario_value_in_config_exits_4(tmp_path, no_solve, key, value):
     config = tmp_path / "config.json"
@@ -202,6 +204,7 @@ def test_bad_scenario_value_in_config_exits_4(tmp_path, no_solve, key, value):
 @pytest.mark.parametrize("key, value", [
     ("span_km", math.inf), ("band_thz", math.inf), ("guard_ghz", math.nan),
     ("capacity_gbps", True),
+    pytest.param("span_km", 10 ** 400, id="span_km-10**400"),
 ])
 def test_bad_physics_value_in_config_exits_4(tmp_path, no_solve, key, value):
     config = tmp_path / "config.json"
@@ -210,9 +213,39 @@ def test_bad_physics_value_in_config_exits_4(tmp_path, no_solve, key, value):
                    "--out", tmp_path) == 4
 
 
+@pytest.mark.parametrize("entry, message", [
+    ("nan", "traffic.txt: traffic entries must be finite"),
+    ("1e400", "traffic.txt: traffic entries must be finite"),
+    # finite, but its rate in b/s overflows
+    ("1e300", "demand 1->2 rate must be positive and finite"),
+], ids=["nan", "1e400", "1e300"])
+def test_non_finite_traffic_exits_4(tmp_path, data_dir, no_solve, capsys,
+                                    entry, message):
+    rows = [line.split() for line in
+            (data_dir / "cost239_traffic.txt").read_text().splitlines()
+            if not line.startswith("#")]
+    rows[0][1] = entry
+    traffic = tmp_path / "traffic.txt"
+    traffic.write_text("\n".join(" ".join(row) for row in rows) + "\n")
+    assert run_cli("run", "--requests", 3, "--traffic", traffic,
+                   "--out", tmp_path) == 4
+    assert message in capsys.readouterr().err
+
+
+def test_infinite_link_length_exits_4(tmp_path, data_dir, no_solve, capsys):
+    text = (data_dir / "cost239_topology.txt").read_text()
+    topology = tmp_path / "topology.txt"
+    topology.write_text(text.replace("link 1 2 410", "link 1 2 inf"))
+    assert run_cli("run", "--requests", 3, "--topology", topology,
+                   "--out", tmp_path) == 4
+    assert "link 0 has nonpositive or non-finite length inf" \
+        in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("table", [
     [[2, math.nan]], [[math.inf, 3.52]], [[True, 3.52]], [[2, "x"]],
     [[2]], [[2, 3.52, 1]], "ab", 5,
+    pytest.param([[2, 10 ** 400]], id="osnr-10**400"),
 ])
 def test_bad_modulations_in_config_exit_4(tmp_path, no_solve, table):
     config = tmp_path / "config.json"

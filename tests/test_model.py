@@ -123,7 +123,7 @@ def test_round_step_floor():
 
 
 def test_numbers_must_be_finite_reals():
-    for bad in (math.inf, math.nan, True, "1", None):
+    for bad in (math.inf, math.nan, True, "1", None, 10 ** 400):
         with pytest.raises(InstanceError):
             PhysicsConstants(span_km=bad)
         with pytest.raises(InstanceError):

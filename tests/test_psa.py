@@ -37,7 +37,7 @@ def test_fixture_geometry(chain_routing):
 def test_program_inventory(chain_routing):
     scen = ScenarioConfig()
     prog = psa.build_program(chain_routing, PHYS, scen)
-    pairs = psa.shared_pairs(chain_routing)
+    pairs = chain_routing.pairs
     assert len(pairs) == 6  # all three requests pairwise share spans
     want_vars = {f"{k}[{q}]" for k in "pwcm" for q in range(3)} \
         | {f"d[{q},{i}]" for q, i in pairs} | {"tau"}
@@ -76,7 +76,7 @@ def point_for(routing, eff=4.0, power=3e-4, base_hz=40e9, step_hz=75e9):
         point[psa.c_var(q)] = eff + 0.2 * q
         point[psa.m_var(q)] = 1.5
         point[psa.t_var(q)] = 1.0 + ph.OSNR_BINOM_SLOPE * point[psa.c_var(q)]
-    for q, i in psa.shared_pairs(routing):
+    for q, i in routing.pairs:
         point[psa.d_var(q, i)] = abs(point[psa.w_var(q)] - point[psa.w_var(i)])
     point[psa.TAU] = 1e12
     return point
@@ -128,7 +128,7 @@ def test_order_and_gap_row_structure(chain_routing):
     assert prog.constraint("order[0,1]").value(point) == \
         pytest.approx(want, rel=1e-12)
     # gap rows cap the distance by the true center gap: exactly 1 here
-    for q, i in psa.shared_pairs(chain_routing):
+    for q, i in chain_routing.pairs:
         assert prog.constraint(f"gap[{q},{i}]").value(point) == \
             pytest.approx(1.0, rel=1e-12)
 
@@ -165,7 +165,7 @@ def test_solved_allocation_is_physical(chain_routing, formulation):
 
 def test_distance_variables_tight_at_optimum(chain_routing):
     prog, sol = solve_chain(chain_routing, 1)
-    for q, i in psa.shared_pairs(chain_routing):
+    for q, i in chain_routing.pairs:
         gap = abs(sol.variables[psa.w_var(q)] - sol.variables[psa.w_var(i)])
         assert sol.variables[psa.d_var(q, i)] == pytest.approx(gap, rel=1e-5)
 

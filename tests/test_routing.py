@@ -1,9 +1,12 @@
 import itertools
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from eongp import routing
 from eongp.model import ConnectionRequest, InstanceError, load_topology
 from eongp.routing import (
     build_graph, candidate_paths, enumerate_shortest, shortest_path,
@@ -79,7 +82,8 @@ def test_spr_solution_fields(tmp_path):
     assert sol.shared_spans[0, 1] == 2
     assert sol.shared_spans[0, 2] == 1
     assert dict(sol.link_order)[2] == (0, 1, 2)
-    assert sol.rank(2) == 2
+    assert sol.rank[2] == 2
+    assert sol.pairs == ((0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1))
 
 
 def test_unreachable_raises(tmp_path):
@@ -118,22 +122,28 @@ def test_scpr_spreads_congestion(tmp_path):
     assert spr.objective == pytest.approx(30.0)  # all stacked on the short route
 
 
-def brute_force_congestion(topo, reqs, candidates, rate_weighted):
+def link_loads(reqs, paths):
+    """Requests and Gb/s on each link, counted from scratch."""
+    count, rate = Counter(), Counter()
+    for r, path in zip(reqs, paths):
+        for l in path:
+            count[l] += 1
+            rate[l] += r.rate_bps / 1e9
+    return count, rate
+
+
+def congestion_value(topo, reqs, paths, rate_weighted):
+    """sum_l length_l * n_l^2 (scpr) or length_l * n_l * r_l (scprr)."""
     length = {l.id: l.length_km for l in topo.links}
-    best = math.inf
-    for combo in itertools.product(*candidates):
-        count: dict[int, int] = {}
-        rate: dict[int, float] = {}
-        for r, path in zip(reqs, combo):
-            for l in path:
-                count[l] = count.get(l, 0) + 1
-                rate[l] = rate.get(l, 0.0) + r.rate_bps / 1e9
-        if rate_weighted:
-            val = sum(length[l] * count[l] * rate[l] for l in count)
-        else:
-            val = sum(length[l] * count[l] ** 2 for l in count)
-        best = min(best, val)
-    return best
+    count, rate = link_loads(reqs, paths)
+    load = rate if rate_weighted else count
+    return sum(length[l] * count[l] * load[l] for l in count)
+
+
+def brute_force_congestion(topo, reqs, candidates, rate_weighted):
+    """Oracle: the least congestion value over all candidate combinations."""
+    return min(congestion_value(topo, reqs, combo, rate_weighted)
+               for combo in itertools.product(*candidates))
 
 
 def test_scprr_matches_brute_force(tmp_path):
@@ -158,17 +168,19 @@ def test_congestion_cost_sums_to_objective(tmp_path):
         assert sum(sol.costs) == pytest.approx(sol.objective)
 
 
-def test_local_search_reaches_small_optimum(tmp_path):
+def test_local_search_reaches_small_optimum(tmp_path, monkeypatch):
     topo = topo_from_text(tmp_path, TRIDENT)
     reqs = [req(i, "s", "t") for i in range(3)]
     # exhaustive disabled: force the seeded local search
-    sol = solve_routing(topo, reqs, "scpr", exhaustive_limit=0, seed=3)
+    monkeypatch.setattr(routing, "_EXHAUSTIVE_LIMIT", 0)
+    sol = solve_routing(topo, reqs, "scpr", seed=3)
     assert sol.objective == pytest.approx(36.0)
-    again = solve_routing(topo, reqs, "scpr", exhaustive_limit=0, seed=3)
+    again = solve_routing(topo, reqs, "scpr", seed=3)
     assert again.paths == sol.paths
 
 
-def test_random_instances_local_equals_exhaustive(data_dir):
+def test_random_instances_local_equals_exhaustive(data_dir, monkeypatch):
+    monkeypatch.setattr(routing, "_MAX_CANDIDATES", 4)
     topo = load_topology(str(data_dir / "cost239_topology.txt"))
     rng = np.random.default_rng(42)
     nodes = topo.nodes
@@ -179,11 +191,54 @@ def test_random_instances_local_equals_exhaustive(data_dir):
             pairs.add((nodes[s], nodes[t]))
         reqs = [ConnectionRequest(i, s, t, float(rng.integers(1, 10)) * 1e10)
                 for i, (s, t) in enumerate(sorted(pairs))]
-        exact = solve_routing(topo, reqs, "scpr", max_candidates=4)
-        local = solve_routing(topo, reqs, "scpr", max_candidates=4,
-                              exhaustive_limit=0, seed=trial)
+        exact = solve_routing(topo, reqs, "scpr")
+        with monkeypatch.context() as patch:
+            patch.setattr(routing, "_EXHAUSTIVE_LIMIT", 0)
+            local = solve_routing(topo, reqs, "scpr", seed=trial)
         assert local.objective >= exact.objective - 1e-9
         assert local.objective == pytest.approx(exact.objective, rel=0.02)
+
+
+@pytest.fixture(scope="module")
+def mesh_candidates(data_dir):
+    topo = load_topology(str(data_dir / "cost239_topology.txt"))
+    graph = build_graph(topo)
+    ends = [("1", "8"), ("3", "10"), ("5", "11"), ("2", "9"), ("7", "4")]
+    reqs = [ConnectionRequest(q, s, t, (q + 1) * 37.5e9)
+            for q, (s, t) in enumerate(ends)]
+    return topo, reqs, [candidate_paths(graph, s, t, 8) for s, t in ends]
+
+
+@settings(deadline=None, derandomize=True, max_examples=60)
+@given(method=st.sampled_from(["scpr", "scprr"]),
+       steps=st.lists(st.tuples(st.integers(0, 4), st.integers(0, 7)),
+                      max_size=40))
+def test_congestion_state_matches_from_scratch(mesh_candidates, method,
+                                               steps):
+    # each step removes request q if it is routed, else adds it on its j-th
+    # candidate; the running objective and the ordering cost of the touched
+    # path must equal their from-scratch values after every step
+    topo, reqs, candidates = mesh_candidates
+    length = {l.id: l.length_km for l in topo.links}
+    weights = [r.rate_bps / 1e9 if method == "scprr" else 1 for r in reqs]
+    state = routing._Congestion(topo, weights)
+    routed: dict[int, tuple[int, ...]] = {}
+    for q, j in steps:
+        path = routed.pop(q, None)
+        if path is None:
+            path = routed[q] = candidates[q][j % len(candidates[q])]
+            state.add(q, path)
+        else:
+            state.remove(q, path)
+        on = sorted(routed)
+        on_reqs, on_paths = [reqs[k] for k in on], [routed[k] for k in on]
+        assert state.value == pytest.approx(
+            congestion_value(topo, on_reqs, on_paths, method == "scprr"),
+            rel=1e-9, abs=1e-6)
+        count, rate = link_loads(on_reqs, on_paths)
+        load = rate if method == "scprr" else count
+        assert state.cost_of(path) == pytest.approx(
+            sum(length[l] * load[l] for l in path), rel=1e-9, abs=1e-6)
 
 
 # ---------------------------------------------------------------- geometry
@@ -216,6 +271,7 @@ def test_link_order_is_projection_of_global_order(tmp_path):
     reqs = [req(0, "a", "d", 10), req(1, "a", "d", 99), req(2, "b", "d", 50)]
     sol = solve_routing(topo, reqs, "scprr")
     pos = {q: k for k, q in enumerate(sol.order)}
+    assert sol.rank == tuple(pos[q] for q in range(3))
     for link, seq in sol.link_order:
         assert list(seq) == sorted(seq, key=pos.__getitem__)
         for q in seq:
