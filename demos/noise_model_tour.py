@@ -6,22 +6,21 @@ Every quantity is in SI units: powers in watts, frequencies in hertz.
 import numpy as np
 
 from eongp import physics
-from eongp.model import ModulationTable, PhysicsConstants, derived_constants
+from eongp.model import ModulationTable, PhysicsConstants
 
 
 def main():
     phys = PhysicsConstants()
-    ctx_const = derived_constants(phys)
     print("derived noise coefficients")
-    print(f"  kerr scale      {ctx_const.kerr:.6e}")
-    print(f"  sci shape       {ctx_const.sci_shape:.6e}")
-    print(f"  ase per span-Hz {ctx_const.ase:.6e}")
+    print(f"  kerr scale      {phys.kerr:.6e}")
+    print(f"  sci shape       {phys.sci_shape:.6e}")
+    print(f"  ase per span-Hz {phys.ase:.6e}")
 
     # three channels co-propagating over the same 5-span path
     n = 5
     ctx = physics.NoiseContext(span_counts=(n, n, n),
                                shared_spans=np.full((3, 3), n),
-                               constants=ctx_const)
+                               physics=phys)
     channels = [
         physics.ChannelState(1e-4, 193.10e12, 32e9),
         physics.ChannelState(2e-4, 193.15e12, 32e9),
@@ -40,9 +39,9 @@ def main():
     # the posynomial surrogates track the exact model closely here
     print("\nexact vs approximate OSNR")
     for idx in range(3):
-        exact = physics.osnr(idx, channels, ctx, "exact")
-        a1 = physics.osnr(idx, channels, ctx, "approx1")
-        a3 = physics.osnr(idx, channels, ctx, "approx3")
+        exact = physics.osnr(idx, channels, ctx)
+        a1 = physics.osnr(idx, channels, ctx, order=1)
+        a3 = physics.osnr(idx, channels, ctx, order=3)
         print(f"  ch {idx}: exact {exact:9.1f}   order1 {a1:9.1f} "
               f"({a1 / exact - 1:+.2%})   order3 {a3:9.1f} ({a3 / exact - 1:+.2%})")
 

@@ -2,8 +2,8 @@
 
 All physics is computed in SI units (W, Hz, s, m) internally; the input files
 and the constant tables use the customary engineering units (dB/km, fs^2/m,
-GHz, Gb/s, km).  Conversion happens exactly once, at construction of the
-derived coefficients, so that no factor of 1e9 can sneak in downstream.
+GHz, Gb/s, km).  Conversion happens exactly once, when `PhysicsConstants` is
+built, so that no factor of 1e9 can sneak in downstream.
 """
 
 from __future__ import annotations
@@ -165,7 +165,19 @@ class ModulationTable:
 
 @dataclass(frozen=True)
 class PhysicsConstants:
-    """Fiber, amplifier and transponder constants (engineering units)."""
+    """Fiber, amplifier and transponder constants (engineering units).
+
+    Building one also derives the SI values the noise model reads, each
+    checked finite and positive; they are attributes, not fields:
+
+    kerr       scales both nonlinear interference integrals,
+               3*gamma^2 / (2*alpha*pi*|beta2|)            [1/(W^2 s^2)]
+    sci_shape  argument scale of the self-interference asinh,
+               pi^2*|beta2| / (2*alpha)                    [s^2]
+    ase        amplifier noise density added per span,
+               (e^(alpha*L) - 1) * h * nu * n_sp           [W/Hz]
+    guard_hz, band_hz   the guard band and the usable band  [Hz]
+    """
     dispersion_fs2_m: float = 20393.0     # |beta2|
     attenuation_db_km: float = 0.22
     span_km: float = 80.0
@@ -184,63 +196,31 @@ class PhysicsConstants:
             least, strict = (1e-12, False) if f.name == "round_step" \
                 else (0, True)
             _number(getattr(self, f.name), f"constant {f.name}", least, strict)
-
-    # SI views -------------------------------------------------------------
-    @property
-    def attenuation_per_m(self) -> float:
-        """Power attenuation in nepers per metre."""
-        return self.attenuation_db_km * math.log(10.0) / 10.0 / 1e3
-
-    @property
-    def dispersion_s2_m(self) -> float:
-        return self.dispersion_fs2_m * 1e-30
-
-    @property
-    def nonlinear_per_w_m(self) -> float:
-        return self.nonlinear_per_w_km / 1e3
-
-    @property
-    def light_freq_hz(self) -> float:
-        return self.light_freq_thz * 1e12
-
-    @property
-    def guard_hz(self) -> float:
-        return self.guard_ghz * 1e9
-
-    @property
-    def band_hz(self) -> float:
-        return self.band_thz * 1e12
+        alpha = self.attenuation_db_km * math.log(10.0) / 10.0 / 1e3  # Np/m
+        beta2 = self.dispersion_fs2_m * 1e-30                          # s^2/m
+        gamma = self.nonlinear_per_w_km / 1e3                          # 1/(W m)
+        for name, derive in (
+                ("kerr", lambda: 3.0 * gamma ** 2
+                 / (2.0 * alpha * math.pi * beta2)),
+                ("sci_shape", lambda: math.pi ** 2 * beta2 / (2.0 * alpha)),
+                ("ase", lambda: (math.exp(alpha * self.span_km * 1e3) - 1.0)
+                 * PLANCK_H * (self.light_freq_thz * 1e12)
+                 * self.emission_factor),
+                ("guard_hz", lambda: self.guard_ghz * 1e9),
+                ("band_hz", lambda: self.band_thz * 1e12)):
+            try:
+                value = derive()
+            except ArithmeticError as exc:
+                raise InstanceError(f"constant {name} is beyond float range: "
+                                    f"{exc}") from None
+            if not 0 < value < math.inf:
+                raise InstanceError(f"constant {name} must be finite and "
+                                    f"positive, got {value!r}")
+            object.__setattr__(self, name, value)
 
     @property
     def capacity_bps(self) -> float:
         return self.capacity_gbps * 1e9
-
-
-@dataclass(frozen=True)
-class DerivedConstants:
-    """Coefficients of the noise model, in SI.
-
-    kerr       scales both nonlinear interference integrals,
-               3*gamma^2 / (2*alpha*pi*|beta2|)            [1/(W^2 s^2)]
-    sci_shape  argument scale of the self-interference asinh,
-               pi^2*|beta2| / (2*alpha)                    [s^2]
-    ase        amplifier noise density added per span,
-               (e^(alpha*L) - 1) * h * nu * n_sp           [W/Hz]
-    """
-    kerr: float
-    sci_shape: float
-    ase: float
-
-
-def derived_constants(phys: PhysicsConstants) -> DerivedConstants:
-    alpha = phys.attenuation_per_m
-    beta2 = phys.dispersion_s2_m
-    gamma = phys.nonlinear_per_w_m
-    kerr = 3.0 * gamma ** 2 / (2.0 * alpha * math.pi * beta2)
-    sci_shape = math.pi ** 2 * beta2 / (2.0 * alpha)
-    ase = (math.exp(alpha * phys.span_km * 1e3) - 1.0) * \
-        PLANCK_H * phys.light_freq_hz * phys.emission_factor
-    return DerivedConstants(kerr=kerr, sci_shape=sci_shape, ase=ase)
 
 
 RTO_METHODS = ("spr", "scpr", "scprr")
@@ -308,10 +288,6 @@ class NetworkInstance:
     physics: PhysicsConstants = field(default_factory=PhysicsConstants)
     scenario: ScenarioConfig = field(default_factory=ScenarioConfig)
     modulations: ModulationTable = field(default_factory=ModulationTable)
-
-    @property
-    def derived(self) -> DerivedConstants:
-        return derived_constants(self.physics)
 
 
 # --------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import DerivedConstants, ModulationTable
+from .model import ModulationTable, PhysicsConstants
 
 # Coefficients of the fitted approximations.  The log slope is 1/ln(10): the
 # exact expression uses base-10 logarithms, which this slope pins down.
@@ -49,7 +49,8 @@ class ChannelState:
 
 @dataclass(frozen=True)
 class NoiseContext:
-    """Routing-derived span geometry plus the noise coefficients.
+    """Routing-derived span geometry plus the constants whose noise
+    coefficients (`kerr`, `sci_shape`, `ase`) the expressions read.
 
     span_counts[q] is the number of amplified spans on request q's path and
     shared_spans[q, i] the number of spans the paths of q and i have in
@@ -57,7 +58,7 @@ class NoiseContext:
     """
     span_counts: tuple[int, ...]
     shared_spans: np.ndarray
-    constants: DerivedConstants
+    physics: PhysicsConstants
 
     def __post_init__(self):
         m = np.asarray(self.shared_spans)
@@ -97,7 +98,7 @@ def xci_exact(idx: int, channels, ctx: NoiseContext) -> float:
         kernel = math.log10((spacing + 0.5 * other.bandwidth_hz) /
                             (spacing - 0.5 * other.bandwidth_hz))
         total += (other.power_w ** 2 / other.bandwidth_hz ** 2) * n_shared * kernel
-    return ctx.constants.kerr * ch.power_w * total
+    return ctx.physics.kerr * ch.power_w * total
 
 
 def xci_approx(idx: int, channels, ctx: NoiseContext, order: int = 1) -> float:
@@ -120,44 +121,40 @@ def xci_approx(idx: int, channels, ctx: NoiseContext, order: int = 1) -> float:
         if order == 3:
             term += XCI_LOG_CUBIC * other.bandwidth_hz / spacing ** 3
         total += other.power_w ** 2 * n_shared * term
-    return ctx.constants.kerr * ch.power_w * total
+    return ctx.physics.kerr * ch.power_w * total
 
 
 def sci_exact(idx: int, channels, ctx: NoiseContext) -> float:
     """Self-channel interference power (W) of channel `idx`."""
     ch = channels[idx]
-    arg = ctx.constants.sci_shape * ch.bandwidth_hz ** 2
-    return ctx.constants.kerr * ctx.span_counts[idx] * \
+    arg = ctx.physics.sci_shape * ch.bandwidth_hz ** 2
+    return ctx.physics.kerr * ctx.span_counts[idx] * \
         (ch.power_w ** 3 / ch.bandwidth_hz ** 2) * math.asinh(arg)
 
 
 def sci_approx(idx: int, channels, ctx: NoiseContext) -> float:
     """Monomial SCI, from asinh(x) ~ x for small shape arguments."""
     ch = channels[idx]
-    return ctx.constants.kerr * ctx.constants.sci_shape * \
+    return ctx.physics.kerr * ctx.physics.sci_shape * \
         ctx.span_counts[idx] * ch.power_w ** 3
 
 
 def ase(idx: int, channels, ctx: NoiseContext) -> float:
     """Accumulated amplifier noise power (W) inside channel `idx`'s band."""
-    return ctx.constants.ase * ctx.span_counts[idx] * channels[idx].bandwidth_hz
+    return ctx.physics.ase * ctx.span_counts[idx] * channels[idx].bandwidth_hz
 
 
-def osnr(idx: int, channels, ctx: NoiseContext, mode: str = "exact") -> float:
-    """OSNR of channel `idx` under the exact or an approximate noise model,
-    infinite where the channel picks up no noise at all.
-
-    mode is "exact", "approx1" (linear XCI kernel + monomial SCI) or
-    "approx3" (cubic XCI kernel + monomial SCI).
-    """
+def osnr(idx: int, channels, ctx: NoiseContext,
+         order: int | None = None) -> float:
+    """OSNR of channel `idx`, infinite where the channel picks up no noise at
+    all: under the exact noise model, or for `order` 1 or 3 the approximate
+    one (that XCI kernel order + monomial SCI)."""
     noise_ase = ase(idx, channels, ctx)
-    if mode == "exact":
+    if order is None:
         noise = noise_ase + xci_exact(idx, channels, ctx) + sci_exact(idx, channels, ctx)
-    elif mode in ("approx1", "approx3"):
-        xci = xci_approx(idx, channels, ctx, order=1 if mode == "approx1" else 3)
-        noise = noise_ase + xci + sci_approx(idx, channels, ctx)
     else:
-        raise ValueError(f"unknown mode {mode!r}")
+        xci = xci_approx(idx, channels, ctx, order)
+        noise = noise_ase + xci + sci_approx(idx, channels, ctx)
     if noise == 0.0:
         return math.inf
     return channels[idx].power_w / noise

@@ -27,7 +27,6 @@ from dataclasses import dataclass
 from .gp import ConvexForm, GpProgram, Monomial, Posynomial, fix_variable
 from .model import (
     InstanceError, ModulationTable, PhysicsConstants, ScenarioConfig,
-    derived_constants,
 )
 from .physics import (
     OSNR_BINOM_EXP_FRAC, OSNR_BINOM_EXP_INT, OSNR_BINOM_SLOPE, OSNR_POW_COEF,
@@ -81,6 +80,8 @@ def adjacent_pairs(routing: RoutingSolution) -> list[tuple[int, int]]:
 
 
 def _mono(coef: float, exps) -> Monomial:
+    if not 0 < coef < math.inf:
+        raise InstanceError(f"program coefficient {coef!r} beyond float range")
     return Monomial.make(coef, exps)
 
 
@@ -100,11 +101,10 @@ def build_program(routing: RoutingSolution, physics: PhysicsConstants,
     fit = FORMULATION_FIT[scenario.formulation]
     order = FORMULATION_ORDER[scenario.formulation]
     table = modulations or ModulationTable()
-    der = derived_constants(physics)
     n = len(routing.requests)
     rates = [r.rate_bps for r in routing.requests]
     spans = routing.span_counts
-    shared = routing.shared_spans
+    shared = routing.shared_spans.tolist()  # ints: products overflow to inf
 
     # goal: spectrum edge, total power, inverse margins, inverse spacings
     goal: list[Monomial] = []
@@ -127,19 +127,19 @@ def build_program(routing: RoutingSolution, physics: PhysicsConstants,
     # bandwidth substituted by rate/efficiency throughout.
     for q in range(n):
         bracket = [
-            (der.ase * spans[q] * rates[q],
+            (physics.ase * spans[q] * rates[q],
              [(p_var(q), -1.0), (c_var(q), -1.0)]),
-            (der.kerr * der.sci_shape * spans[q], [(p_var(q), 2.0)]),
+            (physics.kerr * physics.sci_shape * spans[q], [(p_var(q), 2.0)]),
         ]
         for i in range(n):
-            if i == q or shared[q, i] == 0:
+            if i == q or shared[q][i] == 0:
                 continue
             bracket.append(
-                (XCI_LOG_SLOPE * der.kerr * shared[q, i] / rates[i],
+                (XCI_LOG_SLOPE * physics.kerr * shared[q][i] / rates[i],
                  [(p_var(i), 2.0), (c_var(i), 1.0), (d_var(q, i), -1.0)]))
             if order == 3:
                 bracket.append(
-                    (XCI_LOG_CUBIC * der.kerr * shared[q, i] * rates[i],
+                    (XCI_LOG_CUBIC * physics.kerr * shared[q][i] * rates[i],
                      [(p_var(i), 2.0), (c_var(i), -1.0), (d_var(q, i), -3.0)]))
         if fit == "power_law":
             factors = [(OSNR_POW_COEF,
@@ -220,7 +220,6 @@ def warm_start(routing: RoutingSolution, physics: PhysicsConstants,
     Strict feasibility is not guaranteed; the solver falls back to its
     phase-1 stage from here when needed.
     """
-    der = derived_constants(physics)
     n = len(routing.requests)
     rates = [r.rate_bps for r in routing.requests]
     start: dict[str, float] = {}
@@ -237,13 +236,15 @@ def warm_start(routing: RoutingSolution, physics: PhysicsConstants,
             start[t_var(q)] = 1.05 * (1.0 + OSNR_BINOM_SLOPE
                                          * _START_EFFICIENCY)
         # power balancing amplifier noise against self interference
-        noise_lin = der.ase * routing.span_counts[q] * bw[q]
-        noise_cub = der.kerr * der.sci_shape * routing.span_counts[q]
+        noise_lin = physics.ase * routing.span_counts[q] * bw[q]
+        noise_cub = physics.kerr * physics.sci_shape * routing.span_counts[q]
         start[p_var(q)] = (noise_lin / (2.0 * noise_cub)) ** (1.0 / 3.0)
     start[TAU] = min(1.3 * edge, physics.band_hz)
     for q, i in routing.pairs:
         lo, hi = (q, i) if routing.rank[q] < routing.rank[i] else (i, q)
         start[d_var(q, i)] = 0.9 * (start[w_var(hi)] - start[w_var(lo)])
+    if not all(0 < v < math.inf for v in start.values()):
+        raise InstanceError("a warm start value is beyond float range")
     return start
 
 

@@ -105,16 +105,21 @@ def candidate_paths(graph: nx.DiGraph, source: str, dest: str,
 def span_metrics(paths, topology: NetworkTopology,
                  span_km: float) -> tuple[tuple[int, ...], np.ndarray]:
     """Per-request span counts and the matrix of pairwise shared spans."""
-    spans_of = {l.id: span_count(l.length_km, span_km) for l in topology.links}
     n = len(paths)
-    shared = np.zeros((n, n), dtype=int)
-    for q, path_q in enumerate(paths):
-        links_q = set(path_q)
-        shared[q, q] = sum(spans_of[l] for l in path_q)
-        for i in range(q + 1, n):
-            common = links_q.intersection(paths[i])
-            if common:
-                shared[q, i] = shared[i, q] = sum(spans_of[l] for l in common)
+    try:
+        spans_of = {l.id: span_count(l.length_km, span_km)
+                    for l in topology.links}
+        shared = np.zeros((n, n), dtype=int)
+        for q, path_q in enumerate(paths):
+            links_q = set(path_q)
+            shared[q, q] = sum(spans_of[l] for l in path_q)
+            for i in range(q + 1, n):
+                common = links_q.intersection(paths[i])
+                if common:
+                    shared[q, i] = shared[i, q] = sum(spans_of[l] for l in common)
+    except OverflowError:  # a count beyond float range or beyond int64
+        raise InstanceError(f"links too long for int64 counts of {span_km:g} "
+                            "km spans") from None
     return tuple(int(shared[q, q]) for q in range(n)), shared
 
 

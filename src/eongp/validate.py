@@ -76,12 +76,14 @@ def _required(eff: float, fit: str, table: ModulationTable) -> float:
         return math.nan
 
 
-def _osnr_or_nan(q: int, channels, ctx: ph.NoiseContext, mode: str) -> float:
-    """OSNR under `mode`, NaN where it cannot be computed: channels sharing
-    spans overlap (a ValueError; the geometry check reports the overlap
-    itself), or a power or bandwidth is zero, negative or out of range."""
+def _osnr_or_nan(q: int, channels, ctx: ph.NoiseContext,
+                 order: int | None = None) -> float:
+    """OSNR at kernel `order` (exact for None), NaN where it cannot be
+    computed: channels sharing spans overlap (a ValueError; the geometry
+    check reports the overlap itself), or a power or bandwidth is zero,
+    negative or out of range."""
     try:
-        return ph.osnr(q, channels, ctx, mode)
+        return ph.osnr(q, channels, ctx, order)
     except (ArithmeticError, ValueError):
         return math.nan
 
@@ -104,16 +106,15 @@ def validate(allocation: psa.Allocation, routing: RoutingSolution,
 
     physics = instance.physics
     channels = _channels(allocation)
-    ctx = ph.NoiseContext(routing.span_counts, routing.shared_spans,
-                          instance.derived)
-    mode = f"approx{psa.FORMULATION_ORDER[scenario.formulation]}"
+    ctx = ph.NoiseContext(routing.span_counts, routing.shared_spans, physics)
+    order = psa.FORMULATION_ORDER[scenario.formulation]
     fit = psa.FORMULATION_FIT[scenario.formulation]
 
     exact, model, required, slack, gap = [], [], [], [], []
     noise = 0.0
     for q in range(n):
-        exact.append(_osnr_or_nan(q, channels, ctx, "exact"))
-        model.append(_osnr_or_nan(q, channels, ctx, mode))
+        exact.append(_osnr_or_nan(q, channels, ctx))
+        model.append(_osnr_or_nan(q, channels, ctx, order))
         need = scenario.min_margin * _required(allocation.efficiency[q], fit,
                                                instance.modulations)
         required.append(need)

@@ -4,10 +4,13 @@ import json
 import math
 import subprocess
 import sys
+from dataclasses import fields
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from eongp import cli, gp
+from eongp.model import PhysicsConstants
 
 
 def run_cli(*argv):
@@ -205,6 +208,13 @@ def test_bad_scenario_value_in_config_exits_4(tmp_path, no_solve, key, value):
     ("span_km", math.inf), ("band_thz", math.inf), ("guard_ghz", math.nan),
     ("capacity_gbps", True),
     pytest.param("span_km", 10 ** 400, id="span_km-10**400"),
+    # finite values whose noise coefficients or SI band values are not
+    # finite and positive
+    ("span_km", 1e5), ("nonlinear_per_w_km", 1e200),
+    ("nonlinear_per_w_km", 1e-200), ("dispersion_fs2_m", 1e-300),
+    ("attenuation_db_km", 1e-310), ("band_thz", 1e300), ("guard_ghz", 1e300),
+    # a finite guard band that stacks the warm start past float range
+    ("guard_ghz", 5e298),
 ])
 def test_bad_physics_value_in_config_exits_4(tmp_path, no_solve, key, value):
     config = tmp_path / "config.json"
@@ -252,6 +262,46 @@ def test_bad_modulations_in_config_exit_4(tmp_path, no_solve, table):
     config.write_text(json.dumps({"modulations": table}))
     assert run_cli("run", "--requests", 3, "--config", config,
                    "--out", tmp_path) == 4
+
+
+def write_chain(directory, length_km) -> list:
+    """A three-node chain whose first link is `length_km` long, carrying a
+    ring of traffic; the `run` arguments that read it."""
+    topology, traffic = directory / "topology.txt", directory / "traffic.txt"
+    topology.write_text(f"node a\nnode b\nnode c\nlink a b {length_km!r}\n"
+                        "link b c 1\n")
+    traffic.write_text("0 1 0\n0 0 1\n1 0 0\n")
+    return ["--topology", topology, "--traffic", traffic]
+
+
+def test_span_counts_beyond_int64_exit_4(tmp_path, no_solve, capsys):
+    assert run_cli("run", "--requests", 2, *write_chain(tmp_path, 1e308),
+                   "--out", tmp_path) == 4
+    assert "int64" in capsys.readouterr().err
+
+
+# up to three physics fields log-uniform over float range, and the
+# transponder capacity from 1 Gb/s up: below that the ring's 10 Gb/s demands
+# split into ever more requests, all held in memory (3e7 at 1e-6 Gb/s)
+_PHYSICS = st.dictionaries(
+    st.sampled_from([f.name for f in fields(PhysicsConstants)
+                     if f.name != "capacity_gbps"]),
+    st.floats(-300, 300).map(lambda e: 10.0 ** e), max_size=3)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(physics=_PHYSICS,
+       capacity_gbps=st.floats(0, 300).map(lambda e: 10.0 ** e),
+       length_km=st.floats(-3, 308).map(lambda e: 10.0 ** e))
+def test_generated_physics_never_escapes(tmp_path_factory, physics,
+                                         capacity_gbps, length_km):
+    # every input ends in an exit code: done, bad input, infeasible, solver
+    out = tmp_path_factory.mktemp("generated")
+    config = out / "config.json"
+    config.write_text(json.dumps(
+        {"physics": {**physics, "capacity_gbps": capacity_gbps}}))
+    assert run_cli("run", "--requests", 2, *write_chain(out, length_km),
+                   "--config", config, "--out", out) in (0, 4, 5, 6)
 
 
 def test_tiny_round_step_exits_4(tmp_path, no_solve):

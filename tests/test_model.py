@@ -1,17 +1,18 @@
 import json
 import math
+from dataclasses import asdict, fields, replace
 
 import mpmath
 import numpy as np
 import pytest
 import scipy.constants
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from eongp import model
 from eongp.model import (
     ConnectionRequest, InstanceError, Link, ModulationTable, NetworkTopology,
     PhysicsConstants, ScenarioConfig, TrafficDemand, demands_from_matrix,
-    derived_constants, load_config, load_instance, load_topology, load_traffic,
+    load_config, load_instance, load_topology, load_traffic,
     partition_traffic, save_config, save_topology, save_traffic, select_requests,
     span_count,
 )
@@ -106,12 +107,48 @@ def test_modulation_table_must_increase():
 
 def test_si_conversions():
     phys = PhysicsConstants()
-    assert math.isclose(phys.attenuation_per_m, 5.0656879e-5, rel_tol=1e-6)
-    assert math.isclose(phys.dispersion_s2_m, 2.0393e-26, rel_tol=1e-12)
-    assert math.isclose(phys.nonlinear_per_w_m, 1.3e-3, rel_tol=1e-12)
     assert phys.guard_hz == 20e9
     assert phys.band_hz == 2e12
     assert phys.capacity_bps == 100e9
+
+
+_DERIVED = ("kerr", "sci_shape", "ase", "guard_hz", "band_hz")
+
+
+def test_derived_values_are_not_fields():
+    # config headers, equality and hashing see only the ten input fields
+    phys = PhysicsConstants()
+    assert len(asdict(phys)) == 10 and not set(_DERIVED) & set(asdict(phys))
+    assert phys == PhysicsConstants() and hash(phys) == hash(PhysicsConstants())
+    # a replaced constant re-derives its coefficients
+    assert replace(phys, span_km=40.0).ase < phys.ase
+
+
+# each field log-uniform over float range, or left at its default
+@settings(max_examples=300)
+@given(st.fixed_dictionaries({}, optional={
+    f.name: st.floats(-300, 300).map(lambda e: 10.0 ** e)
+    for f in fields(PhysicsConstants)}))
+def test_built_constants_have_finite_positive_coefficients(values):
+    try:
+        phys = PhysicsConstants(**values)
+    except InstanceError as exc:
+        # every rejection names the constant
+        assert str(exc).startswith("constant ")
+        return
+    for name in _DERIVED:
+        assert 0 < getattr(phys, name) < math.inf
+
+
+@pytest.mark.parametrize("key, value, name", [
+    ("span_km", 1e5, "ase"), ("nonlinear_per_w_km", 1e200, "kerr"),
+    ("nonlinear_per_w_km", 1e-200, "kerr"), ("dispersion_fs2_m", 1e-300, "kerr"),
+    ("attenuation_db_km", 1e-310, "kerr"), ("band_thz", 1e300, "band_hz"),
+    ("guard_ghz", 1e300, "guard_hz"),
+])
+def test_derivation_beyond_float_range_names_its_value(key, value, name):
+    with pytest.raises(InstanceError, match=f"constant {name}"):
+        PhysicsConstants(**{key: value})
 
 
 def test_round_step_floor():
@@ -153,7 +190,7 @@ def test_derived_constants_against_high_precision():
         planck = mpmath.mpf("6.62607015e-34")
         ase = (mpmath.exp(alpha * 80000) - 1) * planck * mpmath.mpf("193.55e12") \
             * mpmath.mpf("1.58")
-        got = derived_constants(PhysicsConstants())
+        got = PhysicsConstants()
         assert abs(got.kerr / float(kerr) - 1) < 1e-12
         assert abs(got.sci_shape / float(shape) - 1) < 1e-12
         assert abs(got.ase / float(ase) - 1) < 1e-12
@@ -322,19 +359,12 @@ def test_config_rejects_unknown_keys(tmp_path):
             load_config(p)
 
 
-def test_bundled_defaults_config(data_dir):
-    phys, scen, table = load_config(str(data_dir / "defaults.json"))
-    assert phys == PhysicsConstants()
-    assert scen == ScenarioConfig()
-    assert table == ModulationTable()
-
-
 def test_load_instance(data_dir):
     inst = load_instance(str(data_dir / "cost239_topology.txt"),
                          str(data_dir / "cost239_traffic.txt"))
     assert len(inst.demands) == 110
     assert len(inst.topology.links) == 52
-    assert inst.derived.kerr > 0
+    assert inst.physics.kerr > 0
 
 
 def test_modulations_in_config(tmp_path):

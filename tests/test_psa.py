@@ -7,12 +7,11 @@ import pytest
 from eongp import gp, physics as ph, psa
 from eongp.model import (
     ConnectionRequest, InstanceError, ModulationTable, PhysicsConstants,
-    ScenarioConfig, derived_constants, load_topology,
+    ScenarioConfig, load_topology,
 )
 from eongp.routing import solve_routing
 
 PHYS = PhysicsConstants()
-DER = derived_constants(PHYS)
 
 
 @pytest.fixture(scope="module")
@@ -90,7 +89,7 @@ def test_qos_matches_physics_model(chain_routing, formulation):
     prog = psa.build_program(chain_routing, PHYS, scen)
     point = point_for(chain_routing)
     ctx = ph.NoiseContext(chain_routing.span_counts,
-                          chain_routing.shared_spans, DER)
+                          chain_routing.shared_spans, PHYS)
     channels = [ph.ChannelState(point[psa.p_var(q)], point[psa.w_var(q)],
                                 chain_routing.requests[q].rate_bps
                                 / point[psa.c_var(q)])
@@ -183,12 +182,12 @@ def test_margin_equals_model_headroom(chain_routing):
     prog, sol = solve_chain(chain_routing, 1)
     alloc = psa.extract(sol.variables, chain_routing, sol.objective)
     ctx = ph.NoiseContext(chain_routing.span_counts,
-                          chain_routing.shared_spans, DER)
+                          chain_routing.shared_spans, PHYS)
     channels = [ph.ChannelState(alloc.power_w[q], alloc.center_hz[q],
                                 alloc.bandwidth_hz[q])
                 for q in range(3)]
     for q in range(3):
-        model = ph.osnr(q, channels, ctx, "approx1")
+        model = ph.osnr(q, channels, ctx, 1)
         need = ph.required_osnr(alloc.efficiency[q], "power_law")
         assert alloc.margin[q] == pytest.approx(model / need, rel=1e-4)
 
@@ -209,6 +208,18 @@ def test_band_too_small_is_infeasible(chain_routing):
     prog = psa.build_program(chain_routing, tight, ScenarioConfig())
     x0 = psa.warm_start(chain_routing, tight, ScenarioConfig())
     assert gp.solve(prog, x0).status == "infeasible"
+
+
+def test_values_beyond_float_range_are_rejected(chain_routing):
+    # a finite guard band whose stacked channels overflow the warm start
+    wide = PhysicsConstants(guard_ghz=5e298)
+    with pytest.raises(InstanceError, match="warm start"):
+        psa.warm_start(chain_routing, wide, ScenarioConfig())
+    # a finite Kerr scale whose cubic interference coefficient overflows
+    kerr = PhysicsConstants(nonlinear_per_w_km=1e141)
+    psa.build_program(chain_routing, kerr, ScenarioConfig(formulation=1))
+    with pytest.raises(InstanceError, match="coefficient inf"):
+        psa.build_program(chain_routing, kerr, ScenarioConfig(formulation=2))
 
 
 def test_all_zero_weights_rejected(chain_routing):

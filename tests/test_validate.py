@@ -8,7 +8,7 @@ from eongp import heuristic, physics as ph, psa, validate
 from eongp.model import (
     DEFAULT_MODULATIONS, RTO_METHODS, ConnectionRequest, InstanceError, Link,
     NetworkInstance, NetworkTopology, PhysicsConstants, ScenarioConfig,
-    TrafficDemand, derived_constants, load_topology,
+    TrafficDemand, load_topology,
 )
 from eongp.routing import solve_routing
 
@@ -54,15 +54,14 @@ def test_report_matches_hand_recomputation(pair_setup):
     routing, inst = pair_setup
     alloc = hand_allocation()
     rep = validate.validate(alloc, routing, inst)
-    ctx = ph.NoiseContext(routing.span_counts, routing.shared_spans,
-                          derived_constants(PHYS))
+    ctx = ph.NoiseContext(routing.span_counts, routing.shared_spans, PHYS)
     channels = [ph.ChannelState(alloc.power_w[q], alloc.center_hz[q],
                                 alloc.bandwidth_hz[q])
                 for q in range(2)]
     noise = 0.0
     for q in range(2):
-        exact = ph.osnr(q, channels, ctx, "exact")
-        model = ph.osnr(q, channels, ctx, "approx1")
+        exact = ph.osnr(q, channels, ctx)
+        model = ph.osnr(q, channels, ctx, 1)
         assert rep.exact_osnr[q] == pytest.approx(exact, rel=1e-12)
         assert rep.model_osnr[q] == pytest.approx(model, rel=1e-12)
         assert rep.slack[q] == pytest.approx(exact / 3.52, rel=1e-9)
