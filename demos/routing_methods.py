@@ -9,7 +9,7 @@ from collections import Counter
 from importlib import resources
 
 from eongp.model import (PhysicsConstants, demands_from_matrix, load_topology,
-                         load_traffic, partition_traffic, select_requests)
+                         load_traffic, partition_traffic)
 from eongp.routing import solve_routing
 
 DATA = resources.files("eongp") / "data"
@@ -27,8 +27,8 @@ def main():
     matrix = load_traffic(str(DATA / "cost239_traffic.txt"))
     demands = demands_from_matrix(matrix, topo, 10.0)
     phys = PhysicsConstants()
-    requests = select_requests(partition_traffic(demands, phys.capacity_bps),
-                               num_requests=12, seed=3)
+    requests = partition_traffic(demands, phys.capacity_bps,
+                                 num_requests=12, seed=3)
 
     print(f"{len(requests)} requests on {len(topo.nodes)} nodes / "
           f"{len(topo.links)} links")

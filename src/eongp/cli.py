@@ -9,6 +9,11 @@ Commands
     characterize-approx  approximation error curves (curves.csv)
     count-formulations   closed-form problem sizes (sizes.csv)
 
+Configuration layers, later wins: defaults, --constants, --config, flags.
+The solver tolerances (1e-8), its iteration cap (200), the rounding step
+(0.1 bit/s/Hz) and the clamp of relaxed efficiencies to the table span are
+fixed, not configured.
+
 Every CSV artifact opens with a '# config: {...}' comment carrying the
 resolved configuration, so the file alone identifies the run that produced
 it.  Numbers are written with fixed formatting and the pipeline is seeded,
@@ -313,8 +318,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, help="random seed")
         p.add_argument("--requests", type=int, metavar="N",
                        help="draw a random N-request subinstance")
-        p.add_argument("--clamp-c", choices=("on", "off"),
-                       help="keep relaxed efficiencies inside the table span")
         p.add_argument("--out", default=".", help="output directory")
         return p
 
@@ -359,8 +362,6 @@ def resolve_manifest(args: argparse.Namespace) -> RunManifest:
              "seed": "seed", "requests": "num_requests"}
     overrides = {name: getattr(args, flag) for flag, name in flags.items()
                  if getattr(args, flag) is not None}
-    if args.clamp_c is not None:
-        overrides["clamp_efficiency"] = args.clamp_c == "on"
     scen = replace(scen, **overrides)
     return RunManifest(
         command=args.command,

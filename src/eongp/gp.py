@@ -485,6 +485,10 @@ _MU = 3.0
 _ARMIJO = 0.01
 _BACKTRACK = 0.5
 _MAX_STEP = 20.0  # cap on the infinity norm of a Newton step in log space
+# a phase is optimal at this relative gap and dual residual, within the cap
+_GAP_TOL = 1e-8
+_FEAS_TOL = 1e-8
+_MAX_ITERATIONS = 200
 
 
 def _hessian(form: ConvexForm, sigma0, g0, lam, F, sigma, jdata):
@@ -669,15 +673,16 @@ def _exp(z: float) -> float:
     return math.exp(z) if z < 709.0 else math.inf
 
 
-def solve(program, x0=None, *, gap_tol: float = 1e-8,
-          feas_tol: float = 1e-8, max_iterations: int = 200) -> GpSolution:
+def solve(program, x0=None) -> GpSolution:
     """Solve a geometric program, given as a GpProgram or a compiled form.
 
     x0 maps variable names to positive starting values; missing names start
     at 1 and names the program lacks are ignored.  A start that is not
     strictly feasible runs phase 1 first: the `with_slack()` form from
     there, until the program's constraints hold with a margin of 1e-6.
-    The solution reports a pinned form's pins among its variables.
+    Each phase stops at relative gap and dual residual 1e-8 or after 200
+    iterations, whichever comes first.  The solution reports a pinned
+    form's pins among its variables.
     """
     form = _compiled(program)
     u = np.zeros(form.n)
@@ -694,7 +699,7 @@ def solve(program, x0=None, *, gap_tol: float = 1e-8,
         # plus the slack s = us[-1]
         us, _, _, status, p1_iters, _ = _pdipm(
             form.with_slack(), np.append(u, F.max() + 1.0), gap_tol=1e-9,
-            feas_tol=feas_tol, max_iter=max_iterations,
+            feas_tol=_FEAS_TOL, max_iter=_MAX_ITERATIONS,
             early_stop=lambda us, Fs: float((Fs + us[-1]).max()) <= -1e-6)
         u = us[:-1]
         if float(form.constraint_eval(u)[0].max()) > -1e-6:
@@ -706,7 +711,7 @@ def solve(program, x0=None, *, gap_tol: float = 1e-8,
                               math.inf, (), (), p1_iters, math.inf, message)
 
     u, lam, (F, _, F0, *_), status, iters, kkt = _pdipm(
-        form, u, gap_tol, feas_tol, max_iterations)
+        form, u, _GAP_TOL, _FEAS_TOL, _MAX_ITERATIONS)
     x = {v: _exp(u[i]) for i, v in enumerate(form.variables)}
     return GpSolution(status, {**x, **form.fixed}, _exp(F0), tuple(lam),
                       tuple(np.exp(F)), p1_iters + iters, kkt)

@@ -4,8 +4,8 @@ Stage 1 splits traffic into transponder-sized requests, routes them and
 derives the processing order.  Stage 2 solves the continuous relaxation of
 the selected assignment formulation, then repeatedly pins spectral
 efficiencies to modulation-table values: the acceptance window is the
-least multiple of the configured precision (rounded to 1e-12) that puts at
-least one relaxed efficiency within it of a table value; every such
+least multiple of the 0.1 bit/s/Hz rounding step (rounded to 1e-12) that
+puts at least one relaxed efficiency within it of a table value; every such
 request is pinned in the same round (a tie goes to the smaller table value)
 by `psa.pin`, and the program, compiled once, is re-solved with the pinned
 values moved into its offsets.  Each round pins at least one request, so
@@ -25,9 +25,11 @@ from dataclasses import dataclass
 from . import gp, psa
 from .model import (
     InstanceError, ModulationTable, NetworkInstance, PhysicsConstants,
-    ScenarioConfig, partition_traffic, select_requests,
+    ScenarioConfig, partition_traffic,
 )
 from .routing import RoutingSolution, solve_routing
+
+_ROUND_STEP = 0.1  # bit/s/Hz, the unit of the rounding window
 
 
 class HeuristicError(RuntimeError):
@@ -101,9 +103,7 @@ def assign(routing: RoutingSolution, physics: PhysicsConstants,
     rounds: list[RoundingRound] = []
 
     def solve_or_abort(compiled, x0, stage):
-        sol = gp.solve(compiled, x0, gap_tol=scenario.gap_tol,
-                       feas_tol=scenario.feas_tol,
-                       max_iterations=scenario.max_iterations)
+        sol = gp.solve(compiled, x0)
         if sol.status != "optimal":
             partial = HeuristicTrace(
                 routing.method, scenario.formulation, tuple(rounds),
@@ -120,7 +120,7 @@ def assign(routing: RoutingSolution, physics: PhysicsConstants,
     unfixed = list(routing.order)
     while unfixed:
         batch = _pick_fixes(solution.variables, unfixed,
-                            modulations.efficiencies, physics.round_step)
+                            modulations.efficiencies, _ROUND_STEP)
         rounds.append(RoundingRound(solution.objective, tuple(batch)))
         pins = {rec.request: rec.fixed for rec in batch}
         form = psa.pin(form, pins)
@@ -140,10 +140,8 @@ def route(instance: NetworkInstance) -> RoutingSolution:
     the scenario it reads only `num_requests`, `seed` and `rto_method`."""
     scenario = instance.scenario
     requests = partition_traffic(instance.demands,
-                                 instance.physics.capacity_bps)
-    if scenario.num_requests is not None:
-        requests = select_requests(requests, scenario.num_requests,
-                                   scenario.seed)
+                                 instance.physics.capacity_bps,
+                                 scenario.num_requests, scenario.seed)
     if not requests:
         raise InstanceError("no requests to allocate")
     return solve_routing(instance.topology, requests, scenario.rto_method,

@@ -199,9 +199,9 @@ def log_kernel_error_grid(xs=None) -> dict[str, np.ndarray]:
     }
 
 
-def osnr_fit_error_table(table: ModulationTable | None = None) -> dict[str, np.ndarray]:
+def osnr_fit_error_table(table: ModulationTable = ModulationTable()
+                         ) -> dict[str, np.ndarray]:
     """Fit values and signed relative errors at every modulation-table point."""
-    table = table or ModulationTable()
     effs = np.array(table.efficiencies)
     exact = np.array([table.required_osnr(c) for c in effs])
     cols: dict[str, np.ndarray] = {"eff": effs, "table": exact}

@@ -96,11 +96,11 @@ def _times(terms, factor_terms):
 
 def build_program(routing: RoutingSolution, physics: PhysicsConstants,
                   scenario: ScenarioConfig,
-                  modulations: ModulationTable | None = None) -> GpProgram:
+                  modulations: ModulationTable = ModulationTable()
+                  ) -> GpProgram:
     """Assemble the allocation program for the scenario's formulation."""
     fit = FORMULATION_FIT[scenario.formulation]
     order = FORMULATION_ORDER[scenario.formulation]
-    table = modulations or ModulationTable()
     n = len(routing.requests)
     rates = [r.rate_bps for r in routing.requests]
     spans = routing.span_counts
@@ -193,15 +193,14 @@ def build_program(routing: RoutingSolution, physics: PhysicsConstants,
             _mono(1.0, [(d_var(q, i), 1.0), (w_var(hi), -1.0)]),
             _mono(1.0, [(w_var(lo), 1.0), (w_var(hi), -1.0)])))))
 
-    # optional table-span clamp on the relaxed efficiencies
-    if scenario.clamp_efficiency:
-        lo_eff = table.efficiencies[0]
-        hi_eff = table.efficiencies[-1]
-        for q in range(n):
-            constraints.append((f"cfloor[{q}]", Posynomial((
-                _mono(lo_eff, [(c_var(q), -1.0)]),))))
-            constraints.append((f"cceil[{q}]", Posynomial((
-                _mono(1.0 / hi_eff, [(c_var(q), 1.0)]),))))
+    # relaxed efficiencies stay inside the table span
+    lo_eff = modulations.efficiencies[0]
+    hi_eff = modulations.efficiencies[-1]
+    for q in range(n):
+        constraints.append((f"cfloor[{q}]", Posynomial((
+            _mono(lo_eff, [(c_var(q), -1.0)]),))))
+        constraints.append((f"cceil[{q}]", Posynomial((
+            _mono(1.0 / hi_eff, [(c_var(q), 1.0)]),))))
 
     variables = [p_var(q) for q in range(n)] + [w_var(q) for q in range(n)] \
         + [c_var(q) for q in range(n)] + [m_var(q) for q in range(n)]

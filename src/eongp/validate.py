@@ -177,9 +177,7 @@ def brute_force_psa(routing: RoutingSolution, physics: PhysicsConstants,
     start = psa.warm_start(routing, physics, scenario)
     best = None
     for combo in itertools.product(modulations.efficiencies, repeat=n):
-        sol = gp.solve(psa.pin(base, dict(enumerate(combo))), start,
-                       gap_tol=scenario.gap_tol, feas_tol=scenario.feas_tol,
-                       max_iterations=scenario.max_iterations)
+        sol = gp.solve(psa.pin(base, dict(enumerate(combo))), start)
         if sol.status != "optimal":
             continue
         if best is None or sol.objective < best[0]:

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from eongp import gp, psa
-from eongp.model import load_instance, partition_traffic, select_requests
+from eongp.model import load_instance, partition_traffic
 from eongp.routing import solve_routing
 
 SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
@@ -35,8 +35,7 @@ def test_bench_entry_points_exist(spans):
 def test_solve_sizes_are_read_off_a_pinned_form(spans, data_dir):
     inst = load_instance(str(data_dir / "cost239_topology.txt"),
                          str(data_dir / "cost239_traffic.txt"))
-    requests = select_requests(partition_traffic(inst.demands, 100e9), 3,
-                               seed=0)
+    requests = partition_traffic(inst.demands, 100e9, 3, seed=0)
     routing = solve_routing(inst.topology, requests, "spr")
     base = gp.ConvexForm(psa.build_program(routing, inst.physics,
                                            inst.scenario))

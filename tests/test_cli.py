@@ -5,6 +5,7 @@ import math
 import subprocess
 import sys
 from dataclasses import fields
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -105,10 +106,10 @@ def test_config_layering(tmp_path):
     config, _ = cli.read_artifact_csv(tmp_path / "allocation.csv")
     assert config["scenario"]["seed"] == 2
 
-    assert run_cli("run", "--requests", 3, "--clamp-c", "off",
+    assert run_cli("run", "--requests", 3, "--margin", 2,
                    "--out", tmp_path) == 0
     header = (tmp_path / "allocation.csv").read_text().splitlines()[0]
-    assert '"clamp_efficiency":false' in header
+    assert '"min_margin":2.0' in header
 
 
 def test_sweep_margin_rows(tmp_path):
@@ -187,12 +188,15 @@ def no_solve(monkeypatch):
 
 @pytest.mark.parametrize("key, value", [
     ("seed", "x"), ("seed", 2.5), ("seed", True), ("seed", -1),
-    ("max_iterations", -5), ("max_iterations", 0), ("max_iterations", 2.5),
-    ("gap_tol", -1), ("gap_tol", 0), ("gap_tol", "x"), ("gap_tol", math.inf),
-    ("feas_tol", -1), ("feas_tol", math.nan),
     ("weight_power", math.inf), ("weight_spectrum", math.nan),
     ("weight_margin", True), ("min_margin", math.inf), ("formulation", True),
-    ("traffic_scale_gbps", math.inf), ("clamp_efficiency", "off"),
+    ("traffic_scale_gbps", math.inf),
+    # former settings, now constants: unknown keys whatever the value
+    ("max_iterations", 200), ("max_iterations", -5), ("max_iterations", 0),
+    ("max_iterations", 2.5), ("gap_tol", 1e-8), ("gap_tol", -1),
+    ("gap_tol", 0), ("gap_tol", "x"), ("gap_tol", math.inf),
+    ("feas_tol", 1e-8), ("feas_tol", -1), ("feas_tol", math.nan),
+    ("clamp_efficiency", True), ("clamp_efficiency", "off"),
     ("clamp_efficiency", 0), ("clamp_efficiency", None),
     # beyond float range, where math.isfinite raises OverflowError
     pytest.param("seed", 10 ** 400, id="seed-10**400"),
@@ -215,6 +219,8 @@ def test_bad_scenario_value_in_config_exits_4(tmp_path, no_solve, key, value):
     ("attenuation_db_km", 1e-310), ("band_thz", 1e300), ("guard_ghz", 1e300),
     # a finite guard band that stacks the warm start past float range
     ("guard_ghz", 5e298),
+    # a former setting, now a constant: an unknown key
+    ("round_step", 0.1),
 ])
 def test_bad_physics_value_in_config_exits_4(tmp_path, no_solve, key, value):
     config = tmp_path / "config.json"
@@ -280,9 +286,8 @@ def test_span_counts_beyond_int64_exit_4(tmp_path, no_solve, capsys):
     assert "int64" in capsys.readouterr().err
 
 
-# up to three physics fields log-uniform over float range, and the
-# transponder capacity from 1 Gb/s up: below that the ring's 10 Gb/s demands
-# split into ever more requests, all held in memory (3e7 at 1e-6 Gb/s)
+# up to three physics fields and the transponder capacity, each log-uniform
+# over float range
 _PHYSICS = st.dictionaries(
     st.sampled_from([f.name for f in fields(PhysicsConstants)
                      if f.name != "capacity_gbps"]),
@@ -291,7 +296,7 @@ _PHYSICS = st.dictionaries(
 
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(physics=_PHYSICS,
-       capacity_gbps=st.floats(0, 300).map(lambda e: 10.0 ** e),
+       capacity_gbps=st.floats(-300, 300).map(lambda e: 10.0 ** e),
        length_km=st.floats(-3, 308).map(lambda e: 10.0 ** e))
 def test_generated_physics_never_escapes(tmp_path_factory, physics,
                                          capacity_gbps, length_km):
@@ -304,12 +309,21 @@ def test_generated_physics_never_escapes(tmp_path_factory, physics,
                    "--config", config, "--out", out) in (0, 4, 5, 6)
 
 
-def test_tiny_round_step_exits_4(tmp_path, no_solve):
-    # a step below 1e-12 would leave the rounding window at zero forever
+def test_tiny_capacity_draws_without_building_every_request(tmp_path):
+    # each 10 Gb/s demand splits into about 1.1e17 requests, of which two
+    # are drawn and built
     config = tmp_path / "config.json"
-    config.write_text(json.dumps({"physics": {"round_step": 1e-300}}))
-    assert run_cli("run", "--requests", 3, "--config", config,
-                   "--out", tmp_path) == 4
+    config.write_text(json.dumps({"physics": {"capacity_gbps": 8.7e-17}}))
+    assert run_cli("run", "--requests", 2, *write_chain(tmp_path, 100.0),
+                   "--config", config, "--out", tmp_path) in (0, 4, 5, 6)
+
+
+def test_request_count_beyond_int64_exits_4(tmp_path, no_solve, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"physics": {"capacity_gbps": 3.1e-130}}))
+    assert run_cli("run", "--requests", 2, *write_chain(tmp_path, 100.0),
+                   "--config", config, "--out", tmp_path) == 4
+    assert "int64" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [
@@ -318,17 +332,6 @@ def test_tiny_round_step_exits_4(tmp_path, no_solve):
 ])
 def test_non_finite_flag_exits_4(tmp_path, no_solve, argv):
     assert run_cli(*argv, "--requests", 3, "--out", tmp_path) == 4
-
-
-def test_smallest_round_step_completes(tmp_path):
-    # the rounding window is solved for, so a step of 1e-12 costs no more
-    # than the default step
-    config = tmp_path / "config.json"
-    config.write_text(json.dumps({"physics": {"round_step": 1e-12}}))
-    assert run_cli("run", "--requests", 3, "--config", config,
-                   "--out", tmp_path) == 0
-    trace = json.loads((tmp_path / "trace.json").read_text())
-    assert trace["trace"]["iterations"] >= 1
 
 
 def test_negative_formulation_size_exits_4(tmp_path):
@@ -345,13 +348,24 @@ def test_infeasible_exit_code(tmp_path):
                    "--constants", tiny, "--out", tmp_path) == 5
 
 
-def test_solver_breakdown_exit_code(tmp_path):
+def test_solver_breakdown_exit_code(tmp_path, monkeypatch):
     # one Newton iteration cannot converge: the solve stops at
     # max-iterations, a solver breakdown rather than an infeasible instance
-    config = tmp_path / "config.json"
-    config.write_text(json.dumps({"scenario": {"max_iterations": 1}}))
-    assert run_cli("run", "--requests", 3, "--config", config,
-                   "--out", tmp_path) == 6
+    monkeypatch.setattr(gp, "_MAX_ITERATIONS", 1)
+    assert run_cli("run", "--requests", 3, "--out", tmp_path) == 6
+
+
+def test_bundled_files_are_package_data():
+    # an installed package holds only the files its package-data globs match
+    tomllib = pytest.importorskip("tomllib")
+    package = Path(cli.__file__).parent
+    config = tomllib.loads(
+        (package.parents[1] / "pyproject.toml").read_text())
+    globs = config["tool"]["setuptools"]["package-data"]["eongp"]
+    shipped = {path for glob in globs for path in package.glob(glob)}
+    for name in {*cli.BUNDLED_TOPOLOGIES.values(),
+                 *cli.BUNDLED_TRAFFIC.values()}:
+        assert package / "data" / name in shipped, name
 
 
 def test_module_entry_point(tmp_path):

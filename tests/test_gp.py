@@ -13,7 +13,7 @@ from eongp.gp import (
     ConvexForm, GpError, GpProgram, GpSolution, Monomial, Posynomial, assemble,
     fix_variable, from_text, program_size, solve, to_text,
 )
-from eongp.model import load_instance, partition_traffic, select_requests
+from eongp.model import load_instance, partition_traffic
 from eongp.routing import solve_routing
 
 
@@ -148,8 +148,9 @@ def test_empty_interior_reported_infeasible():
     assert solve(prog).status == "infeasible"
 
 
-def test_iteration_budget():
-    sol = solve(am_gm_program(), max_iterations=1)
+def test_iteration_budget(monkeypatch):
+    monkeypatch.setattr(gp, "_MAX_ITERATIONS", 1)
+    sol = solve(am_gm_program())
     assert sol.status != "optimal"
 
 
@@ -172,12 +173,15 @@ def no_trial_accepted(monkeypatch):
     monkeypatch.setattr(gp, "_residual_norm", lambda *args: math.inf)
 
 
-def test_stall_at_a_converged_start_is_optimal(no_trial_accepted):
+def test_stall_at_a_converged_start_is_optimal(no_trial_accepted,
+                                               monkeypatch):
     # min x + 4/x from x = 2 e^1e-8: the KKT residual is about 1e-8, above
     # the zero tolerances yet within the 1e-6 that a stall accepts
+    monkeypatch.setattr(gp, "_GAP_TOL", 0.0)
+    monkeypatch.setattr(gp, "_FEAS_TOL", 0.0)
     start = 2.0 * math.exp(1e-8)
     sol = solve(assemble(posy(mono(1.0, x=1.0), mono(4.0, x=-1.0)), []),
-                {"x": start}, gap_tol=0.0, feas_tol=0.0)
+                {"x": start})
     assert sol.status == "optimal"
     assert sol.iterations == 1
     assert 1e-12 < sol.kkt <= 1e-6
@@ -219,8 +223,7 @@ def cost239_routing(data_dir):
     # 24 Cost239 requests on shortest paths
     inst = load_instance(str(data_dir / "cost239_topology.txt"),
                          str(data_dir / "cost239_traffic.txt"))
-    requests = select_requests(partition_traffic(inst.demands, 100e9), 24,
-                               seed=0)
+    requests = partition_traffic(inst.demands, 100e9, 24, seed=0)
     return inst, solve_routing(inst.topology, requests, "spr")
 
 
@@ -731,7 +734,9 @@ def test_pin_that_crosses_the_dense_bound_factors_dense(cost239_program,
     assert base._kkt_dense is None
     # a loose solve stops strictly inside every constraint, so the pinned
     # form starts there without a phase-1 form (N = n + 1, sparse)
-    sol = solve(base, gap_tol=1e-4)
+    with monkeypatch.context() as loose:
+        loose.setattr(gp, "_GAP_TOL", 1e-4)
+        sol = solve(base)
     name = base.variables[0]
     pins = {name: sol.value(name)}
     calls = recording_splu(monkeypatch)

@@ -8,7 +8,7 @@ from eongp.heuristic import HeuristicError, _pick_fixes
 from eongp.model import (
     ConnectionRequest, InstanceError, NetworkInstance, PhysicsConstants,
     ScenarioConfig, TrafficDemand, load_instance, load_topology,
-    partition_traffic, select_requests,
+    partition_traffic,
 )
 from eongp.routing import solve_routing
 
@@ -128,7 +128,7 @@ def test_assign_trace_invariants(chain, formulation):
             assert dist <= width + 1e-9
             if width > 0:
                 # a narrower window would have missed every batch member
-                assert dist > width - PHYS.round_step - 1e-9
+                assert dist > width - heuristic._ROUND_STEP - 1e-9
     assert seen == set(range(n))
     assert trace.final_objective >= previous - 1e-6 * abs(previous)
     assert tuple(alloc.efficiency) == tuple(
@@ -173,8 +173,7 @@ def compiles(monkeypatch):
 def test_rounding_compiles_the_program_once(data_dir, compiles):
     inst = load_instance(str(data_dir / "cost239_topology.txt"),
                          str(data_dir / "cost239_traffic.txt"))
-    requests = select_requests(partition_traffic(inst.demands, 100e9), 6,
-                               seed=0)
+    requests = partition_traffic(inst.demands, 100e9, 6, seed=0)
     routing = solve_routing(inst.topology, requests, "spr")
     _, trace = heuristic.assign(routing, inst.physics,
                                 ScenarioConfig(weight_spectrum=1e-9))

@@ -58,13 +58,6 @@ def test_program_inventory(chain_routing):
     assert sum(n.startswith("aux") for n, _ in prog5.constraints) == 3
 
 
-def test_clamp_rows_optional(chain_routing):
-    scen = ScenarioConfig(clamp_efficiency=False)
-    prog = psa.build_program(chain_routing, PHYS, scen)
-    assert not any(n.startswith("cfloor") or n.startswith("cceil")
-                   for n, _ in prog.constraints)
-
-
 def point_for(routing, eff=4.0, power=3e-4, base_hz=40e9, step_hz=75e9):
     """A consistent positive point: distances equal actual center gaps."""
     n = len(routing.requests)
