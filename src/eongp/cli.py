@@ -9,7 +9,7 @@ Commands
     characterize-approx  approximation error curves (curves.csv)
     count-formulations   closed-form problem sizes (sizes.csv)
 
-Configuration layers, later wins: defaults, --constants, --config, flags.
+Configuration layers, later wins: defaults, the --config file, flags.
 The solver tolerances (1e-8), its iteration cap (200), the rounding step
 (0.1 bit/s/Hz) and the clamp of relaxed efficiencies to the table span are
 fixed, not configured.
@@ -302,11 +302,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="topology file, or bundled name (cost239)")
         p.add_argument("--traffic", default="table2",
                        help="traffic matrix file, or bundled name (table2)")
-        p.add_argument("--constants", metavar="FILE",
-                       help="JSON file with physics/scenario/modulations "
-                            "sections")
         p.add_argument("--config", metavar="FILE",
-                       help="second JSON config layered over --constants")
+                       help="JSON file with physics/scenario/modulations "
+                            "sections, layered over the defaults")
         p.add_argument("--rto", choices=RTO_METHODS,
                        help="routing and ordering method")
         p.add_argument("--gpsa", type=int, choices=(1, 2, 3, 4, 5, 6),
@@ -352,11 +350,9 @@ def _parse_margins(text: str) -> tuple[float, ...]:
 
 
 def resolve_manifest(args: argparse.Namespace) -> RunManifest:
-    # layering: defaults, then --constants, then --config, then single flags
-    phys, scen, table = PhysicsConstants(), ScenarioConfig(), ModulationTable()
-    for path in (args.constants, args.config):
-        if path:
-            phys, scen, table = load_config(path, (phys, scen, table))
+    # layering: defaults, then the --config file, then single flags
+    phys, scen, table = load_config(args.config) if args.config else (
+        PhysicsConstants(), ScenarioConfig(), ModulationTable())
     flags = {"rto": "rto_method", "gpsa": "formulation",
              "margin": "min_margin", "scale": "traffic_scale_gbps",
              "seed": "seed", "requests": "num_requests"}

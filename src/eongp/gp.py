@@ -473,7 +473,6 @@ class GpSolution:
     constraint_values: tuple[float, ...]
     iterations: int
     kkt: float
-    message: str = ""
 
     def value(self, name: str) -> float:
         return self.variables[name]
@@ -599,8 +598,7 @@ def _residual_norm(r_dual, lam, F, t):
     return math.sqrt((r_dual ** 2).sum() + (r_cent ** 2).sum())
 
 
-def _pdipm(form: ConvexForm, u, gap_tol, feas_tol, max_iter,
-           early_stop=None):
+def _pdipm(form: ConvexForm, u, gap_tol, early_stop=None):
     """Primal-dual interior point from a strictly feasible u.
 
     Returns (u, lam, point, status, iterations, kkt), where point is what
@@ -616,7 +614,7 @@ def _pdipm(form: ConvexForm, u, gap_tol, feas_tol, max_iter,
     lam = -1.0 / point[0]
     kkt = math.inf
     resets = 2
-    for it in range(1, max_iter + 1):
+    for it in range(1, _MAX_ITERATIONS + 1):
         F, sigma, F0, g0, sigma0, jdata = point
         jt_lam = form._jac_t(jdata, lam)
         r_dual = g0 + jt_lam
@@ -628,7 +626,7 @@ def _pdipm(form: ConvexForm, u, gap_tol, feas_tol, max_iter,
         kkt = max(dual_rel, gap_rel)
         if early_stop is not None and early_stop(u, F):
             return u, lam, point, STATUS_OPTIMAL, it, kkt
-        if dual_rel <= max(feas_tol, 1e-12) and gap_rel <= max(gap_tol, 1e-12):
+        if dual_rel <= _FEAS_TOL and gap_rel <= gap_tol:
             return u, lam, point, STATUS_OPTIMAL, it, kkt
         t = _MU * m / eta if m else math.inf
         rhs = -g0 - form._jac_t(jdata, 1.0 / (t * (-F)))
@@ -666,7 +664,7 @@ def _pdipm(form: ConvexForm, u, gap_tol, feas_tol, max_iter,
             return u, lam, point, STATUS_NUMERICAL, it, kkt
         if not np.isfinite(u).all():
             return u, lam, point, STATUS_NUMERICAL, it, kkt
-    return u, lam, point, STATUS_MAX_ITER, max_iter, kkt
+    return u, lam, point, STATUS_MAX_ITER, _MAX_ITERATIONS, kkt
 
 
 def _exp(z: float) -> float:
@@ -699,19 +697,16 @@ def solve(program, x0=None) -> GpSolution:
         # plus the slack s = us[-1]
         us, _, _, status, p1_iters, _ = _pdipm(
             form.with_slack(), np.append(u, F.max() + 1.0), gap_tol=1e-9,
-            feas_tol=_FEAS_TOL, max_iter=_MAX_ITERATIONS,
             early_stop=lambda us, Fs: float((Fs + us[-1]).max()) <= -1e-6)
         u = us[:-1]
         if float(form.constraint_eval(u)[0].max()) > -1e-6:
-            # converged with nonnegative slack: no strictly feasible point
-            infeasible = status == STATUS_OPTIMAL
-            message = ("phase 1 found no strictly feasible point" if infeasible
-                       else "phase 1 did not converge")
-            return GpSolution(STATUS_INFEASIBLE if infeasible else status, {},
-                              math.inf, (), (), p1_iters, math.inf, message)
+            # no strictly feasible point: infeasible if phase 1 converged
+            # (with nonnegative slack), else phase 1's own status
+            return GpSolution(
+                STATUS_INFEASIBLE if status == STATUS_OPTIMAL else status, {},
+                math.inf, (), (), p1_iters, math.inf)
 
-    u, lam, (F, _, F0, *_), status, iters, kkt = _pdipm(
-        form, u, _GAP_TOL, _FEAS_TOL, _MAX_ITERATIONS)
+    u, lam, (F, _, F0, *_), status, iters, kkt = _pdipm(form, u, _GAP_TOL)
     x = {v: _exp(u[i]) for i, v in enumerate(form.variables)}
     return GpSolution(status, {**x, **form.fixed}, _exp(F0), tuple(lam),
                       tuple(np.exp(F)), p1_iters + iters, kkt)

@@ -14,7 +14,7 @@ import json
 import math
 import numbers
 import sys
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -306,7 +306,8 @@ def load_topology(path) -> NetworkTopology:
     Format: one record per line, '#' starts a comment.
       node <id>
       link <begin> <end> <length_km> [oneway]
-    A link record creates both directions unless marked oneway.
+    A link record creates both directions unless marked oneway; a fifth
+    token other than `oneway` makes a bad record.
     """
     nodes: list[str] = []
     links: list[Link] = []
@@ -317,12 +318,12 @@ def load_topology(path) -> NetworkTopology:
                 continue
             parts = line.split()
             kind = parts[0].lower()
+            oneway = parts[-1].lower() == "oneway"
             try:
                 if kind == "node" and len(parts) == 2:
                     nodes.append(parts[1])
-                elif kind == "link" and len(parts) in (4, 5):
+                elif kind == "link" and len(parts) == 4 + oneway:
                     length = float(parts[3])
-                    oneway = len(parts) == 5 and parts[4].lower() == "oneway"
                     links.append(Link(len(links), parts[1], parts[2], length))
                     if not oneway:
                         links.append(Link(len(links), parts[2], parts[1], length))
@@ -331,27 +332,6 @@ def load_topology(path) -> NetworkTopology:
             except ValueError:
                 raise InstanceError(f"{path}:{lineno}: bad record {line!r}") from None
     return NetworkTopology(tuple(nodes), tuple(links))
-
-
-def save_topology(topology: NetworkTopology, path) -> None:
-    """Write a topology in canonical form (symmetric pairs collapsed)."""
-    done = set()
-    with open(path, "w") as fh:
-        for node in topology.nodes:
-            fh.write(f"node {node}\n")
-        by_pair = {(l.begin, l.end): l for l in topology.links}
-        for link in topology.links:
-            key = (link.begin, link.end)
-            if key in done:
-                continue
-            rev = by_pair.get((link.end, link.begin))
-            if rev is not None and rev.length_km == link.length_km:
-                done.add(key)
-                done.add((link.end, link.begin))
-                fh.write(f"link {link.begin} {link.end} {link.length_km:g}\n")
-            else:
-                done.add(key)
-                fh.write(f"link {link.begin} {link.end} {link.length_km:g} oneway\n")
 
 
 def load_traffic(path) -> np.ndarray:
@@ -390,30 +370,26 @@ def demands_from_matrix(matrix: np.ndarray, topology: NetworkTopology,
     return tuple(demands)
 
 
-def _merge_section(current, mapping, what: str):
+def _build_section(cls, mapping, what: str):
     if not isinstance(mapping, dict):
         raise InstanceError(f"bad {what} section: not an object")
-    known = {f.name for f in fields(current)}
+    known = {f.name for f in fields(cls)}
     unknown = set(mapping) - known
     if unknown:
         raise InstanceError(f"unknown {what} keys: {sorted(unknown)}")
     try:
-        return replace(current, **mapping)
+        return cls(**mapping)
     except TypeError as exc:
         raise InstanceError(f"bad {what} section: {exc}") from None
 
 
-def load_config(path, base=None
-                ) -> tuple[PhysicsConstants, ScenarioConfig, ModulationTable]:
-    """Layer a config file onto `base`, a (physics, scenario, modulations)
-    triple that defaults to the built-in values.
+def load_config(path) -> tuple[PhysicsConstants, ScenarioConfig,
+                               ModulationTable]:
+    """Read a config file as a (physics, scenario, modulations) triple.
 
     The file is JSON with optional physics/scenario/modulations sections;
-    whatever it leaves out keeps its `base` value.
+    whatever it leaves out keeps its built-in value.
     """
-    if base is None:
-        base = PhysicsConstants(), ScenarioConfig(), ModulationTable()
-    phys, scen, table = base
     with open(path) as fh:
         try:
             raw = json.load(fh)
@@ -424,8 +400,9 @@ def load_config(path, base=None
     extra = set(raw) - {"physics", "scenario", "modulations"}
     if extra:
         raise InstanceError(f"{path}: unknown sections {sorted(extra)}")
-    phys = _merge_section(phys, raw.get("physics", {}), "physics")
-    scen = _merge_section(scen, raw.get("scenario", {}), "scenario")
+    phys = _build_section(PhysicsConstants, raw.get("physics", {}), "physics")
+    scen = _build_section(ScenarioConfig, raw.get("scenario", {}), "scenario")
+    table = ModulationTable()
     if "modulations" in raw:
         try:
             table = ModulationTable(tuple(raw["modulations"]))

@@ -8,7 +8,9 @@ resource metrics, and any physical-validity violations.  Violations are
 recorded, never raised, so reports on bad allocations are still complete;
 a value that cannot be computed for a request (overlapping channels, a
 zero or non-finite power, bandwidth or efficiency) reads NaN, and a NaN
-position or width is a violation.
+position or width is a violation.  The requirement is the modulation
+table's: an efficiency that is not a table entry has none, so its required
+OSNR and slack read NaN.
 """
 
 from __future__ import annotations
@@ -41,7 +43,9 @@ class Violation:
 class ValidationReport:
     exact_osnr: tuple[float, ...]
     model_osnr: tuple[float, ...]
-    required_osnr: tuple[float, ...]   # margin floor times table requirement
+    # margin floor times table requirement; NaN for an efficiency that is
+    # not a table entry, and so is its slack
+    required_osnr: tuple[float, ...]
     slack: tuple[float, ...]           # exact over required
     model_error: tuple[float, ...]     # |exact - model| / exact
     total_power_w: float
@@ -62,17 +66,11 @@ def _channels(allocation: psa.Allocation) -> list[ph.ChannelState]:
                                allocation.bandwidth_hz)]
 
 
-def _required(eff: float, fit: str, table: ModulationTable) -> float:
-    """The table's requirement at one of its entries, else the fit's; NaN
-    off the fits' domain of positive efficiencies, or where a fit
-    overflows."""
+def _required(eff: float, table: ModulationTable) -> float:
+    """The table's requirement at one of its entries, NaN elsewhere."""
     try:
         return table.required_osnr(eff)
     except InstanceError:
-        pass
-    try:
-        return ph.required_osnr(eff, fit) if eff > 0 else math.nan
-    except OverflowError:
         return math.nan
 
 
@@ -108,14 +106,13 @@ def validate(allocation: psa.Allocation, routing: RoutingSolution,
     channels = _channels(allocation)
     ctx = ph.NoiseContext(routing.span_counts, routing.shared_spans, physics)
     order = psa.FORMULATION_ORDER[scenario.formulation]
-    fit = psa.FORMULATION_FIT[scenario.formulation]
 
     exact, model, required, slack, gap = [], [], [], [], []
     noise = 0.0
     for q in range(n):
         exact.append(_osnr_or_nan(q, channels, ctx))
         model.append(_osnr_or_nan(q, channels, ctx, order))
-        need = scenario.min_margin * _required(allocation.efficiency[q], fit,
+        need = scenario.min_margin * _required(allocation.efficiency[q],
                                                instance.modulations)
         required.append(need)
         slack.append(_ratio(exact[q], need))

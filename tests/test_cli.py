@@ -88,21 +88,18 @@ def test_run_is_deterministic(tmp_path):
 
 
 def test_config_layering(tmp_path):
-    constants = tmp_path / "constants.json"
-    constants.write_text(json.dumps(
-        {"physics": {"guard_ghz": 15.0}, "scenario": {"seed": 5}}))
-    override = tmp_path / "override.json"
-    override.write_text(json.dumps({"scenario": {"seed": 9}}))
-    assert run_cli("run", "--requests", 3, "--constants", constants,
-                   "--config", override, "--out", tmp_path) == 0
-    config, _ = cli.read_artifact_csv(tmp_path / "allocation.csv")
-    assert config["physics"]["guard_ghz"] == 15.0
-    assert config["scenario"]["seed"] == 9   # second file wins
-
-    # an explicit flag outranks both files
-    assert run_cli("run", "--requests", 3, "--constants", constants,
-                   "--config", override, "--seed", 2,
+    config_file = tmp_path / "config.json"
+    config_file.write_text(json.dumps(
+        {"physics": {"guard_ghz": 15.0}, "scenario": {"seed": 9}}))
+    assert run_cli("run", "--requests", 3, "--config", config_file,
                    "--out", tmp_path) == 0
+    config, _ = cli.read_artifact_csv(tmp_path / "allocation.csv")
+    assert config["physics"]["guard_ghz"] == 15.0   # the file beats defaults
+    assert config["scenario"]["seed"] == 9
+
+    # an explicit flag outranks the file
+    assert run_cli("run", "--requests", 3, "--config", config_file,
+                   "--seed", 2, "--out", tmp_path) == 0
     config, _ = cli.read_artifact_csv(tmp_path / "allocation.csv")
     assert config["scenario"]["seed"] == 2
 
@@ -110,6 +107,11 @@ def test_config_layering(tmp_path):
                    "--out", tmp_path) == 0
     header = (tmp_path / "allocation.csv").read_text().splitlines()[0]
     assert '"min_margin":2.0' in header
+
+    # --config is the only config-file layer
+    with pytest.raises(SystemExit) as err:
+        run_cli("run", "--constants", config_file, "--out", tmp_path)
+    assert err.value.code == 2
 
 
 def test_sweep_margin_rows(tmp_path):
@@ -345,7 +347,7 @@ def test_infeasible_exit_code(tmp_path):
     # requests sharing a link cannot be separated
     tiny.write_text(json.dumps({"physics": {"band_thz": 0.02}}))
     assert run_cli("run", "--requests", 3, "--seed", 0,
-                   "--constants", tiny, "--out", tmp_path) == 5
+                   "--config", tiny, "--out", tmp_path) == 5
 
 
 def test_solver_breakdown_exit_code(tmp_path, monkeypatch):

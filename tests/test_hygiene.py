@@ -1,5 +1,6 @@
 """Source hygiene of the package: no module imports a name it never uses,
-and no function, class or method is defined that nothing refers to."""
+and no function, class or method is defined that nothing refers to, or
+that only the tests refer to."""
 
 import ast
 import re
@@ -75,17 +76,43 @@ def test_sources_are_found():
     assert {"gp.py", "test_gp.py", "run.py"} <= {p.name for p in SOURCES}
 
 
+def unreferenced(path, words, exempt=()):
+    """Definitions in `path` whose name occurs in `words` no more often
+    than the package defines it, but those named in `exempt`."""
+    defs = Counter(name for module in MODULES
+                   for name, _ in defined_names(ast.parse(module.read_text())))
+    tree = ast.parse(path.read_text(), filename=str(path))
+    return [f"{path.name}:{line} {name}" for name, line in defined_names(tree)
+            if words[name] <= defs[name] and name not in exempt]
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unreferenced_definitions(path, words):
     # a name that occurs only where it is defined is dead code; counting
     # words also counts mentions in strings and comments, so this only
     # catches names nothing refers to at all
-    defs = Counter(name for module in MODULES
-                   for name, _ in defined_names(ast.parse(module.read_text())))
-    tree = ast.parse(path.read_text(), filename=str(path))
-    dead = [f"{path.name}:{line} {name}" for name, line in defined_names(tree)
-            if words[name] <= defs[name]]
+    dead = unreferenced(path, words)
     assert not dead, f"defined but never referenced: {dead}"
+
+
+@pytest.fixture(scope="module")
+def program_words():
+    """As `words`, over the package, the bench harness and the demos only:
+    the tests of either are left out."""
+    return Counter(word for path in SOURCES
+                   if path.relative_to(REPO).parts[0] != "tests"
+                   and path.name != "test_bench.py"
+                   for word in re.findall(r"\w+", path.read_text()))
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_test_only_definitions(path, program_words):
+    # a name that only the tests refer to is dead code kept alive by them.
+    # The one exception is routing.enumerate_shortest, the exhaustive
+    # oracle that the routing tests compare `shortest_path` against.
+    test_only = unreferenced(path, program_words,
+                             exempt={"enumerate_shortest"})
+    assert not test_only, f"defined for the tests alone: {test_only}"
 
 
 def imported_modules(tree):

@@ -13,7 +13,7 @@ from eongp.model import (
     ConnectionRequest, InstanceError, Link, ModulationTable, NetworkTopology,
     PhysicsConstants, ScenarioConfig, TrafficDemand, demands_from_matrix,
     load_config, load_instance, load_topology, load_traffic,
-    partition_traffic, save_topology, save_traffic, span_count,
+    partition_traffic, save_traffic, span_count,
 )
 
 
@@ -264,27 +264,6 @@ def test_bundled_topology(data_dir):
     assert min(out_deg.values()) >= 4
 
 
-def test_topology_round_trip(tmp_path, data_dir):
-    topo = load_topology(str(data_dir / "cost239_topology.txt"))
-    out = tmp_path / "topo.txt"
-    save_topology(topo, out)
-    again = load_topology(out)
-    assert set((l.begin, l.end, l.length_km) for l in again.links) == \
-        set((l.begin, l.end, l.length_km) for l in topo.links)
-    assert again.nodes == topo.nodes
-
-
-def test_topology_round_trip_keeps_oneway_links(tmp_path):
-    # an asymmetric pair and a lone one-way link are written as one-way
-    topo = NetworkTopology(("a", "b", "c"), (
-        Link(0, "a", "b", 10.0), Link(1, "b", "a", 12.0),
-        Link(2, "b", "c", 5.0)))
-    out = tmp_path / "topo.txt"
-    save_topology(topo, out)
-    assert out.read_text().count(" oneway\n") == 3
-    assert load_topology(out) == topo
-
-
 def test_topology_oneway_and_errors(tmp_path):
     p = tmp_path / "t.txt"
     p.write_text("node a\nnode b\nlink a b 10 oneway\n")
@@ -299,6 +278,11 @@ def test_topology_oneway_and_errors(tmp_path):
     p.write_text("node a\nnode b\nlane a b 10\n")
     with pytest.raises(InstanceError):
         load_topology(p)
+    # a fifth token must read oneway: a misspelling is no two-way link
+    for tail in ("onway", "oneway extra"):
+        p.write_text(f"node a\nnode b\nlink a b 10 {tail}\n")
+        with pytest.raises(InstanceError, match="bad record"):
+            load_topology(p)
     with pytest.raises(InstanceError):
         NetworkTopology(("a", "a"), ())
     with pytest.raises(InstanceError):

@@ -89,14 +89,12 @@ def test_rate_per_resource_reads_requests_by_position(pair_setup, ids):
 
 
 def test_fit_requirement_for_offtable_efficiency(pair_setup):
+    # the exact check reads the table only: an efficiency off its entries
+    # has no requirement, so its required OSNR and slack read NaN
     routing, inst = pair_setup
-    alloc = hand_allocation()
-    alloc = psa.Allocation(alloc.power_w, alloc.center_hz, (3.0, 2.0),
-                           alloc.margin, alloc.bandwidth_hz,
-                           alloc.spectrum_edge_hz, alloc.objective)
+    alloc = replace(hand_allocation(), efficiency=(3.0, 2.0))
     rep = validate.validate(alloc, routing, inst)
-    assert rep.required_osnr[0] == pytest.approx(
-        ph.required_osnr(3.0, "power_law"))
+    assert math.isnan(rep.required_osnr[0]) and math.isnan(rep.slack[0])
     assert rep.required_osnr[1] == pytest.approx(3.52)
 
 
@@ -105,16 +103,17 @@ def test_fit_requirement_for_offtable_efficiency(pair_setup):
                                         (12.0 + 5e-10, 127.51)])
 def test_required_osnr_follows_the_tables_lookup(pair_setup, eff, entry):
     # the table matches an efficiency within an absolute 1e-9; the report
-    # takes the table's requirement exactly there and the fit elsewhere
+    # takes the table's requirement exactly there and NaN elsewhere
     routing, inst = pair_setup
     rep = validate.validate(replace(hand_allocation(), efficiency=(eff, 2.0)),
                             routing, inst)
+    assert inst.scenario.min_margin == 1.0
     if entry is None:
         with pytest.raises(InstanceError):
             inst.modulations.required_osnr(eff)
-        entry = ph.required_osnr(eff, "power_law")
-    assert inst.scenario.min_margin == 1.0
-    assert rep.required_osnr[0] == pytest.approx(entry, rel=1e-12)
+        assert math.isnan(rep.required_osnr[0]) and math.isnan(rep.slack[0])
+    else:
+        assert rep.required_osnr[0] == pytest.approx(entry, rel=1e-12)
 
 
 def test_overlap_recorded_not_raised(pair_setup):
