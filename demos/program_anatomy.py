@@ -7,7 +7,7 @@ v, so program growth is predictable before anything is solved.
 from importlib import resources
 
 from eongp.gp import program_size
-from eongp.model import (ConnectionRequest, PhysicsConstants, ScenarioConfig,
+from eongp.model import (PhysicsConstants, ScenarioConfig, TrafficDemand,
                          load_topology)
 from eongp.psa import PROBLEM_KINDS, build_program, formulation_size
 from eongp.routing import solve_routing
@@ -27,9 +27,9 @@ def main():
     # program is never larger than the formula says
     topo = load_topology(str(DATA / "cost239_topology.txt"))
     phys = PhysicsConstants()
-    requests = [ConnectionRequest(0, "1", "5", 100e9),
-                ConnectionRequest(1, "1", "5", 100e9),
-                ConnectionRequest(2, "2", "5", 60e9)]
+    requests = [TrafficDemand("1", "5", 100e9),
+                TrafficDemand("1", "5", 100e9),
+                TrafficDemand("2", "5", 60e9)]
     routing = solve_routing(topo, requests, "spr", span_km=phys.span_km)
     scenario = ScenarioConfig(formulation=5)
     program = build_program(routing, phys, scenario)

@@ -32,7 +32,7 @@ def main():
 
     print(f"{len(requests)} requests on {len(topo.nodes)} nodes / "
           f"{len(topo.links)} links")
-    link_name = {l.id: f"{l.begin}-{l.end}" for l in topo.links}
+    link_name = [f"{l.begin}-{l.end}" for l in topo.links]
     for method in ("spr", "scpr", "scprr"):
         sol = solve_routing(topo, requests, method, span_km=phys.span_km)
         link, hits = busiest(sol)

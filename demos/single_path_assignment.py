@@ -7,8 +7,8 @@ exhaustive-in-efficiency oracle.
 from importlib import resources
 
 from eongp import heuristic, physics, validate
-from eongp.model import (ConnectionRequest, ModulationTable, NetworkInstance,
-                         PhysicsConstants, ScenarioConfig, demands_from_matrix,
+from eongp.model import (ModulationTable, NetworkInstance, PhysicsConstants,
+                         ScenarioConfig, TrafficDemand, demands_from_matrix,
                          load_topology, load_traffic)
 from eongp.routing import solve_routing
 
@@ -19,9 +19,9 @@ def main():
     topo = load_topology(str(DATA / "cost239_topology.txt"))
     phys = PhysicsConstants()
     scenario = ScenarioConfig()
-    requests = [ConnectionRequest(0, "1", "7", 100e9),
-                ConnectionRequest(1, "1", "7", 60e9),
-                ConnectionRequest(2, "1", "7", 100e9)]
+    requests = [TrafficDemand("1", "7", 100e9),
+                TrafficDemand("1", "7", 60e9),
+                TrafficDemand("1", "7", 100e9)]
     routing = solve_routing(topo, requests, "spr", span_km=phys.span_km)
     print(f"route spans per request: {routing.span_counts}")
 

@@ -9,19 +9,24 @@ Commands
     characterize-approx  approximation error curves (curves.csv)
     count-formulations   closed-form problem sizes (sizes.csv)
 
+Each command takes only the flags it reads (`build_parser`): run takes all
+ten; sweep-margin, compare-rto and compare-gpsa all but the one they vary;
+characterize-approx --config and --out; count-formulations --q --l --v --out.
+
 Configuration layers, later wins: defaults, the --config file, flags.
 The solver tolerances (1e-8), its iteration cap (200), the rounding step
 (0.1 bit/s/Hz) and the clamp of relaxed efficiencies to the table span are
 fixed, not configured.
 
-Every CSV artifact opens with a '# config: {...}' comment carrying the
-resolved configuration, so the file alone identifies the run that produced
-it.  Numbers are written with fixed formatting and the pipeline is seeded,
-so identical inputs at a fixed BLAS thread count (LAPACK rounds by thread
+Every CSV artifact opens with a '# config: {...}' comment carrying what the
+command read, so the file alone identifies the run that produced it.
+Numbers are written with fixed formatting and the pipeline is seeded, so
+identical inputs at a fixed BLAS thread count (LAPACK rounds by thread
 count) give byte-identical CSV files; wall-clock times appear only in the
 JSON artifacts.  The four pipeline commands run through `validate.compare`,
 one scenario per margin, method or formulation (one for `run`); JSON
-artifacts hold its records as they are, non-finite numbers null.
+artifacts hold its records as they are, non-finite numbers null.  A run
+that aborts leaves its stage, status and partial trace in trace.json.
 
 Exit codes: 0 success, 2 usage, 3 I/O, 4 input parse or validation,
 5 infeasible instance, 6 solver breakdown.
@@ -35,7 +40,7 @@ import json
 import math
 import statistics
 import sys
-from dataclasses import asdict, dataclass, fields, is_dataclass, replace
+from dataclasses import asdict, fields, is_dataclass, replace
 from importlib import resources
 from pathlib import Path
 
@@ -58,44 +63,28 @@ BUNDLED_TRAFFIC = {"cost239": "cost239_traffic.txt",
                    "table2": "cost239_traffic.txt"}
 
 
-def _bundled(name: str) -> Path:
-    return Path(str(resources.files("eongp") / "data" / name))
-
-
 def _resolve_input(value: str, registry: dict[str, str], what: str) -> Path:
     path = Path(value)
     if path.exists():
         return path
     if value in registry:
-        return _bundled(registry[value])
+        return Path(str(resources.files("eongp") / "data" / registry[value]))
     known = ", ".join(sorted(registry))
     raise FileNotFoundError(
         f"{what} {value!r} is neither a file nor a bundled name ({known})")
 
 
-@dataclass(frozen=True)
-class RunManifest:
-    """Resolved invocation: command, inputs, configuration, output dir."""
-    command: str
-    topology_file: Path
-    traffic_file: Path
-    out_dir: Path
-    physics: PhysicsConstants
-    scenario: ScenarioConfig
-    modulations: ModulationTable
-    margins: tuple[float, ...] = ()
-    size_args: tuple[int, int, int] = (0, 0, 0)   # requests, links, nodes
+def _settings(physics: PhysicsConstants, scenario: ScenarioConfig,
+              modulations: ModulationTable) -> dict:
+    """The header entries of a configuration."""
+    return {"physics": asdict(physics), "scenario": asdict(scenario),
+            "modulations": [[c, o] for c, o in modulations.entries]}
 
 
-def _resolved_config(man: RunManifest) -> dict:
-    return {
-        "command": man.command,
-        "inputs": {"topology": str(man.topology_file),
-                   "traffic": str(man.traffic_file)},
-        "physics": asdict(man.physics),
-        "scenario": asdict(man.scenario),
-        "modulations": [[c, o] for c, o in man.modulations.entries],
-    }
+def _config(args) -> tuple:
+    """The --config file layered over the defaults."""
+    return load_config(args.config) if args.config else (
+        PhysicsConstants(), ScenarioConfig(), ModulationTable())
 
 
 # --------------------------------------------------------------------------
@@ -110,17 +99,29 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _write_csv(man: RunManifest, name: str, columns, rows) -> Path:
-    path = man.out_dir / name
-    header = json.dumps(_resolved_config(man), sort_keys=True,
-                        separators=(",", ":"))
-    with open(path, "w", newline="") as fh:
-        fh.write(f"# config: {header}\n")
-        writer = csv.writer(fh)
-        writer.writerow(columns)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
-    return path
+class _Output:
+    """A command's output directory, created on construction, and the
+    '# config:' header, the resolved configuration, of its artifacts."""
+
+    def __init__(self, out: str, header: dict):
+        self.dir = Path(out)
+        self.dir.mkdir(parents=True, exist_ok=True)
+        self.header = header
+
+    def csv(self, name: str, columns, rows) -> None:
+        header = json.dumps(self.header, sort_keys=True, separators=(",", ":"))
+        with open(self.dir / name, "w", newline="") as fh:
+            fh.write(f"# config: {header}\n")
+            writer = csv.writer(fh)
+            writer.writerow(columns)
+            writer.writerows([_fmt(v) for v in row] for row in rows)
+
+    def json(self, name: str, payload: dict) -> None:
+        """Write `payload`, records included, and the header."""
+        with open(self.dir / name, "w") as fh:
+            json.dump(_plain({"config": self.header, **payload}), fh,
+                      indent=2, sort_keys=True)
+            fh.write("\n")
 
 
 def _plain(value):
@@ -138,16 +139,6 @@ def _plain(value):
     if isinstance(value, float) and not math.isfinite(value):
         return None
     return value
-
-
-def _write_json(man: RunManifest, name: str, payload: dict) -> Path:
-    """Write `payload`, records included, and the resolved configuration."""
-    path = man.out_dir / name
-    with open(path, "w") as fh:
-        json.dump(_plain({"config": _resolved_config(man), **payload}), fh,
-                  indent=2, sort_keys=True)
-        fh.write("\n")
-    return path
 
 
 def read_artifact_csv(path):
@@ -169,69 +160,97 @@ def read_artifact_csv(path):
 # commands
 # --------------------------------------------------------------------------
 
-def _load_instance(man: RunManifest):
-    return load_instance(man.topology_file, man.traffic_file,
-                         (man.physics, man.scenario, man.modulations))
+# the scenario field each pipeline flag sets
+_SCENARIO_FLAGS = {"rto": "rto_method", "gpsa": "formulation",
+                   "margin": "min_margin", "scale": "traffic_scale_gbps",
+                   "seed": "seed", "requests": "num_requests"}
+
+
+def _pipeline(args, field: str | None = None, values=()):
+    """Load a pipeline command's instance (the configuration, the scenario
+    flags the command takes, then the topology and traffic it names) and
+    run its scenario, or one copy per value of the scenario `field`.
+
+    Returns the output, the instance and the `validate.compare` records; a
+    run that aborts leaves its stage, status and partial trace (null if the
+    relaxation failed) in trace.json.
+    """
+    physics, scenario, modulations = _config(args)
+    scenario = replace(scenario, **{
+        name: getattr(args, flag) for flag, name in _SCENARIO_FLAGS.items()
+        if getattr(args, flag, None) is not None})
+    topology = _resolve_input(args.topology, BUNDLED_TOPOLOGIES, "topology")
+    traffic = _resolve_input(args.traffic, BUNDLED_TRAFFIC, "traffic")
+    out = _Output(args.out, {
+        "command": args.command,
+        "inputs": {"topology": str(topology), "traffic": str(traffic)},
+        **_settings(physics, scenario, modulations)})
+    instance = load_instance(topology, traffic,
+                             (physics, scenario, modulations))
+    scenarios = [replace(scenario, **{field: value}) for value in values] \
+        if field else [scenario]
+    try:
+        return out, instance, validate.compare(instance, scenarios)
+    except HeuristicError as exc:
+        out.json("trace.json", {"error": {
+            "stage": exc.stage, "status": exc.status, "message": str(exc)},
+            "trace": exc.trace})
+        raise
 
 
 def _path_names(routing, topology, q: int) -> str:
-    links = [topology.links[i] for i in routing.paths[q]]
+    links = [topology.links[l] for l in routing.paths[q]]
     return "-".join([links[0].begin] + [l.end for l in links])
 
 
-def _cmd_run(man: RunManifest) -> None:
-    instance = _load_instance(man)
-    [run] = validate.compare(instance, [instance.scenario])
+def _cmd_run(args) -> None:
+    out, instance, [run] = _pipeline(args)
     routing, allocation = run.routing, run.allocation
-    rows = [(req.id, req.source, req.dest, req.rate_bps,
+    rows = [(q, req.source, req.dest, req.rate_bps,
              _path_names(routing, instance.topology, q),
              routing.span_counts[q], allocation.power_w[q],
              allocation.center_hz[q], allocation.bandwidth_hz[q],
              allocation.efficiency[q], allocation.margin[q])
             for q, req in enumerate(routing.requests)]
-    _write_csv(man, "allocation.csv",
-               ("request", "source", "dest", "rate_bps", "path", "spans",
-                "power_w", "center_hz", "bandwidth_hz", "efficiency",
-                "margin"), rows)
-    _write_json(man, "validation.json",
-                {"objective": allocation.objective, "report": run.report})
-    _write_json(man, "trace.json",
-                {"runtime_s": run.runtime_s, "trace": run.trace})
+    out.csv("allocation.csv",
+            ("request", "source", "dest", "rate_bps", "path", "spans",
+             "power_w", "center_hz", "bandwidth_hz", "efficiency", "margin"),
+            rows)
+    out.json("validation.json",
+             {"objective": allocation.objective, "report": run.report})
+    out.json("trace.json", {"runtime_s": run.runtime_s, "trace": run.trace})
 
 
-def _cmd_sweep_margin(man: RunManifest) -> None:
-    runs = validate.compare(_load_instance(man), [
-        replace(man.scenario, min_margin=margin) for margin in man.margins])
+def _cmd_sweep_margin(args) -> None:
+    margins = _parse_margins(args.margins)
+    out, _, runs = _pipeline(args, "min_margin", margins)
     rows = [(run.scenario.min_margin, run.report.mean_rate_per_resource,
              run.report.total_noise_w, run.report.total_power_w,
              run.report.spectrum_edge_hz, run.allocation.objective)
             for run in runs]
-    _write_csv(man, "curves.csv",
-               ("margin", "mean_rate_per_resource", "total_noise_w",
-                "total_power_w", "spectrum_edge_hz", "objective"), rows)
-    _write_json(man, "validation.json", {
-        "margins": man.margins, "reports": [run.report for run in runs]})
+    out.csv("curves.csv",
+            ("margin", "mean_rate_per_resource", "total_noise_w",
+             "total_power_w", "spectrum_edge_hz", "objective"), rows)
+    out.json("validation.json", {
+        "margins": margins, "reports": [run.report for run in runs]})
 
 
-def _cmd_compare_rto(man: RunManifest) -> None:
-    runs = validate.compare(_load_instance(man), [
-        replace(man.scenario, rto_method=method) for method in RTO_METHODS])
+def _cmd_compare_rto(args) -> None:
+    out, _, runs = _pipeline(args, "rto_method", RTO_METHODS)
     rows = [(run.scenario.rto_method, run.report.total_power_w,
              run.report.total_noise_w, run.report.spectrum_edge_hz,
              run.allocation.objective, run.report.admissible)
             for run in runs]
-    _write_csv(man, "curves.csv",
-               ("method", "total_power_w", "total_noise_w",
-                "spectrum_edge_hz", "objective", "admissible"), rows)
-    _write_json(man, "validation.json", {
+    out.csv("curves.csv",
+            ("method", "total_power_w", "total_noise_w", "spectrum_edge_hz",
+             "objective", "admissible"), rows)
+    out.json("validation.json", {
         "methods": RTO_METHODS, "reports": [run.report for run in runs]})
 
 
-def _cmd_compare_gpsa(man: RunManifest) -> None:
-    instance = _load_instance(man)
-    runs = validate.compare(instance, [
-        replace(man.scenario, formulation=formulation)
-        for formulation in sorted(psa.FORMULATION_FIT)])
+def _cmd_compare_gpsa(args) -> None:
+    out, instance, runs = _pipeline(args, "formulation",
+                                    sorted(psa.FORMULATION_FIT))
     rows = []
     for run in runs:
         formulation = run.scenario.formulation
@@ -243,52 +262,61 @@ def _cmd_compare_gpsa(man: RunManifest) -> None:
                      run.allocation.objective, run.report.total_power_w,
                      run.report.total_noise_w, run.report.spectrum_edge_hz,
                      statistics.fmean(run.report.model_error)))
-    _write_csv(man, "curves.csv",
-               ("formulation", "fit", "kernel_order", "variables",
-                "constraints", "objective", "total_power_w", "total_noise_w",
-                "spectrum_edge_hz", "mean_model_error"), rows)
-    _write_json(man, "validation.json", {"runs": [
+    out.csv("curves.csv",
+            ("formulation", "fit", "kernel_order", "variables",
+             "constraints", "objective", "total_power_w", "total_noise_w",
+             "spectrum_edge_hz", "mean_model_error"), rows)
+    out.json("validation.json", {"runs": [
         {"formulation": run.scenario.formulation, "runtime_s": run.runtime_s,
          "rounding_rounds": run.trace.iterations, "report": run.report}
         for run in runs]})
 
 
-def _cmd_characterize_approx(man: RunManifest) -> None:
+def _cmd_characterize_approx(args) -> None:
+    config = _config(args)
+    out = _Output(args.out, {"command": args.command, **_settings(*config)})
     grid = physics.log_kernel_error_grid()
-    rows = []
-    for order in (1, 3):
-        for i, x in enumerate(grid["x"]):
-            rows.append((f"kernel_order{order}", x, grid["exact"][i],
-                         grid[f"approx{order}"][i], grid[f"rel_err{order}"][i]))
-    fit_table = physics.osnr_fit_error_table(man.modulations)
-    for fit in physics.OSNR_FITS:
-        for j, eff in enumerate(fit_table["eff"]):
-            rows.append((f"fit_{fit}", eff, fit_table["table"][j],
-                         fit_table[fit][j], fit_table[f"rel_err_{fit}"][j]))
-    _write_csv(man, "curves.csv",
-               ("series", "x", "exact", "approx", "rel_err"), rows)
+    fits = physics.osnr_fit_error_table(config[2])
+    rows = [(f"kernel_order{k}", *row) for k in (1, 3) for row in zip(
+        grid["x"], grid["exact"], grid[f"approx{k}"], grid[f"rel_err{k}"])]
+    rows += [(f"fit_{fit}", *row) for fit in physics.OSNR_FITS for row in zip(
+        fits["eff"], fits["table"], fits[fit], fits[f"rel_err_{fit}"])]
+    out.csv("curves.csv", ("series", "x", "exact", "approx", "rel_err"), rows)
 
 
-def _cmd_count_formulations(man: RunManifest) -> None:
-    n_requests, n_links, n_nodes = man.size_args
-    rows = [(kind, *psa.formulation_size(kind, n_requests, n_links, n_nodes))
+def _cmd_count_formulations(args) -> None:
+    out = _Output(args.out, {"command": args.command,
+                             "q": args.q, "l": args.l, "v": args.v})
+    rows = [(kind, *psa.formulation_size(kind, args.q, args.l, args.v))
             for kind in psa.PROBLEM_KINDS]
-    _write_csv(man, "sizes.csv", ("kind", "variables", "constraints"), rows)
-
-
-_COMMANDS = {
-    "run": _cmd_run,
-    "sweep-margin": _cmd_sweep_margin,
-    "compare-rto": _cmd_compare_rto,
-    "compare-gpsa": _cmd_compare_gpsa,
-    "characterize-approx": _cmd_characterize_approx,
-    "count-formulations": _cmd_count_formulations,
-}
+    out.csv("sizes.csv", ("kind", "variables", "constraints"), rows)
 
 
 # --------------------------------------------------------------------------
 # argument parsing
 # --------------------------------------------------------------------------
+
+# the flags of the pipeline commands, each with its argparse options
+_FLAGS = {
+    "--topology": dict(default="cost239",
+                       help="topology file, or bundled name (cost239)"),
+    "--traffic": dict(default="table2",
+                      help="traffic matrix file, or bundled name (table2)"),
+    "--config": dict(metavar="FILE",
+                     help="JSON file with physics/scenario/modulations "
+                          "sections, layered over the defaults"),
+    "--rto": dict(choices=RTO_METHODS, help="routing and ordering method"),
+    "--gpsa": dict(type=int, choices=sorted(psa.FORMULATION_FIT),
+                   help="assignment formulation"),
+    "--margin": dict(type=float, help="minimum OSNR margin factor"),
+    "--scale": dict(type=float,
+                    help="Gb/s carried by one traffic-matrix unit"),
+    "--seed": dict(type=int, help="random seed"),
+    "--requests": dict(type=int, metavar="N",
+                       help="draw a random N-request subinstance"),
+    "--out": dict(default=".", help="output directory"),
+}
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -297,42 +325,29 @@ def build_parser() -> argparse.ArgumentParser:
                     "networks.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--topology", default="cost239",
-                       help="topology file, or bundled name (cost239)")
-        p.add_argument("--traffic", default="table2",
-                       help="traffic matrix file, or bundled name (table2)")
-        p.add_argument("--config", metavar="FILE",
-                       help="JSON file with physics/scenario/modulations "
-                            "sections, layered over the defaults")
-        p.add_argument("--rto", choices=RTO_METHODS,
-                       help="routing and ordering method")
-        p.add_argument("--gpsa", type=int, choices=(1, 2, 3, 4, 5, 6),
-                       help="assignment formulation")
-        p.add_argument("--margin", type=float,
-                       help="minimum OSNR margin factor")
-        p.add_argument("--scale", type=float,
-                       help="Gb/s carried by one traffic-matrix unit")
-        p.add_argument("--seed", type=int, help="random seed")
-        p.add_argument("--requests", type=int, metavar="N",
-                       help="draw a random N-request subinstance")
-        p.add_argument("--out", default=".", help="output directory")
+    def command(name, handler, help, flags=tuple(_FLAGS), without=None):
+        # exact flags only: --margin must not reach sweep-margin's --margins
+        p = sub.add_parser(name, help=help, allow_abbrev=False)
+        for flag in flags:
+            if flag != without:
+                p.add_argument(flag, **_FLAGS[flag])
+        p.set_defaults(handler=handler)
         return p
 
-    common(sub.add_parser("run", help="route and assign one scenario"))
-    p = common(sub.add_parser("sweep-margin",
-                              help="run the pipeline per margin floor"))
-    p.add_argument("--margins", default="1,2,4",
-                   help="comma-separated margin floors")
-    common(sub.add_parser("compare-rto",
-                          help="run per routing method at the --gpsa "
-                               "formulation"))
-    common(sub.add_parser("compare-gpsa",
-                          help="run per assignment formulation"))
-    common(sub.add_parser("characterize-approx",
-                          help="approximation error curves"))
-    p = common(sub.add_parser("count-formulations",
-                              help="closed-form problem sizes"))
+    command("run", _cmd_run, "route and assign one scenario")
+    command("sweep-margin", _cmd_sweep_margin,
+            "run the pipeline per margin floor", without="--margin"
+            ).add_argument("--margins", default="1,2,4",
+                           help="comma-separated margin floors")
+    command("compare-rto", _cmd_compare_rto,
+            "run per routing method at the --gpsa formulation",
+            without="--rto")
+    command("compare-gpsa", _cmd_compare_gpsa,
+            "run per assignment formulation", without="--gpsa")
+    command("characterize-approx", _cmd_characterize_approx,
+            "approximation error curves", ("--config", "--out"))
+    p = command("count-formulations", _cmd_count_formulations,
+                "closed-form problem sizes", ("--out",))
     p.add_argument("--q", type=int, required=True, help="request count")
     p.add_argument("--l", type=int, default=0, help="directed link count")
     p.add_argument("--v", type=int, default=0, help="node count")
@@ -349,41 +364,15 @@ def _parse_margins(text: str) -> tuple[float, ...]:
     return values
 
 
-def resolve_manifest(args: argparse.Namespace) -> RunManifest:
-    # layering: defaults, then the --config file, then single flags
-    phys, scen, table = load_config(args.config) if args.config else (
-        PhysicsConstants(), ScenarioConfig(), ModulationTable())
-    flags = {"rto": "rto_method", "gpsa": "formulation",
-             "margin": "min_margin", "scale": "traffic_scale_gbps",
-             "seed": "seed", "requests": "num_requests"}
-    overrides = {name: getattr(args, flag) for flag, name in flags.items()
-                 if getattr(args, flag) is not None}
-    scen = replace(scen, **overrides)
-    return RunManifest(
-        command=args.command,
-        topology_file=_resolve_input(args.topology, BUNDLED_TOPOLOGIES,
-                                     "topology"),
-        traffic_file=_resolve_input(args.traffic, BUNDLED_TRAFFIC, "traffic"),
-        out_dir=Path(args.out),
-        physics=phys, scenario=scen, modulations=table,
-        margins=_parse_margins(args.margins)
-        if args.command == "sweep-margin" else (),
-        size_args=(args.q, args.l, args.v)
-        if args.command == "count-formulations" else (0, 0, 0))
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        manifest = resolve_manifest(args)
-        manifest.out_dir.mkdir(parents=True, exist_ok=True)
-        _COMMANDS[manifest.command](manifest)
+        args.handler(args)
     except InstanceError as exc:
         return _fail(exc, EXIT_PARSE)
     except HeuristicError as exc:
-        code = EXIT_INFEASIBLE if exc.status == STATUS_INFEASIBLE \
-            else EXIT_SOLVER
-        return _fail(exc, code)
+        return _fail(exc, EXIT_INFEASIBLE if exc.status == STATUS_INFEASIBLE
+                     else EXIT_SOLVER)
     except OSError as exc:
         return _fail(exc, EXIT_IO)
     return 0

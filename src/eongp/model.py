@@ -31,8 +31,7 @@ class InstanceError(Exception):
 
 @dataclass(frozen=True)
 class Link:
-    """One directed fiber link."""
-    id: int
+    """One directed fiber link, identified by its position in the topology."""
     begin: str
     end: str
     length_km: float
@@ -47,13 +46,13 @@ class NetworkTopology:
         known = set(self.nodes)
         if len(known) != len(self.nodes):
             raise InstanceError("duplicate node ids")
-        for link in self.links:
+        for l, link in enumerate(self.links):
             if link.begin not in known or link.end not in known:
-                raise InstanceError(f"link {link.id} references unknown node")
+                raise InstanceError(f"link {l} references unknown node")
             if link.begin == link.end:
-                raise InstanceError(f"link {link.id} is a self-loop")
+                raise InstanceError(f"link {l} is a self-loop")
             if not 0 < link.length_km < math.inf:
-                raise InstanceError(f"link {link.id} has nonpositive or "
+                raise InstanceError(f"link {l} has nonpositive or "
                                     f"non-finite length {link.length_km}")
 
 
@@ -68,6 +67,8 @@ def span_count(length_km: float, span_km: float) -> int:
 
 @dataclass(frozen=True)
 class TrafficDemand:
+    """Traffic between two nodes; a transponder-sized one is a request, and
+    its position in the request tuple is its id."""
     source: str
     dest: str
     rate_bps: float
@@ -80,19 +81,6 @@ class TrafficDemand:
                                 f"be positive and finite, got {self.rate_bps}")
 
 
-@dataclass(frozen=True)
-class ConnectionRequest:
-    """A unit of traffic served by one transponder."""
-    id: int
-    source: str
-    dest: str
-    rate_bps: float
-
-    def __post_init__(self):
-        if self.source == self.dest or not self.rate_bps > 0:
-            raise InstanceError(f"invalid request {self.id}")
-
-
 # The most requests a partition builds: the largest run measured, 268
 # requests, has 5665 variables (22 s, 261 MB), and the pair variables grow
 # with the square of the request count.
@@ -100,8 +88,8 @@ MAX_REQUESTS = 10_000
 
 
 def partition_traffic(demands, capacity_bps: float, num_requests=None,
-                      seed: int = 0) -> tuple[ConnectionRequest, ...]:
-    """Split demands into transponder-sized requests numbered 0..n-1.
+                      seed: int = 0) -> tuple[TrafficDemand, ...]:
+    """Split demands into transponder-sized requests, ids 0..n-1 by position.
 
     A demand of volume R becomes ceil(R/C) requests with the same endpoints:
     floor(R/C) full-capacity ones plus, if R is not a multiple of C, one
@@ -130,11 +118,11 @@ def partition_traffic(demands, capacity_bps: float, num_requests=None,
         rng = np.random.default_rng(seed)
         picked = sorted(rng.choice(total, size=size, replace=False))
     requests = []
-    for i, j in enumerate(picked):
+    for j in picked:
         d = bisect.bisect_right(starts, j) - 1
         rate = capacity_bps if j - starts[d] < full[d] else splits[d][1]
-        requests.append(ConnectionRequest(i, demands[d].source,
-                                          demands[d].dest, rate))
+        requests.append(TrafficDemand(demands[d].source, demands[d].dest,
+                                      rate))
     return tuple(requests)
 
 
@@ -324,9 +312,9 @@ def load_topology(path) -> NetworkTopology:
                     nodes.append(parts[1])
                 elif kind == "link" and len(parts) == 4 + oneway:
                     length = float(parts[3])
-                    links.append(Link(len(links), parts[1], parts[2], length))
+                    links.append(Link(parts[1], parts[2], length))
                     if not oneway:
-                        links.append(Link(len(links), parts[2], parts[1], length))
+                        links.append(Link(parts[2], parts[1], length))
                 else:
                     raise ValueError
             except ValueError:

@@ -177,15 +177,14 @@ def required_osnr(eff: float, fit: str) -> float:
 # error characterization
 # --------------------------------------------------------------------------
 
-def log_kernel_error_grid(xs=None) -> dict[str, np.ndarray]:
-    """Relative error of the log-kernel fits on a bandwidth/spacing grid.
+def log_kernel_error_grid() -> dict[str, np.ndarray]:
+    """Relative error of the log-kernel fits on a bandwidth/spacing grid,
+    x = 0.01, 0.02, ... up to `XCI_VALID_LIMIT`.
 
     Returns columns ready for CSV export: x, exact, approx1, approx3 and the
     two signed relative errors.
     """
-    if xs is None:
-        xs = np.round(np.arange(0.01, XCI_VALID_LIMIT + 1e-9, 0.01), 10)
-    xs = np.asarray(xs, dtype=float)
+    xs = np.round(np.arange(0.01, XCI_VALID_LIMIT + 1e-9, 0.01), 10)
     exact = np.array([log_ratio_exact(x) for x in xs])
     lin = np.array([log_ratio_linear(x) for x in xs])
     cub = np.array([log_ratio_cubic(x) for x in xs])

@@ -24,18 +24,19 @@ import networkx as nx
 import numpy as np
 
 from .model import (
-    RTO_METHODS, ConnectionRequest, InstanceError, NetworkTopology, span_count,
+    RTO_METHODS, InstanceError, NetworkTopology, TrafficDemand, span_count,
 )
 
 
 @dataclass(frozen=True, eq=False)
 class RoutingSolution:
-    """Paths plus the derived ordering and span geometry."""
+    """Paths plus the derived ordering and span geometry; requests and
+    links are named by their positions in `requests` and topology.links."""
     method: str
-    requests: tuple[ConnectionRequest, ...]
+    requests: tuple[TrafficDemand, ...]
     paths: tuple[tuple[int, ...], ...]        # link ids along each path
     costs: tuple[float, ...]                  # per-request ordering cost
-    order: tuple[int, ...]                    # request indices, costliest first
+    order: tuple[int, ...]                    # costliest first, ties by index
     rank: tuple[int, ...]                     # each request's position in order
     objective: float
     span_counts: tuple[int, ...]
@@ -48,11 +49,11 @@ def build_graph(topology: NetworkTopology) -> nx.DiGraph:
     """Directed graph with link ids on the edges (shorter parallel link wins)."""
     graph = nx.DiGraph()
     graph.add_nodes_from(topology.nodes)
-    for link in topology.links:
+    for l, link in enumerate(topology.links):
         old = graph.get_edge_data(link.begin, link.end)
         if old is None or link.length_km < old["length"]:
             graph.add_edge(link.begin, link.end, length=link.length_km,
-                           link_id=link.id)
+                           link_id=l)
     return graph
 
 
@@ -66,7 +67,7 @@ def shortest_path(graph: nx.DiGraph, topology: NetworkTopology,
     """Shortest path by length; ties resolved toward earlier-listed nodes.
 
     Among all shortest paths the one chosen is lexicographically smallest in
-    the topology's node order, found by walking the DAG of tight edges.
+    the topology's node order, found by walking the tight edges.
     """
     try:
         dist_fwd = nx.single_source_dijkstra_path_length(graph, source,
@@ -80,15 +81,20 @@ def shortest_path(graph: nx.DiGraph, topology: NetworkTopology,
     best = dist_fwd[dest]
     tol = 1e-9 * max(1.0, best)
     rank = {n: i for i, n in enumerate(topology.nodes)}
-    path = [source]
-    node = source
-    while node != dest:
-        succs = [v for v in graph.successors(node)
-                 if v in dist_bwd and abs(dist_fwd[node]
-                                          + graph.edges[node, v]["length"]
-                                          + dist_bwd[v] - best) <= tol]
-        node = min(succs, key=rank.__getitem__)
-        path.append(node)
+    # links far shorter than `tol` close cycles of tight edges, so the walk
+    # enters each node once and backs out of a dead end
+    path, seen = [source], {source}
+    while path[-1] != dest:
+        node = path[-1]
+        ahead = [v for v in graph.successors(node)
+                 if v not in seen and v in dist_bwd
+                 and abs(dist_fwd[node] + graph.edges[node, v]["length"]
+                         + dist_bwd[v] - best) <= tol]
+        if ahead:
+            path.append(min(ahead, key=rank.__getitem__))
+            seen.add(path[-1])
+        else:
+            path.pop()
     return _link_ids(graph, path)
 
 
@@ -107,8 +113,7 @@ def span_metrics(paths, topology: NetworkTopology,
     """Per-request span counts and the matrix of pairwise shared spans."""
     n = len(paths)
     try:
-        spans_of = {l.id: span_count(l.length_km, span_km)
-                    for l in topology.links}
+        spans_of = [span_count(l.length_km, span_km) for l in topology.links]
         shared = np.zeros((n, n), dtype=int)
         for q, path_q in enumerate(paths):
             links_q = set(path_q)
@@ -129,10 +134,10 @@ class _Congestion:
     n_l and its weight to load_l."""
 
     def __init__(self, topology: NetworkTopology, weights):
-        self.length = {l.id: l.length_km for l in topology.links}
+        self.length = [l.length_km for l in topology.links]
         self.weights = weights
-        self.count = {l.id: 0 for l in topology.links}
-        self.load = {l.id: 0 for l in topology.links}
+        self.count = [0] * len(topology.links)
+        self.load = [0] * len(topology.links)
         self.value = 0.0
 
     def add(self, q: int, path) -> None:
@@ -222,13 +227,13 @@ def _search_congestion(topology, weights, candidates, seed):
 
 
 def solve_routing(topology: NetworkTopology, requests, method: str = "spr",
-                  *, span_km: float = 80.0, seed: int = 0) -> RoutingSolution:
+                  *, span_km: float, seed: int = 0) -> RoutingSolution:
     """Route all requests and derive the processing order."""
     if method not in RTO_METHODS:
         raise InstanceError(f"unknown routing method {method!r}")
     requests = tuple(requests)
     graph = build_graph(topology)
-    length = {l.id: l.length_km for l in topology.links}
+    length = [l.length_km for l in topology.links]
 
     if method == "spr":
         paths = tuple(shortest_path(graph, topology, r.source, r.dest)
@@ -255,8 +260,7 @@ def solve_routing(topology: NetworkTopology, requests, method: str = "spr",
             state.add(q, p)
         costs = tuple(state.cost_of(p) for p in paths)
 
-    order = tuple(sorted(range(len(requests)),
-                         key=lambda q: (-costs[q], requests[q].id)))
+    order = tuple(sorted(range(len(requests)), key=lambda q: -costs[q]))
     rank = tuple(sorted(range(len(requests)), key=order.__getitem__))
     span_counts, shared = span_metrics(paths, topology, span_km)
     pairs = tuple((q, i) for q, i in np.argwhere(shared > 0).tolist() if q != i)

@@ -18,8 +18,8 @@ from mpmath import mp, mpf
 from eongp import heuristic, physics, validate
 from eongp.gp import ConvexForm, Monomial, Posynomial, assemble, solve
 from eongp.model import (
-    ConnectionRequest, ModulationTable, NetworkInstance, PhysicsConstants,
-    ScenarioConfig, demands_from_matrix, load_topology, load_traffic,
+    ModulationTable, NetworkInstance, PhysicsConstants, ScenarioConfig,
+    TrafficDemand, demands_from_matrix, load_topology, load_traffic,
     partition_traffic,
 )
 from eongp.psa import formulation_size
@@ -184,11 +184,11 @@ def test_criterion_4_solver_and_gradients():
 # -------------------------------------------------------------------------
 
 def test_criterion_5_routing_optimality(cost239, monkeypatch):
-    topology, _, _ = cost239
+    topology, _, phys = cost239
     monkeypatch.setattr("eongp.routing._MAX_CANDIDATES", 4)
     started = time.perf_counter()
     graph = build_graph(topology)
-    length = {l.id: l.length_km for l in topology.links}
+    length = [l.length_km for l in topology.links]
     pairs = 0
     for s in topology.nodes:
         for t in topology.nodes:
@@ -206,11 +206,10 @@ def test_criterion_5_routing_optimality(cost239, monkeypatch):
         while len(endpoints) < 4:
             s, t = rng.choice(len(nodes), size=2, replace=False)
             endpoints.add((nodes[s], nodes[t]))
-        requests = [ConnectionRequest(i, s, t,
-                                      float(rng.integers(1, 11)) * 1e10)
-                    for i, (s, t) in enumerate(sorted(endpoints))]
+        requests = [TrafficDemand(s, t, float(rng.integers(1, 11)) * 1e10)
+                    for s, t in sorted(endpoints)]
         method = "scpr" if trial % 2 == 0 else "scprr"
-        sol = solve_routing(topology, requests, method)
+        sol = solve_routing(topology, requests, method, span_km=phys.span_km)
         sets = [candidate_paths(graph, r.source, r.dest, 4) for r in requests]
         want = brute_force_congestion(topology, requests, sets,
                                       rate_weighted=method == "scprr")
@@ -264,9 +263,7 @@ def crowded_routing(cost239, base_routing, requests, seed):
     take = int(rng.integers(8, min(16, len(qs)) + 1))
     picked = sorted(rng.choice(len(qs), size=take, replace=False))
     chosen = [requests[qs[k]] for k in picked]
-    renumbered = [ConnectionRequest(i, r.source, r.dest, r.rate_bps)
-                  for i, r in enumerate(chosen)]
-    return solve_routing(topology, renumbered, "spr", span_km=phys.span_km,
+    return solve_routing(topology, chosen, "spr", span_km=phys.span_km,
                          seed=seed)
 
 

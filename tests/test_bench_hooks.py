@@ -36,7 +36,8 @@ def test_solve_sizes_are_read_off_a_pinned_form(spans, data_dir):
     inst = load_instance(str(data_dir / "cost239_topology.txt"),
                          str(data_dir / "cost239_traffic.txt"))
     requests = partition_traffic(inst.demands, 100e9, 3, seed=0)
-    routing = solve_routing(inst.topology, requests, "spr")
+    routing = solve_routing(inst.topology, requests, "spr",
+                            span_km=inst.physics.span_km)
     base = gp.ConvexForm(psa.build_program(routing, inst.physics,
                                            inst.scenario))
     form = gp.fix_variable(base, {psa.c_var(0): 2.0})

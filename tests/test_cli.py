@@ -1,5 +1,6 @@
 """Command-line interface: artifacts, config layering, exit codes."""
 
+import argparse
 import json
 import math
 import subprocess
@@ -18,11 +19,46 @@ def run_cli(*argv):
     return cli.main([str(a) for a in argv])
 
 
+PIPELINE_FLAGS = {"--topology", "--traffic", "--config", "--rto", "--gpsa",
+                  "--margin", "--scale", "--seed", "--requests", "--out"}
+# the flags each command reads
+FLAGS = {
+    "run": PIPELINE_FLAGS,
+    "sweep-margin": PIPELINE_FLAGS - {"--margin"} | {"--margins"},
+    "compare-rto": PIPELINE_FLAGS - {"--rto"},
+    "compare-gpsa": PIPELINE_FLAGS - {"--gpsa"},
+    "characterize-approx": {"--config", "--out"},
+    "count-formulations": {"--q", "--l", "--v", "--out"},
+}
+
+
+def test_each_command_takes_the_flags_it_reads():
+    [commands] = [action.choices for action in cli.build_parser()._actions
+                  if isinstance(action, argparse._SubParsersAction)]
+    assert {name: {flag for action in parser._actions
+                   for flag in action.option_strings} - {"-h", "--help"}
+            for name, parser in commands.items()} == FLAGS
+    assert sum(map(len, FLAGS.values())) == 44
+
+
+@pytest.mark.parametrize("command, flag", [
+    (command, flag) for command, flags in FLAGS.items()
+    for flag in sorted(PIPELINE_FLAGS - flags)])
+def test_flag_a_command_does_not_read_exits_2(tmp_path, command, flag):
+    # sweep-margin's --margin must not pass as an abbreviation of --margins
+    required = ["--q", 1] if command == "count-formulations" else []
+    with pytest.raises(SystemExit) as err:
+        run_cli(command, *required, flag, 2, "--out", tmp_path)
+    assert err.value.code == 2
+
+
 def test_count_formulations_table(tmp_path):
     assert run_cli("count-formulations", "--q", 46, "--l", 52, "--v", 11,
                    "--out", tmp_path) == 0
     config, rows = cli.read_artifact_csv(tmp_path / "sizes.csv")
-    assert config["command"] == "count-formulations"
+    # the header records the sizes, the only input the command reads
+    assert config == {"command": "count-formulations",
+                      "q": 46, "l": 52, "v": 11}
     table = {r["kind"]: (int(r["variables"]), int(r["constraints"]))
              for r in rows}
     assert table["gpsa1"] == (2301, 7315)
@@ -35,7 +71,8 @@ def test_count_formulations_table(tmp_path):
 
 def test_characterize_approx_curves(tmp_path):
     assert run_cli("characterize-approx", "--out", tmp_path) == 0
-    _, rows = cli.read_artifact_csv(tmp_path / "curves.csv")
+    config, rows = cli.read_artifact_csv(tmp_path / "curves.csv")
+    assert "inputs" not in config   # it opens no topology or traffic file
     by_series = {}
     for r in rows:
         by_series.setdefault(r["series"], []).append(r)
@@ -311,6 +348,52 @@ def test_generated_physics_never_escapes(tmp_path_factory, physics,
                    "--config", config, "--out", out) in (0, 4, 5, 6)
 
 
+# what a link length or traffic entry may hold beyond plain values: NaN,
+# the infinities, +-1e300, zero, negatives and integers beyond float range
+_WILD = st.one_of(
+    st.sampled_from([math.nan, math.inf, -math.inf, 1e300, -1e300,
+                     10 ** 400, 0, -1]),
+    st.floats(), st.integers(-10 ** 30, 10 ** 30))
+
+
+@st.composite
+def networks(draw):
+    """Topology and traffic file texts on at most 4 nodes: a chain plus a
+    few links, plain lengths and entries, of which up to two are wild."""
+    n = draw(st.integers(1, 4))
+    links = [(k, k + 1) for k in range(n - 1)]
+    if n > 1:
+        links += [(a, (a + draw(st.integers(1, n - 1))) % n)
+                  for a in draw(st.lists(st.integers(0, n - 1), max_size=3))]
+    lengths = [draw(st.integers(1, 2000)) for _ in links]
+    traffic = [[0 if i == j else draw(st.integers(0, 30)) for j in range(n)]
+               for i in range(n)]
+    for _ in range(draw(st.integers(0, 2))):
+        value = draw(_WILD)
+        if links and draw(st.booleans()):
+            lengths[draw(st.integers(0, len(links) - 1))] = value
+        else:
+            traffic[draw(st.integers(0, n - 1))][
+                draw(st.integers(0, n - 1))] = value
+    topology = "".join(f"node n{k}\n" for k in range(n)) + "".join(
+        f"link n{a} n{b} {length!r}{' oneway' * draw(st.booleans())}\n"
+        for (a, b), length in zip(links, lengths))
+    return topology, "".join(" ".join(map(repr, row)) + "\n"
+                             for row in traffic)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(network=networks(), requests=st.integers(1, 3))
+def test_generated_topology_and_traffic_never_escape(tmp_path_factory,
+                                                     network, requests):
+    out = tmp_path_factory.mktemp("generated")
+    topology, traffic = out / "topology.txt", out / "traffic.txt"
+    topology.write_text(network[0])
+    traffic.write_text(network[1])
+    assert run_cli("run", "--requests", requests, "--topology", topology,
+                   "--traffic", traffic, "--out", out) in (0, 3, 4, 5, 6)
+
+
 def test_tiny_capacity_draws_without_building_every_request(tmp_path):
     # each 10 Gb/s demand splits into about 1.1e17 requests, of which two
     # are drawn and built
@@ -348,6 +431,15 @@ def test_infeasible_exit_code(tmp_path):
     tiny.write_text(json.dumps({"physics": {"band_thz": 0.02}}))
     assert run_cli("run", "--requests", 3, "--seed", 0,
                    "--config", tiny, "--out", tmp_path) == 5
+    # the relaxation is solved; the abort leaves the trace up to round 2
+    trace = json.loads((tmp_path / "trace.json").read_text())
+    assert trace["config"]["physics"]["band_thz"] == 0.02
+    assert trace["error"] == {
+        "stage": "round 2", "status": "infeasible",
+        "message": "assignment solve failed (infeasible) at round 2"}
+    assert trace["trace"]["iterations"] == 2
+    assert trace["trace"]["final_objective"] is None
+    assert not (tmp_path / "allocation.csv").exists()
 
 
 def test_solver_breakdown_exit_code(tmp_path, monkeypatch):
@@ -355,6 +447,11 @@ def test_solver_breakdown_exit_code(tmp_path, monkeypatch):
     # max-iterations, a solver breakdown rather than an infeasible instance
     monkeypatch.setattr(gp, "_MAX_ITERATIONS", 1)
     assert run_cli("run", "--requests", 3, "--out", tmp_path) == 6
+    # no round was reached, so the trace is null
+    trace = json.loads((tmp_path / "trace.json").read_text())
+    assert trace["error"]["stage"] == "relaxation"
+    assert trace["error"]["status"] == "max-iterations"
+    assert trace["trace"] is None
 
 
 def test_bundled_files_are_package_data():

@@ -224,7 +224,8 @@ def cost239_routing(data_dir):
     inst = load_instance(str(data_dir / "cost239_topology.txt"),
                          str(data_dir / "cost239_traffic.txt"))
     requests = partition_traffic(inst.demands, 100e9, 24, seed=0)
-    return inst, solve_routing(inst.topology, requests, "spr")
+    return inst, solve_routing(inst.topology, requests, "spr",
+                               span_km=inst.physics.span_km)
 
 
 @pytest.fixture(scope="module")

@@ -6,9 +6,8 @@ from hypothesis import given, settings, strategies as st
 from eongp import gp, heuristic, psa, validate
 from eongp.heuristic import HeuristicError, _pick_fixes
 from eongp.model import (
-    ConnectionRequest, InstanceError, NetworkInstance, PhysicsConstants,
-    ScenarioConfig, TrafficDemand, load_instance, load_topology,
-    partition_traffic,
+    InstanceError, NetworkInstance, PhysicsConstants, ScenarioConfig,
+    TrafficDemand, load_instance, load_topology, partition_traffic,
 )
 from eongp.routing import solve_routing
 
@@ -21,10 +20,10 @@ def chain(tmp_path_factory):
     p = tmp_path_factory.mktemp("topo") / "chain.txt"
     p.write_text("node a\nnode b\nnode c\nlink a b 600\nlink b c 100\n")
     topo = load_topology(p)
-    reqs = [ConnectionRequest(0, "a", "c", 100e9),
-            ConnectionRequest(1, "a", "c", 100e9),
-            ConnectionRequest(2, "a", "b", 100e9)]
-    return topo, solve_routing(topo, reqs, "spr")
+    reqs = [TrafficDemand("a", "c", 100e9),
+            TrafficDemand("a", "c", 100e9),
+            TrafficDemand("a", "b", 100e9)]
+    return topo, solve_routing(topo, reqs, "spr", span_km=PHYS.span_km)
 
 
 # ------------------------------------------------------------- window logic
@@ -138,8 +137,8 @@ def test_assign_trace_invariants(chain, formulation):
 
 def test_single_request_matches_exhaustive(chain):
     topo, _ = chain
-    reqs = [ConnectionRequest(0, "a", "c", 100e9)]
-    routing = solve_routing(topo, reqs, "spr")
+    reqs = [TrafficDemand("a", "c", 100e9)]
+    routing = solve_routing(topo, reqs, "spr", span_km=PHYS.span_km)
     scen = ScenarioConfig()
     alloc, trace = heuristic.assign(routing, PHYS, scen)
     oracle, combo = validate.brute_force_psa(routing, PHYS, scen)
@@ -174,7 +173,8 @@ def test_rounding_compiles_the_program_once(data_dir, compiles):
     inst = load_instance(str(data_dir / "cost239_topology.txt"),
                          str(data_dir / "cost239_traffic.txt"))
     requests = partition_traffic(inst.demands, 100e9, 6, seed=0)
-    routing = solve_routing(inst.topology, requests, "spr")
+    routing = solve_routing(inst.topology, requests, "spr",
+                            span_km=inst.physics.span_km)
     _, trace = heuristic.assign(routing, inst.physics,
                                 ScenarioConfig(weight_spectrum=1e-9))
     assert trace.iterations >= 2
@@ -183,8 +183,8 @@ def test_rounding_compiles_the_program_once(data_dir, compiles):
 
 def test_brute_force_compiles_the_program_once(chain, compiles):
     topo, _ = chain
-    routing = solve_routing(topo, [ConnectionRequest(0, "a", "c", 100e9)],
-                            "spr")
+    routing = solve_routing(topo, [TrafficDemand("a", "c", 100e9)], "spr",
+                            span_km=PHYS.span_km)
     validate.brute_force_psa(routing, PHYS, ScenarioConfig())
     assert len(compiles) == 1
 

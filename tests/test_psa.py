@@ -6,8 +6,8 @@ import pytest
 
 from eongp import gp, physics as ph, psa
 from eongp.model import (
-    ConnectionRequest, InstanceError, ModulationTable, PhysicsConstants,
-    ScenarioConfig, load_topology,
+    InstanceError, ModulationTable, PhysicsConstants, ScenarioConfig,
+    TrafficDemand, load_topology,
 )
 from eongp.routing import solve_routing
 
@@ -20,10 +20,10 @@ def chain_routing(tmp_path_factory):
     p = tmp_path_factory.mktemp("topo") / "chain.txt"
     p.write_text("node a\nnode b\nnode c\nlink a b 600\nlink b c 100\n")
     topo = load_topology(p)
-    reqs = [ConnectionRequest(0, "a", "c", 100e9),
-            ConnectionRequest(1, "a", "c", 100e9),
-            ConnectionRequest(2, "a", "b", 100e9)]
-    return solve_routing(topo, reqs, "spr")
+    reqs = [TrafficDemand("a", "c", 100e9),
+            TrafficDemand("a", "c", 100e9),
+            TrafficDemand("a", "b", 100e9)]
+    return solve_routing(topo, reqs, "spr", span_km=80.0)
 
 
 def test_fixture_geometry(chain_routing):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from eongp import routing
-from eongp.model import ConnectionRequest, InstanceError, load_topology
+from eongp.model import InstanceError, TrafficDemand, load_topology
 from eongp.routing import (
     build_graph, candidate_paths, enumerate_shortest, shortest_path,
     solve_routing, span_metrics,
@@ -46,8 +46,8 @@ link u t 7
 """
 
 
-def req(i, s, t, gbps=100.0):
-    return ConnectionRequest(i, s, t, gbps * 1e9)
+def req(s, t, gbps=100.0):
+    return TrafficDemand(s, t, gbps * 1e9)
 
 
 # ---------------------------------------------------------------- SPR
@@ -60,10 +60,20 @@ def test_spr_tie_break_prefers_earlier_nodes(tmp_path):
     assert shortest_path(graph, topo, "d", "a") == (3, 1)
 
 
+def test_spr_backs_out_of_a_cycle_of_near_zero_links(tmp_path):
+    # a 1e-12 km link is tight both ways at 100 km: the walk neither loops
+    # nor stops at the dead end a
+    topo = topo_from_text(
+        tmp_path, "node a\nnode b\nnode c\nlink a b 1e-12\nlink b c 100\n")
+    graph = build_graph(topo)
+    assert shortest_path(graph, topo, "b", "c") == (2,)
+    assert shortest_path(graph, topo, "a", "c") == (0, 2)
+
+
 def test_spr_matches_enumeration_on_mesh(data_dir):
     topo = load_topology(str(data_dir / "cost239_topology.txt"))
     graph = build_graph(topo)
-    length = {l.id: l.length_km for l in topo.links}
+    length = [l.length_km for l in topo.links]
     for s, t in [("1", "8"), ("3", "10"), ("5", "11"), ("2", "9"), ("7", "4")]:
         path = shortest_path(graph, topo, s, t)
         assert math.isclose(sum(length[l] for l in path),
@@ -72,11 +82,11 @@ def test_spr_matches_enumeration_on_mesh(data_dir):
 
 def test_spr_solution_fields(tmp_path):
     topo = topo_from_text(tmp_path, DIAMOND)
-    sol = solve_routing(topo, [req(0, "a", "d"), req(1, "a", "d"),
-                               req(2, "b", "d")], "spr", span_km=80.0)
+    sol = solve_routing(topo, [req("a", "d"), req("a", "d"),
+                               req("b", "d")], "spr", span_km=80.0)
     assert sol.paths == ((0, 2), (0, 2), (2,))
     assert sol.costs == (2.0, 2.0, 1.0)
-    assert sol.order == (0, 1, 2)  # equal costs fall back to id order
+    assert sol.order == (0, 1, 2)  # equal costs fall back to position
     assert sol.objective == 5.0
     assert sol.span_counts == (2, 2, 1)
     assert sol.shared_spans[0, 1] == 2
@@ -89,13 +99,13 @@ def test_spr_solution_fields(tmp_path):
 def test_unreachable_raises(tmp_path):
     topo = topo_from_text(tmp_path, "node a\nnode b\nnode c\nlink a b 1\n")
     with pytest.raises(InstanceError):
-        solve_routing(topo, [req(0, "a", "c")], "spr")
+        solve_routing(topo, [req("a", "c")], "spr", span_km=80.0)
     with pytest.raises(InstanceError):
-        solve_routing(topo, [req(0, "a", "c")], "scpr")
+        solve_routing(topo, [req("a", "c")], "scpr", span_km=80.0)
     with pytest.raises(InstanceError):
-        solve_routing(topo, [req(0, "a", "z")], "spr")
+        solve_routing(topo, [req("a", "z")], "spr", span_km=80.0)
     with pytest.raises(InstanceError):
-        solve_routing(topo, [req(0, "a", "b")], "fastest")
+        solve_routing(topo, [req("a", "b")], "fastest", span_km=80.0)
 
 
 # ---------------------------------------------------------------- congestion
@@ -104,21 +114,21 @@ def test_candidates_sorted_shortest_first(tmp_path):
     topo = topo_from_text(tmp_path, TRIDENT)
     graph = build_graph(topo)
     cands = candidate_paths(graph, "s", "t", 8)
-    length = {l.id: l.length_km for l in topo.links}
+    length = [l.length_km for l in topo.links]
     totals = [sum(length[l] for l in p) for p in cands]
     assert totals == [10.0, 12.0, 14.0]
 
 
 def test_scpr_spreads_congestion(tmp_path):
     topo = topo_from_text(tmp_path, TRIDENT)
-    reqs = [req(i, "s", "t") for i in range(3)]
-    sol = solve_routing(topo, reqs, "scpr")
+    reqs = [req("s", "t")] * 3
+    sol = solve_routing(topo, reqs, "scpr", span_km=80.0)
     # optimum puts each request on its own route: 10 + 12 + 14
     assert sol.objective == pytest.approx(36.0)
     assert len({p for p in sol.paths}) == 3
     assert sol.costs == (10.0, 12.0, 14.0)
     assert sol.order == (2, 1, 0)  # costliest first
-    spr = solve_routing(topo, reqs, "spr")
+    spr = solve_routing(topo, reqs, "spr", span_km=80.0)
     assert spr.objective == pytest.approx(30.0)  # all stacked on the short route
 
 
@@ -134,7 +144,7 @@ def link_loads(reqs, paths):
 
 def congestion_value(topo, reqs, paths, rate_weighted):
     """sum_l length_l * n_l^2 (scpr) or length_l * n_l * r_l (scprr)."""
-    length = {l.id: l.length_km for l in topo.links}
+    length = [l.length_km for l in topo.links]
     count, rate = link_loads(reqs, paths)
     load = rate if rate_weighted else count
     return sum(length[l] * count[l] * load[l] for l in count)
@@ -149,33 +159,32 @@ def brute_force_congestion(topo, reqs, candidates, rate_weighted):
 def test_scprr_matches_brute_force(tmp_path):
     topo = topo_from_text(tmp_path, TRIDENT)
     graph = build_graph(topo)
-    reqs = [req(0, "s", "t", 10.0), req(1, "s", "t", 1.0), req(2, "s", "t", 1.0)]
+    reqs = [req("s", "t", 10.0), req("s", "t", 1.0), req("s", "t", 1.0)]
     cands = [candidate_paths(graph, "s", "t", 8)] * 3
     want = brute_force_congestion(topo, reqs, cands, rate_weighted=True)
-    sol = solve_routing(topo, reqs, "scprr")
+    sol = solve_routing(topo, reqs, "scprr", span_km=80.0)
     assert sol.objective == pytest.approx(want) == pytest.approx(126.0)
     # the heavy request rides the short route
-    heavy_len = sum({l.id: l.length_km for l in topo.links}[l]
-                    for l in sol.paths[0])
+    heavy_len = sum(topo.links[l].length_km for l in sol.paths[0])
     assert heavy_len == 10.0
 
 
 def test_congestion_cost_sums_to_objective(tmp_path):
     topo = topo_from_text(tmp_path, TRIDENT)
-    reqs = [req(i, "s", "t", 5.0 + i) for i in range(3)]
+    reqs = [req("s", "t", 5.0 + i) for i in range(3)]
     for method in ("scpr", "scprr"):
-        sol = solve_routing(topo, reqs, method)
+        sol = solve_routing(topo, reqs, method, span_km=80.0)
         assert sum(sol.costs) == pytest.approx(sol.objective)
 
 
 def test_local_search_reaches_small_optimum(tmp_path, monkeypatch):
     topo = topo_from_text(tmp_path, TRIDENT)
-    reqs = [req(i, "s", "t") for i in range(3)]
+    reqs = [req("s", "t")] * 3
     # exhaustive disabled: force the seeded local search
     monkeypatch.setattr(routing, "_EXHAUSTIVE_LIMIT", 0)
-    sol = solve_routing(topo, reqs, "scpr", seed=3)
+    sol = solve_routing(topo, reqs, "scpr", seed=3, span_km=80.0)
     assert sol.objective == pytest.approx(36.0)
-    again = solve_routing(topo, reqs, "scpr", seed=3)
+    again = solve_routing(topo, reqs, "scpr", seed=3, span_km=80.0)
     assert again.paths == sol.paths
 
 
@@ -189,12 +198,13 @@ def test_random_instances_local_equals_exhaustive(data_dir, monkeypatch):
         while len(pairs) < 4:
             s, t = rng.choice(len(nodes), size=2, replace=False)
             pairs.add((nodes[s], nodes[t]))
-        reqs = [ConnectionRequest(i, s, t, float(rng.integers(1, 10)) * 1e10)
-                for i, (s, t) in enumerate(sorted(pairs))]
-        exact = solve_routing(topo, reqs, "scpr")
+        reqs = [TrafficDemand(s, t, float(rng.integers(1, 10)) * 1e10)
+                for s, t in sorted(pairs)]
+        exact = solve_routing(topo, reqs, "scpr", span_km=80.0)
         with monkeypatch.context() as patch:
             patch.setattr(routing, "_EXHAUSTIVE_LIMIT", 0)
-            local = solve_routing(topo, reqs, "scpr", seed=trial)
+            local = solve_routing(topo, reqs, "scpr", span_km=80.0,
+                                  seed=trial)
         assert local.objective >= exact.objective - 1e-9
         assert local.objective == pytest.approx(exact.objective, rel=0.02)
 
@@ -204,7 +214,7 @@ def mesh_candidates(data_dir):
     topo = load_topology(str(data_dir / "cost239_topology.txt"))
     graph = build_graph(topo)
     ends = [("1", "8"), ("3", "10"), ("5", "11"), ("2", "9"), ("7", "4")]
-    reqs = [ConnectionRequest(q, s, t, (q + 1) * 37.5e9)
+    reqs = [TrafficDemand(s, t, (q + 1) * 37.5e9)
             for q, (s, t) in enumerate(ends)]
     return topo, reqs, [candidate_paths(graph, s, t, 8) for s, t in ends]
 
@@ -219,7 +229,7 @@ def test_congestion_state_matches_from_scratch(mesh_candidates, method,
     # candidate; the running objective and the ordering cost of the touched
     # path must equal their from-scratch values after every step
     topo, reqs, candidates = mesh_candidates
-    length = {l.id: l.length_km for l in topo.links}
+    length = [l.length_km for l in topo.links]
     weights = [r.rate_bps / 1e9 if method == "scprr" else 1 for r in reqs]
     state = routing._Congestion(topo, weights)
     routed: dict[int, tuple[int, ...]] = {}
@@ -245,8 +255,8 @@ def test_congestion_state_matches_from_scratch(mesh_candidates, method,
 
 def test_span_metrics_on_mesh(data_dir):
     topo = load_topology(str(data_dir / "cost239_topology.txt"))
-    reqs = [req(0, "1", "8"), req(1, "1", "2")]
-    sol = solve_routing(topo, reqs, "spr")
+    reqs = [req("1", "8"), req("1", "2")]
+    sol = solve_routing(topo, reqs, "spr", span_km=80.0)
     # 1->8 rides the 1000 km direct link: 13 spans of 80 km
     assert sol.span_counts[0] == 13
     # 1->2 rides the 410 km link: 6 spans
@@ -268,8 +278,8 @@ def test_shared_spans_bounded_by_own(tmp_path):
 
 def test_link_order_is_projection_of_global_order(tmp_path):
     topo = topo_from_text(tmp_path, DIAMOND)
-    reqs = [req(0, "a", "d", 10), req(1, "a", "d", 99), req(2, "b", "d", 50)]
-    sol = solve_routing(topo, reqs, "scprr")
+    reqs = [req("a", "d", 10), req("a", "d", 99), req("b", "d", 50)]
+    sol = solve_routing(topo, reqs, "scprr", span_km=80.0)
     pos = {q: k for k, q in enumerate(sol.order)}
     assert sol.rank == tuple(pos[q] for q in range(3))
     for link, seq in sol.link_order:

@@ -6,9 +6,9 @@ from hypothesis import given, settings, strategies as st
 
 from eongp import heuristic, physics as ph, psa, validate
 from eongp.model import (
-    DEFAULT_MODULATIONS, RTO_METHODS, ConnectionRequest, InstanceError, Link,
-    NetworkInstance, NetworkTopology, PhysicsConstants, ScenarioConfig,
-    TrafficDemand, load_topology,
+    DEFAULT_MODULATIONS, RTO_METHODS, InstanceError, Link, NetworkInstance,
+    NetworkTopology, PhysicsConstants, ScenarioConfig, TrafficDemand,
+    load_topology,
 )
 from eongp.routing import solve_routing
 
@@ -20,9 +20,9 @@ def pair_setup(tmp_path_factory):
     p = tmp_path_factory.mktemp("topo") / "line.txt"
     p.write_text("node a\nnode b\nlink a b 400\n")
     topo = load_topology(p)
-    reqs = [ConnectionRequest(0, "a", "b", 100e9),
-            ConnectionRequest(1, "a", "b", 100e9)]
-    routing = solve_routing(topo, reqs, "spr")
+    reqs = [TrafficDemand("a", "b", 100e9),
+            TrafficDemand("a", "b", 100e9)]
+    routing = solve_routing(topo, reqs, "spr", span_km=PHYS.span_km)
     demands = (TrafficDemand("a", "b", 200e9),)
     inst = NetworkInstance(topo, demands, PHYS, ScenarioConfig())
     return routing, inst
@@ -75,12 +75,11 @@ def test_report_matches_hand_recomputation(pair_setup):
     assert rep.span_usage == 10
 
 
-@pytest.mark.parametrize("ids", [(10, 11), (1, 0)])
-def test_rate_per_resource_reads_requests_by_position(pair_setup, ids):
-    # the allocation lists requests in routing order, whatever their ids
+def test_rate_per_resource_reads_requests_by_position(pair_setup):
+    # the allocation lists requests in routing order
     routing, inst = pair_setup
-    requests = tuple(replace(req, id=i, rate_bps=rate) for req, i, rate
-                     in zip(routing.requests, ids, (100e9, 50e9)))
+    requests = tuple(replace(req, rate_bps=rate) for req, rate
+                     in zip(routing.requests, (100e9, 50e9)))
     alloc = replace(hand_allocation(), power_w=(1e-3, 2e-3),
                     bandwidth_hz=(50e9, 40e9))
     rep = validate.validate(alloc, replace(routing, requests=requests), inst)
@@ -131,14 +130,13 @@ def test_overlap_recorded_not_raised(pair_setup):
 @pytest.fixture(scope="module")
 def line_setup():
     # a-c shares spans with a-b and with b-c; a-b and b-c share none
-    topo = NetworkTopology(("a", "b", "c"), (Link(0, "a", "b", 400.0),
-                                             Link(1, "b", "c", 240.0)))
-    reqs = [ConnectionRequest(0, "a", "b", 100e9),
-            ConnectionRequest(1, "b", "c", 100e9),
-            ConnectionRequest(2, "a", "c", 100e9)]
-    routing = solve_routing(topo, reqs, "spr")
-    demands = tuple(TrafficDemand(r.source, r.dest, r.rate_bps) for r in reqs)
-    return routing, NetworkInstance(topo, demands, PHYS, ScenarioConfig())
+    topo = NetworkTopology(("a", "b", "c"), (Link("a", "b", 400.0),
+                                             Link("b", "c", 240.0)))
+    reqs = [TrafficDemand("a", "b", 100e9),
+            TrafficDemand("b", "c", 100e9),
+            TrafficDemand("a", "c", 100e9)]
+    routing = solve_routing(topo, reqs, "spr", span_km=PHYS.span_km)
+    return routing, NetworkInstance(topo, tuple(reqs), PHYS, ScenarioConfig())
 
 
 _EFFS = [eff for eff, _ in DEFAULT_MODULATIONS]
@@ -206,7 +204,7 @@ def test_empty_allocation(pair_setup):
     _, inst = pair_setup
     empty = psa.Allocation((), (), (), (), (), 0.0, math.nan)
     topo = inst.topology
-    routing = solve_routing(topo, [], "spr")
+    routing = solve_routing(topo, [], "spr", span_km=PHYS.span_km)
     rep = validate.validate(empty, routing, inst)
     assert rep.exact_osnr == () and rep.violations == ()
     assert rep.total_power_w == 0.0
@@ -233,8 +231,8 @@ def test_solver_output_validates_clean(pair_setup):
 
 def test_brute_force_guards(pair_setup):
     routing, inst = pair_setup
-    five = [ConnectionRequest(i, "a", "b", 100e9) for i in range(5)]
-    big = solve_routing(inst.topology, five, "spr")
+    five = [TrafficDemand("a", "b", 100e9)] * 5
+    big = solve_routing(inst.topology, five, "spr", span_km=PHYS.span_km)
     with pytest.raises(InstanceError):
         validate.brute_force_psa(big, PHYS, inst.scenario)
     # 20 GHz of band is less than the guard alone, so every efficiency
