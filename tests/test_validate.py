@@ -75,16 +75,22 @@ def test_report_matches_hand_recomputation(pair_setup):
     assert rep.span_usage == 10
 
 
-def test_rate_per_resource_reads_requests_by_position(pair_setup):
-    # the allocation lists requests in routing order
+@pytest.mark.parametrize("ids", [(0, 1), (1, 0)])
+def test_rate_per_resource_reads_requests_by_position(pair_setup, ids):
+    # a request's id is its position: the allocation lists requests in
+    # routing order, so each rate pairs with the entry at the position it
+    # is put in
     routing, inst = pair_setup
+    rates = [0.0, 0.0]
+    for q, rate in zip(ids, (100e9, 50e9)):
+        rates[q] = rate
     requests = tuple(replace(req, rate_bps=rate) for req, rate
-                     in zip(routing.requests, (100e9, 50e9)))
-    alloc = replace(hand_allocation(), power_w=(1e-3, 2e-3),
-                    bandwidth_hz=(50e9, 40e9))
+                     in zip(routing.requests, rates))
+    power, bw = (1e-3, 2e-3), (50e9, 40e9)
+    alloc = replace(hand_allocation(), power_w=power, bandwidth_hz=bw)
     rep = validate.validate(alloc, replace(routing, requests=requests), inst)
     assert rep.mean_rate_per_resource == pytest.approx(
-        (100e9 / (1e-3 * 50e9) + 50e9 / (2e-3 * 40e9)) / 2, rel=1e-12)
+        sum(r / (p * b) for r, p, b in zip(rates, power, bw)) / 2, rel=1e-12)
 
 
 def test_fit_requirement_for_offtable_efficiency(pair_setup):
