@@ -3,9 +3,11 @@
 Every quantity is in SI units: powers in watts, frequencies in hertz.
 """
 
+import math
+
 import numpy as np
 
-from eongp import physics
+from eongp import physics, psa
 from eongp.model import ModulationTable, PhysicsConstants
 
 
@@ -36,14 +38,29 @@ def main():
         o = physics.osnr(idx, channels, ctx)
         print(f"  {idx}   {a:.3e}  {x:.3e}  {s:.3e}  {o:9.1f}  {10 * np.log10(o):7.2f}")
 
-    # the posynomial surrogates track the exact model closely here
-    print("\nexact vs approximate OSNR")
+    # the approximate model the optimizer consumes is the bracket of each
+    # quality row, noise/p as posynomial terms in power p, efficiency c and
+    # center distance d; at 4 bit/s/Hz a 32 GHz channel carries 128 Gb/s
+    eff = 4.0
+    rates = [ch.bandwidth_hz * eff for ch in channels]
+    point = {psa.d_var(q, i): abs(a.center_hz - b.center_hz)
+             for q, a in enumerate(channels) for i, b in enumerate(channels)
+             if q != i}
+    for q, ch in enumerate(channels):
+        point[psa.p_var(q)] = ch.power_w
+        point[psa.c_var(q)] = eff
+    print("\nexact vs approximate OSNR (1 / the quality-row bracket)")
     for idx in range(3):
         exact = physics.osnr(idx, channels, ctx)
-        a1 = physics.osnr(idx, channels, ctx, order=1)
-        a3 = physics.osnr(idx, channels, ctx, order=3)
-        print(f"  ch {idx}: exact {exact:9.1f}   order1 {a1:9.1f} "
-              f"({a1 / exact - 1:+.2%})   order3 {a3:9.1f} ({a3 / exact - 1:+.2%})")
+        line = f"  ch {idx}: exact {exact:9.1f}"
+        for order in (1, 3):
+            terms = psa.noise_bracket(idx, rates, ctx.span_counts,
+                                      ctx.shared_spans.tolist(), phys, order)
+            approx = 1.0 / sum(coef * math.prod(point[v] ** e for v, e in exps)
+                               for coef, exps in terms)
+            line += (f"   order{order} {approx:9.1f} "
+                     f"({approx / exact - 1:+.2%})")
+        print(line)
 
     # overlapping channels are rejected rather than silently mis-modeled
     bad = [channels[0],

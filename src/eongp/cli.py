@@ -273,8 +273,10 @@ def _cmd_compare_gpsa(args) -> None:
 
 
 def _cmd_characterize_approx(args) -> None:
+    # the rows read the modulation table alone, and so does the header
     config = _config(args)
-    out = _Output(args.out, {"command": args.command, **_settings(*config)})
+    out = _Output(args.out, {"command": args.command,
+                             "modulations": _settings(*config)["modulations"]})
     grid = physics.log_kernel_error_grid()
     fits = physics.osnr_fit_error_table(config[2])
     rows = [(f"kernel_order{k}", *row) for k in (1, 3) for row in zip(

@@ -1,13 +1,13 @@
-"""Fiber noise model: exact expressions, posynomial approximations, OSNR fits.
+"""Fiber noise model: exact expressions, kernel and OSNR fits.
 
 The channel quality metric is OSNR = signal power / (ASE + XCI + SCI), where
 ASE is the accumulated amplifier noise, XCI the nonlinear cross-channel
 interference and SCI the nonlinear self-channel interference of the incoherent
 Gaussian-noise picture.  Every function here is a pure map from immutable
-inputs to a plain float; the `_approx` variants are the monomial/posynomial
-forms the optimizer consumes, characterized against the exact expressions by
-the error-grid helpers at the bottom, and `required_osnr` evaluates the
-posynomial fits to the modulation table's exact OSNR requirements.
+inputs to a plain float; `osnr` is the exact model, and the approximate one
+the optimizer consumes is `psa.noise_bracket`, built on the log-kernel fits
+that the error-grid helpers at the bottom characterize.  `required_osnr`
+evaluates the posynomial fits to the modulation table's OSNR requirements.
 """
 
 from __future__ import annotations
@@ -101,29 +101,6 @@ def xci_exact(idx: int, channels, ctx: NoiseContext) -> float:
     return ctx.physics.kerr * ch.power_w * total
 
 
-def xci_approx(idx: int, channels, ctx: NoiseContext, order: int = 1) -> float:
-    """Posynomial XCI: order 1 keeps the linear log term, order 3 adds the cubic."""
-    if order not in (1, 3):
-        raise ValueError("order must be 1 or 3")
-    ch = channels[idx]
-    total = 0.0
-    for i, (other, n_shared) in enumerate(zip(channels,
-                                              ctx.shared_spans[idx].tolist())):
-        if i == idx or n_shared == 0:
-            continue
-        spacing = abs(ch.center_hz - other.center_hz)
-        if spacing ** 3 == 0.0:
-            # coincident centers (or a spacing whose cube underflows): the
-            # kernel is singular, an overlap the fits cannot express
-            raise ChannelOverlapError(
-                f"channels {idx} and {i} share a center: spacing {spacing:g} Hz")
-        term = XCI_LOG_SLOPE / (other.bandwidth_hz * spacing)
-        if order == 3:
-            term += XCI_LOG_CUBIC * other.bandwidth_hz / spacing ** 3
-        total += other.power_w ** 2 * n_shared * term
-    return ctx.physics.kerr * ch.power_w * total
-
-
 def sci_exact(idx: int, channels, ctx: NoiseContext) -> float:
     """Self-channel interference power (W) of channel `idx`."""
     ch = channels[idx]
@@ -132,29 +109,16 @@ def sci_exact(idx: int, channels, ctx: NoiseContext) -> float:
         (ch.power_w ** 3 / ch.bandwidth_hz ** 2) * math.asinh(arg)
 
 
-def sci_approx(idx: int, channels, ctx: NoiseContext) -> float:
-    """Monomial SCI, from asinh(x) ~ x for small shape arguments."""
-    ch = channels[idx]
-    return ctx.physics.kerr * ctx.physics.sci_shape * \
-        ctx.span_counts[idx] * ch.power_w ** 3
-
-
 def ase(idx: int, channels, ctx: NoiseContext) -> float:
     """Accumulated amplifier noise power (W) inside channel `idx`'s band."""
     return ctx.physics.ase * ctx.span_counts[idx] * channels[idx].bandwidth_hz
 
 
-def osnr(idx: int, channels, ctx: NoiseContext,
-         order: int | None = None) -> float:
-    """OSNR of channel `idx`, infinite where the channel picks up no noise at
-    all: under the exact noise model, or for `order` 1 or 3 the approximate
-    one (that XCI kernel order + monomial SCI)."""
-    noise_ase = ase(idx, channels, ctx)
-    if order is None:
-        noise = noise_ase + xci_exact(idx, channels, ctx) + sci_exact(idx, channels, ctx)
-    else:
-        xci = xci_approx(idx, channels, ctx, order)
-        noise = noise_ase + xci + sci_approx(idx, channels, ctx)
+def osnr(idx: int, channels, ctx: NoiseContext) -> float:
+    """Exact OSNR of channel `idx`, infinite where the channel picks up no
+    noise at all."""
+    noise = ase(idx, channels, ctx) + xci_exact(idx, channels, ctx) \
+        + sci_exact(idx, channels, ctx)
     if noise == 0.0:
         return math.inf
     return channels[idx].power_w / noise

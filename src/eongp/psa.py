@@ -13,7 +13,8 @@ tau.  Six geometric-program formulations are built from two ingredients:
   interference kernel    order 1 (odd formulations) or order 3 (even ones)
 
 The quality constraint per request is  margin * fit(c) * noise / p <= 1 with
-noise the amplifier + self + cross terms of the approximate model; channel
+noise the amplifier + self + cross terms of the approximate noise model, whose
+one copy is `noise_bracket` (`validate` evaluates it too); channel
 nonoverlap is enforced between order-adjacent channels on every link, and
 each distance variable is tied to its frequency gap so the solver cannot
 claim more separation than the spectrum provides.
@@ -94,6 +95,31 @@ def _times(terms, factor_terms):
     return out
 
 
+def noise_bracket(q: int, rates, spans, shared, physics: PhysicsConstants,
+                  order: int) -> list:
+    """Request q's noise/p, its `qos` row's bracket: (coef, exponents) terms
+    in p, c and d for amplifier noise, self interference by asinh(x) ~ x and
+    the cross interference of span-sharing requests by the `order` 1 or 3
+    log-kernel fit, each bandwidth written rate/efficiency.  `shared` rows
+    are Python ints, whose products overflow to inf instead of wrapping."""
+    bracket = [
+        (physics.ase * spans[q] * rates[q],
+         [(p_var(q), -1.0), (c_var(q), -1.0)]),
+        (physics.kerr * physics.sci_shape * spans[q], [(p_var(q), 2.0)]),
+    ]
+    for i, n_shared in enumerate(shared[q]):
+        if i == q or n_shared == 0:
+            continue
+        bracket.append(
+            (XCI_LOG_SLOPE * physics.kerr * n_shared / rates[i],
+             [(p_var(i), 2.0), (c_var(i), 1.0), (d_var(q, i), -1.0)]))
+        if order == 3:
+            bracket.append(
+                (XCI_LOG_CUBIC * physics.kerr * n_shared * rates[i],
+                 [(p_var(i), 2.0), (c_var(i), -1.0), (d_var(q, i), -3.0)]))
+    return bracket
+
+
 def build_program(routing: RoutingSolution, physics: PhysicsConstants,
                   scenario: ScenarioConfig,
                   modulations: ModulationTable = ModulationTable()
@@ -104,7 +130,7 @@ def build_program(routing: RoutingSolution, physics: PhysicsConstants,
     n = len(routing.requests)
     rates = [r.rate_bps for r in routing.requests]
     spans = routing.span_counts
-    shared = routing.shared_spans.tolist()  # ints: products overflow to inf
+    shared = routing.shared_spans.tolist()
 
     # goal: spectrum edge, total power, inverse margins, inverse spacings
     goal: list[Monomial] = []
@@ -123,24 +149,9 @@ def build_program(routing: RoutingSolution, physics: PhysicsConstants,
 
     constraints: list[tuple[str, Posynomial]] = []
 
-    # quality constraint per request.  The bracket is noise/p with the
-    # bandwidth substituted by rate/efficiency throughout.
+    # quality constraint per request: margin * fit(c) * noise/p <= 1
     for q in range(n):
-        bracket = [
-            (physics.ase * spans[q] * rates[q],
-             [(p_var(q), -1.0), (c_var(q), -1.0)]),
-            (physics.kerr * physics.sci_shape * spans[q], [(p_var(q), 2.0)]),
-        ]
-        for i in range(n):
-            if i == q or shared[q][i] == 0:
-                continue
-            bracket.append(
-                (XCI_LOG_SLOPE * physics.kerr * shared[q][i] / rates[i],
-                 [(p_var(i), 2.0), (c_var(i), 1.0), (d_var(q, i), -1.0)]))
-            if order == 3:
-                bracket.append(
-                    (XCI_LOG_CUBIC * physics.kerr * shared[q][i] * rates[i],
-                     [(p_var(i), 2.0), (c_var(i), -1.0), (d_var(q, i), -3.0)]))
+        bracket = noise_bracket(q, rates, spans, shared, physics, order)
         if fit == "power_law":
             factors = [(OSNR_POW_COEF,
                         [(m_var(q), 1.0), (c_var(q), OSNR_POW_EXP)])]

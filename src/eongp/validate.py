@@ -1,16 +1,17 @@
 """Exact-model checking of allocations, the comparison loop, an oracle.
 
-The assignment programs optimize an approximate noise model.  This module
-re-evaluates every allocation under the exact expressions (exact cross-talk
-kernel, asinh self-interference) and reports the headroom each request
-actually has, the gap between model and exact signal quality, aggregate
-resource metrics, and any physical-validity violations.  Violations are
-recorded, never raised, so reports on bad allocations are still complete;
-a value that cannot be computed for a request (overlapping channels, a
-zero or non-finite power, bandwidth or efficiency) reads NaN, and a NaN
-position or width is a violation.  The requirement is the modulation
-table's: an efficiency that is not a table entry has none, so its required
-OSNR and slack read NaN.
+The assignment programs optimize an approximate noise model, the bracket of
+each quality row (`psa.noise_bracket`).  This module re-evaluates every
+allocation under the exact expressions of `physics` (exact cross-talk kernel,
+asinh self-interference) and under that same bracket, and reports the
+headroom each request actually has, the gap between model and exact signal
+quality, aggregate resource metrics, and any physical-validity violations.
+Violations are recorded, never raised, so reports on bad allocations are
+still complete; a value that cannot be computed for a request (overlapping
+channels, a zero or non-finite power, bandwidth or efficiency) reads NaN,
+and a NaN position or width is a violation.  The requirement is the
+modulation table's: an efficiency that is not a table entry has none, so its
+required OSNR and slack read NaN.
 """
 
 from __future__ import annotations
@@ -74,16 +75,28 @@ def _required(eff: float, table: ModulationTable) -> float:
         return math.nan
 
 
-def _osnr_or_nan(q: int, channels, ctx: ph.NoiseContext,
-                 order: int | None = None) -> float:
-    """OSNR at kernel `order` (exact for None), NaN where it cannot be
-    computed: channels sharing spans overlap (a ValueError; the geometry
-    check reports the overlap itself), or a power or bandwidth is zero,
-    negative or out of range."""
+def _osnr_or_nan(q: int, channels, ctx: ph.NoiseContext) -> float:
+    """Exact OSNR, NaN where it cannot be computed: channels sharing spans
+    overlap (a ValueError; the geometry check reports the overlap itself),
+    or a power or bandwidth is zero, negative or out of range."""
     try:
-        return ph.osnr(q, channels, ctx, order)
+        return ph.osnr(q, channels, ctx)
     except (ArithmeticError, ValueError):
         return math.nan
+
+
+def _model_osnr(bracket, point: dict[str, float]) -> float:
+    """1 / the bracket's value at `point`, NaN where that is not finite and
+    positive or cannot be computed (coincident centers, an overflow)."""
+    value = 0.0
+    try:
+        for coef, exps in bracket:
+            for v, e in exps:
+                coef *= point[v] ** e
+            value += coef
+    except ArithmeticError:
+        return math.nan
+    return 1.0 / value if 0.0 < value < math.inf else math.nan
 
 
 def _ratio(num: float, den: float) -> float:
@@ -106,12 +119,22 @@ def validate(allocation: psa.Allocation, routing: RoutingSolution,
     channels = _channels(allocation)
     ctx = ph.NoiseContext(routing.span_counts, routing.shared_spans, physics)
     order = psa.FORMULATION_ORDER[scenario.formulation]
+    rates = [req.rate_bps for req in routing.requests]
+    shared = routing.shared_spans.tolist()
+    # the program's variables at the allocation, each d at its actual gap
+    point = {psa.d_var(q, i): abs(allocation.center_hz[q]
+                                  - allocation.center_hz[i])
+             for q, i in routing.pairs}
+    for q in range(n):
+        point[psa.p_var(q)] = allocation.power_w[q]
+        point[psa.c_var(q)] = allocation.efficiency[q]
 
     exact, model, required, slack, gap = [], [], [], [], []
     noise = 0.0
     for q in range(n):
         exact.append(_osnr_or_nan(q, channels, ctx))
-        model.append(_osnr_or_nan(q, channels, ctx, order))
+        model.append(_model_osnr(psa.noise_bracket(
+            q, rates, routing.span_counts, shared, physics, order), point))
         need = scenario.min_margin * _required(allocation.efficiency[q],
                                                instance.modulations)
         required.append(need)
@@ -123,9 +146,8 @@ def validate(allocation: psa.Allocation, routing: RoutingSolution,
             gap.append(math.nan)
 
     violations = list(_geometry_violations(allocation, routing, physics))
-    rate_density = [_ratio(req.rate_bps, allocation.power_w[q]
-                           * allocation.bandwidth_hz[q])
-                    for q, req in enumerate(routing.requests)]
+    rate_density = [_ratio(rates[q], allocation.power_w[q]
+                           * allocation.bandwidth_hz[q]) for q in range(n)]
     return ValidationReport(
         tuple(exact), tuple(model), tuple(required), tuple(slack), tuple(gap),
         sum(allocation.power_w), noise,

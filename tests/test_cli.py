@@ -72,7 +72,8 @@ def test_count_formulations_table(tmp_path):
 def test_characterize_approx_curves(tmp_path):
     assert run_cli("characterize-approx", "--out", tmp_path) == 0
     config, rows = cli.read_artifact_csv(tmp_path / "curves.csv")
-    assert "inputs" not in config   # it opens no topology or traffic file
+    # it opens no topology or traffic file and reads the table alone
+    assert set(config) == {"command", "modulations"}
     by_series = {}
     for r in rows:
         by_series.setdefault(r["series"], []).append(r)
@@ -83,6 +84,18 @@ def test_characterize_approx_curves(tmp_path):
     # the linear kernel undershoots by about 9 percent at x = 1
     at_one = [r for r in by_series["kernel_order1"] if float(r["x"]) == 1.0]
     assert abs(float(at_one[0]["rel_err"]) + 0.090) < 0.002
+
+
+def test_characterize_approx_ignores_physics_and_scenario(tmp_path):
+    # neither section reaches a row, so neither may change the file
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"physics": {"guard_ghz": 15.0},
+                                  "scenario": {"seed": 4}}))
+    assert run_cli("characterize-approx", "--out", tmp_path / "default") == 0
+    assert run_cli("characterize-approx", "--config", config,
+                   "--out", tmp_path / "configured") == 0
+    assert (tmp_path / "configured" / "curves.csv").read_bytes() == \
+        (tmp_path / "default" / "curves.csv").read_bytes()
 
 
 def test_run_artifacts(tmp_path):

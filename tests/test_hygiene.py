@@ -139,8 +139,9 @@ def referrers(node, name, owner=None):
     attribute; None at module level."""
     if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
         owner = node.name
-    if isinstance(node, ast.Name) and node.id == name or \
-            isinstance(node, ast.Attribute) and node.attr == name:
+    if (isinstance(node, ast.Name) and node.id == name or
+            isinstance(node, ast.Attribute) and node.attr == name) and \
+            isinstance(node.ctx, ast.Load):
         yield owner
     for child in ast.iter_child_nodes(node):
         yield from referrers(child, name, owner)
@@ -164,3 +165,15 @@ def test_scipy_sparse_only_where_superlu_needs_it():
                for owner in referrers(ast.parse(path.read_text()), name)}
     assert readers == {("gp.py", "_compile"), ("gp.py", "_factor"),
                        ("gp.py", "_solve_newton")}
+
+
+def test_one_copy_of_the_approximate_noise_model():
+    # the fitted log-kernel coefficients build the approximate noise model
+    # in psa.noise_bracket alone; physics reads them only for the kernel
+    # fits that characterize-approx sets against the exact kernel
+    readers = {(path.name, owner) for path in MODULES
+               for name in ("XCI_LOG_SLOPE", "XCI_LOG_CUBIC")
+               for owner in referrers(ast.parse(path.read_text()), name)}
+    assert readers == {("physics.py", "log_ratio_linear"),
+                       ("physics.py", "log_ratio_cubic"),
+                       ("psa.py", "noise_bracket")}

@@ -61,7 +61,14 @@ def test_report_matches_hand_recomputation(pair_setup):
     noise = 0.0
     for q in range(2):
         exact = ph.osnr(q, channels, ctx)
-        model = ph.osnr(q, channels, ctx, 1)
+        # formulation 1's approximate model, written out: amplifier noise,
+        # monomial self interference, linear-kernel cross interference
+        s, n = routing.span_counts[q], int(routing.shared_spans[q, 1 - q])
+        p, b, i = alloc.power_w[q], alloc.bandwidth_hz[q], 1 - q
+        d = abs(alloc.center_hz[q] - alloc.center_hz[i])
+        model = p / (PHYS.ase * s * b + PHYS.kerr * PHYS.sci_shape * s * p ** 3
+                     + 0.4343 * PHYS.kerr * n * p * alloc.power_w[i] ** 2
+                     / (alloc.bandwidth_hz[i] * d))
         assert rep.exact_osnr[q] == pytest.approx(exact, rel=1e-12)
         assert rep.model_osnr[q] == pytest.approx(model, rel=1e-12)
         assert rep.slack[q] == pytest.approx(exact / 3.52, rel=1e-9)
@@ -131,6 +138,24 @@ def test_overlap_recorded_not_raised(pair_setup):
     # overlapping pair has no finite exact ratio but the report is complete
     assert all(math.isnan(x) for x in rep.exact_osnr)
     assert len(rep.model_osnr) == 2
+
+
+@pytest.mark.parametrize("formulation", [1, 2])
+def test_coincident_centers_read_nan(line_setup, formulation):
+    # a-b and b-c share no span, so one center is no overlap for them; a-b
+    # and a-c share one, and on one center neither model has an OSNR there
+    routing, inst = line_setup
+    inst = replace(inst, scenario=replace(inst.scenario,
+                                          formulation=formulation))
+    alloc = psa.Allocation((1e-3,) * 3, (100e9, 100e9, 300e9), (2.0,) * 3,
+                           (1.0,) * 3, (50e9,) * 3, 350e9, math.nan)
+    rep = validate.validate(alloc, routing, inst)
+    assert all(0 < x < math.inf for x in rep.exact_osnr + rep.model_osnr)
+    rep = validate.validate(replace(alloc, center_hz=(100e9, 300e9, 100e9)),
+                            routing, inst)
+    for osnr in (rep.exact_osnr, rep.model_osnr):
+        assert math.isnan(osnr[0]) and math.isnan(osnr[2])
+        assert 0 < osnr[1] < math.inf
 
 
 @pytest.fixture(scope="module")
