@@ -54,8 +54,7 @@ def main():
         exact = physics.osnr(idx, channels, ctx)
         line = f"  ch {idx}: exact {exact:9.1f}"
         for order in (1, 3):
-            terms = psa.noise_bracket(idx, rates, ctx.span_counts,
-                                      ctx.shared_spans.tolist(), phys, order)
+            terms = psa.noise_bracket(idx, rates, ctx, order)
             approx = 1.0 / sum(coef * math.prod(point[v] ** e for v, e in exps)
                                for coef, exps in terms)
             line += (f"   order{order} {approx:9.1f} "

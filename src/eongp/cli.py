@@ -209,7 +209,7 @@ def _cmd_run(args) -> None:
     rows = [(q, req.source, req.dest, req.rate_bps,
              _path_names(routing, instance.topology, q),
              routing.span_counts[q], allocation.power_w[q],
-             allocation.center_hz[q], allocation.bandwidth_hz[q],
+             allocation.center_hz[q], req.rate_bps / allocation.efficiency[q],
              allocation.efficiency[q], allocation.margin[q])
             for q, req in enumerate(routing.requests)]
     out.csv("allocation.csv",

@@ -54,7 +54,10 @@ class NoiseContext:
 
     span_counts[q] is the number of amplified spans on request q's path and
     shared_spans[q, i] the number of spans the paths of q and i have in
-    common (symmetric, with the diagonal equal to span_counts).
+    common (symmetric, with the diagonal equal to span_counts).  Derived
+    from it, partners[q] lists (i, shared_spans[q, i]) for every other
+    request i that shares a span with q, in ascending i; the counts are
+    Python ints, whose products overflow to inf instead of wrapping.
     """
     span_counts: tuple[int, ...]
     shared_spans: np.ndarray
@@ -68,6 +71,13 @@ class NoiseContext:
             raise ValueError("shared_spans must be symmetric")
         if not np.array_equal(np.diagonal(m), self.span_counts):
             raise ValueError("shared_spans diagonal must equal span_counts")
+        partners = [[] for _ in self.span_counts]
+        rows, cols = np.nonzero(m)
+        for q, i, n_shared in zip(rows.tolist(), cols.tolist(),
+                                  m[rows, cols].tolist()):
+            if q != i:
+                partners[q].append((i, n_shared))
+        object.__setattr__(self, "partners", tuple(map(tuple, partners)))
 
 
 def log_ratio_exact(x: float) -> float:
@@ -87,10 +97,8 @@ def xci_exact(idx: int, channels, ctx: NoiseContext) -> float:
     """Cross-channel interference power (W) picked up by channel `idx`."""
     ch = channels[idx]
     total = 0.0
-    for i, (other, n_shared) in enumerate(zip(channels,
-                                              ctx.shared_spans[idx].tolist())):
-        if i == idx or n_shared == 0:
-            continue
+    for i, n_shared in ctx.partners[idx]:
+        other = channels[i]
         spacing = abs(ch.center_hz - other.center_hz)
         if spacing <= 0.5 * (ch.bandwidth_hz + other.bandwidth_hz):
             raise ChannelOverlapError(

@@ -31,7 +31,7 @@ from .model import (
 )
 from .physics import (
     OSNR_BINOM_EXP_FRAC, OSNR_BINOM_EXP_INT, OSNR_BINOM_SLOPE, OSNR_POW_COEF,
-    OSNR_POW_EXP, XCI_LOG_CUBIC, XCI_LOG_SLOPE,
+    OSNR_POW_EXP, XCI_LOG_CUBIC, XCI_LOG_SLOPE, NoiseContext,
 )
 from .routing import RoutingSolution
 
@@ -95,21 +95,18 @@ def _times(terms, factor_terms):
     return out
 
 
-def noise_bracket(q: int, rates, spans, shared, physics: PhysicsConstants,
-                  order: int) -> list:
+def noise_bracket(q: int, rates, ctx: NoiseContext, order: int) -> list:
     """Request q's noise/p, its `qos` row's bracket: (coef, exponents) terms
     in p, c and d for amplifier noise, self interference by asinh(x) ~ x and
-    the cross interference of span-sharing requests by the `order` 1 or 3
-    log-kernel fit, each bandwidth written rate/efficiency.  `shared` rows
-    are Python ints, whose products overflow to inf instead of wrapping."""
+    the cross interference of each span-sharing partner by the `order` 1 or
+    3 log-kernel fit, each bandwidth written rate/efficiency."""
+    physics, spans = ctx.physics, ctx.span_counts
     bracket = [
         (physics.ase * spans[q] * rates[q],
          [(p_var(q), -1.0), (c_var(q), -1.0)]),
         (physics.kerr * physics.sci_shape * spans[q], [(p_var(q), 2.0)]),
     ]
-    for i, n_shared in enumerate(shared[q]):
-        if i == q or n_shared == 0:
-            continue
+    for i, n_shared in ctx.partners[q]:
         bracket.append(
             (XCI_LOG_SLOPE * physics.kerr * n_shared / rates[i],
              [(p_var(i), 2.0), (c_var(i), 1.0), (d_var(q, i), -1.0)]))
@@ -129,8 +126,7 @@ def build_program(routing: RoutingSolution, physics: PhysicsConstants,
     order = FORMULATION_ORDER[scenario.formulation]
     n = len(routing.requests)
     rates = [r.rate_bps for r in routing.requests]
-    spans = routing.span_counts
-    shared = routing.shared_spans.tolist()
+    ctx = NoiseContext(routing.span_counts, routing.shared_spans, physics)
 
     # goal: spectrum edge, total power, inverse margins, inverse spacings
     goal: list[Monomial] = []
@@ -151,7 +147,7 @@ def build_program(routing: RoutingSolution, physics: PhysicsConstants,
 
     # quality constraint per request: margin * fit(c) * noise/p <= 1
     for q in range(n):
-        bracket = noise_bracket(q, rates, spans, shared, physics, order)
+        bracket = noise_bracket(q, rates, ctx, order)
         if fit == "power_law":
             factors = [(OSNR_POW_COEF,
                         [(m_var(q), 1.0), (c_var(q), OSNR_POW_EXP)])]
@@ -266,12 +262,12 @@ def pin(form: ConvexForm, efficiencies: dict[int, float]) -> ConvexForm:
 
 @dataclass(frozen=True)
 class Allocation:
-    """Physical reading of a solved program."""
+    """Physical reading of a solved program; request q's bandwidth is its
+    rate over efficiency[q]."""
     power_w: tuple[float, ...]
     center_hz: tuple[float, ...]
     efficiency: tuple[float, ...]
     margin: tuple[float, ...]
-    bandwidth_hz: tuple[float, ...]
     spectrum_edge_hz: float
     objective: float
 
@@ -280,14 +276,11 @@ def extract(solution_vars, routing: RoutingSolution,
             objective: float = math.nan) -> Allocation:
     """Read an allocation out of solved variable values."""
     n = len(routing.requests)
-    rates = [r.rate_bps for r in routing.requests]
-    eff = tuple(solution_vars[c_var(q)] for q in range(n))
     return Allocation(
         power_w=tuple(solution_vars[p_var(q)] for q in range(n)),
         center_hz=tuple(solution_vars[w_var(q)] for q in range(n)),
-        efficiency=eff,
+        efficiency=tuple(solution_vars[c_var(q)] for q in range(n)),
         margin=tuple(solution_vars[m_var(q)] for q in range(n)),
-        bandwidth_hz=tuple(rates[q] / eff[q] for q in range(n)),
         spectrum_edge_hz=solution_vars[TAU],
         objective=objective)
 

@@ -7,9 +7,11 @@ asinh self-interference) and under that same bracket, and reports the
 headroom each request actually has, the gap between model and exact signal
 quality, aggregate resource metrics, and any physical-validity violations.
 Violations are recorded, never raised, so reports on bad allocations are
-still complete; a value that cannot be computed for a request (overlapping
-channels, a zero or non-finite power, bandwidth or efficiency) reads NaN,
-and a NaN position or width is a violation.  The requirement is the
+still complete.  A request's bandwidth is its rate over its efficiency,
+as in the programs, and NaN unless the efficiency is positive and finite;
+a value that cannot be computed for a request (overlapping channels, a
+zero or non-finite power, bandwidth or efficiency) reads NaN, and a NaN
+position or width is a violation.  The requirement is the
 modulation table's: an efficiency that is not a table entry has none, so its
 required OSNR and slack read NaN.
 """
@@ -61,12 +63,6 @@ class ValidationReport:
         return not self.violations
 
 
-def _channels(allocation: psa.Allocation) -> list[ph.ChannelState]:
-    return [ph.ChannelState(p, w, b)
-            for p, w, b in zip(allocation.power_w, allocation.center_hz,
-                               allocation.bandwidth_hz)]
-
-
 def _required(eff: float, table: ModulationTable) -> float:
     """The table's requirement at one of its entries, NaN elsewhere."""
     try:
@@ -116,11 +112,13 @@ def validate(allocation: psa.Allocation, routing: RoutingSolution,
                                 allocation.spectrum_edge_hz, 0, ())
 
     physics = instance.physics
-    channels = _channels(allocation)
+    rates = [req.rate_bps for req in routing.requests]
+    bandwidth = [rates[q] / c if 0 < c < math.inf else math.nan
+                 for q, c in enumerate(allocation.efficiency)]
+    channels = [ph.ChannelState(p, w, b) for p, w, b
+                in zip(allocation.power_w, allocation.center_hz, bandwidth)]
     ctx = ph.NoiseContext(routing.span_counts, routing.shared_spans, physics)
     order = psa.FORMULATION_ORDER[scenario.formulation]
-    rates = [req.rate_bps for req in routing.requests]
-    shared = routing.shared_spans.tolist()
     # the program's variables at the allocation, each d at its actual gap
     point = {psa.d_var(q, i): abs(allocation.center_hz[q]
                                   - allocation.center_hz[i])
@@ -133,8 +131,8 @@ def validate(allocation: psa.Allocation, routing: RoutingSolution,
     noise = 0.0
     for q in range(n):
         exact.append(_osnr_or_nan(q, channels, ctx))
-        model.append(_model_osnr(psa.noise_bracket(
-            q, rates, routing.span_counts, shared, physics, order), point))
+        model.append(_model_osnr(psa.noise_bracket(q, rates, ctx, order),
+                                 point))
         need = scenario.min_margin * _required(allocation.efficiency[q],
                                                instance.modulations)
         required.append(need)
@@ -145,9 +143,10 @@ def validate(allocation: psa.Allocation, routing: RoutingSolution,
         else:
             gap.append(math.nan)
 
-    violations = list(_geometry_violations(allocation, routing, physics))
-    rate_density = [_ratio(rates[q], allocation.power_w[q]
-                           * allocation.bandwidth_hz[q]) for q in range(n)]
+    violations = list(_geometry_violations(allocation, bandwidth, routing,
+                                           physics))
+    rate_density = [_ratio(rates[q], allocation.power_w[q] * bandwidth[q])
+                    for q in range(n)]
     return ValidationReport(
         tuple(exact), tuple(model), tuple(required), tuple(slack), tuple(gap),
         sum(allocation.power_w), noise,
@@ -155,9 +154,10 @@ def validate(allocation: psa.Allocation, routing: RoutingSolution,
         sum(routing.span_counts), tuple(violations))
 
 
-def _geometry_violations(allocation, routing, physics: PhysicsConstants):
+def _geometry_violations(allocation, bandwidth, routing,
+                         physics: PhysicsConstants):
     # each test is negated so that a NaN position or width is a violation
-    half = [0.5 * b for b in allocation.bandwidth_hz]
+    half = [0.5 * b for b in bandwidth]
     w = allocation.center_hz
     tol = _REL_TOL * physics.band_hz
     for link, seq in routing.link_order:

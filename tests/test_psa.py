@@ -120,8 +120,7 @@ def bracket_at(q, chs, ctx, order=1, eff=4.0):
     """Request q's bracket terms over the channel states `chs` (each rate
     bandwidth * eff) and the point they give, each d the actual gap."""
     rates = [ch.bandwidth_hz * eff for ch in chs]
-    terms = psa.noise_bracket(q, rates, ctx.span_counts,
-                              ctx.shared_spans.tolist(), PHYS, order)
+    terms = psa.noise_bracket(q, rates, ctx, order)
     point = {psa.d_var(q, i): abs(chs[q].center_hz - ch.center_hz)
              for i, ch in enumerate(chs) if i != q}
     for i, ch in enumerate(chs):
@@ -212,6 +211,12 @@ def test_order_and_gap_row_structure(chain_routing):
             pytest.approx(1.0, rel=1e-12)
 
 
+def bandwidths(alloc, routing):
+    """Each request's bandwidth, its rate over its efficiency."""
+    return [req.rate_bps / c
+            for req, c in zip(routing.requests, alloc.efficiency)]
+
+
 def solve_chain(chain_routing, formulation, scen=None):
     scen = replace(scen or ScenarioConfig(), formulation=formulation)
     prog = psa.build_program(chain_routing, PHYS, scen)
@@ -224,21 +229,21 @@ def test_solved_allocation_is_physical(chain_routing, formulation):
     prog, sol = solve_chain(chain_routing, formulation)
     assert sol.status == "optimal"
     alloc = psa.extract(sol.variables, chain_routing, sol.objective)
+    bw = bandwidths(alloc, chain_routing)
     n = 3
     for q in range(n):
         assert 2.0 - 1e-6 <= alloc.efficiency[q] <= 12.0 + 1e-6
         assert alloc.margin[q] >= 1.0 - 1e-6
         assert alloc.power_w[q] > 0
         # channel fits above zero and under the band edge
-        assert alloc.center_hz[q] - 0.5 * alloc.bandwidth_hz[q] >= -1.0
-        assert alloc.center_hz[q] + 0.5 * alloc.bandwidth_hz[q] <= \
+        assert alloc.center_hz[q] - 0.5 * bw[q] >= -1.0
+        assert alloc.center_hz[q] + 0.5 * bw[q] <= \
             alloc.spectrum_edge_hz * (1 + 1e-9)
     # adjacent channels on the shared link keep their guard distance
     seq = dict(chain_routing.link_order)[0]
     for x, y in zip(seq, seq[1:]):
         gapw = alloc.center_hz[y] - alloc.center_hz[x]
-        need = 0.5 * alloc.bandwidth_hz[x] + PHYS.guard_hz \
-            + 0.5 * alloc.bandwidth_hz[y]
+        need = 0.5 * bw[x] + PHYS.guard_hz + 0.5 * bw[y]
         assert gapw >= need - 1.0
 
 
@@ -262,7 +267,8 @@ def test_margin_equals_model_headroom(chain_routing):
     prog, sol = solve_chain(chain_routing, 1)
     alloc = psa.extract(sol.variables, chain_routing, sol.objective)
     for q in range(3):
-        model = 1.0 / hand_bracket(q, alloc.power_w, alloc.bandwidth_hz,
+        model = 1.0 / hand_bracket(q, alloc.power_w,
+                                   bandwidths(alloc, chain_routing),
                                    alloc.center_hz, chain_routing, 1)
         need = ph.required_osnr(alloc.efficiency[q], "power_law")
         assert alloc.margin[q] == pytest.approx(model / need, rel=1e-4)

@@ -29,16 +29,22 @@ def pair_setup(tmp_path_factory):
 
 
 def hand_allocation(spacing_hz=200e9, power=1e-3):
-    # two 50 GHz channels with a huge gap and strong launch power
-    bw = 50e9
+    # two 50 GHz channels (100 Gb/s at 2 bit/s/Hz) with a huge gap and
+    # strong launch power
     return psa.Allocation(
         power_w=(power, power),
         center_hz=(100e9, 100e9 + spacing_hz),
         efficiency=(2.0, 2.0),
         margin=(1.0, 1.0),
-        bandwidth_hz=(bw, bw),
-        spectrum_edge_hz=100e9 + spacing_hz + bw,
+        spectrum_edge_hz=100e9 + spacing_hz + 50e9,
         objective=math.nan)
+
+
+def channels_of(alloc, routing):
+    """The allocation's channel states, each bandwidth rate/efficiency."""
+    return [ph.ChannelState(p, w, req.rate_bps / c) for p, w, c, req
+            in zip(alloc.power_w, alloc.center_hz, alloc.efficiency,
+                   routing.requests)]
 
 
 def test_generous_allocation_clean(pair_setup):
@@ -55,20 +61,19 @@ def test_report_matches_hand_recomputation(pair_setup):
     alloc = hand_allocation()
     rep = validate.validate(alloc, routing, inst)
     ctx = ph.NoiseContext(routing.span_counts, routing.shared_spans, PHYS)
-    channels = [ph.ChannelState(alloc.power_w[q], alloc.center_hz[q],
-                                alloc.bandwidth_hz[q])
-                for q in range(2)]
+    channels = channels_of(alloc, routing)
+    assert [ch.bandwidth_hz for ch in channels] == [50e9, 50e9]
     noise = 0.0
     for q in range(2):
         exact = ph.osnr(q, channels, ctx)
         # formulation 1's approximate model, written out: amplifier noise,
         # monomial self interference, linear-kernel cross interference
         s, n = routing.span_counts[q], int(routing.shared_spans[q, 1 - q])
-        p, b, i = alloc.power_w[q], alloc.bandwidth_hz[q], 1 - q
+        p, b, i = alloc.power_w[q], channels[q].bandwidth_hz, 1 - q
         d = abs(alloc.center_hz[q] - alloc.center_hz[i])
         model = p / (PHYS.ase * s * b + PHYS.kerr * PHYS.sci_shape * s * p ** 3
                      + 0.4343 * PHYS.kerr * n * p * alloc.power_w[i] ** 2
-                     / (alloc.bandwidth_hz[i] * d))
+                     / (channels[i].bandwidth_hz * d))
         assert rep.exact_osnr[q] == pytest.approx(exact, rel=1e-12)
         assert rep.model_osnr[q] == pytest.approx(model, rel=1e-12)
         assert rep.slack[q] == pytest.approx(exact / 3.52, rel=1e-9)
@@ -86,18 +91,25 @@ def test_report_matches_hand_recomputation(pair_setup):
 def test_rate_per_resource_reads_requests_by_position(pair_setup, ids):
     # a request's id is its position: the allocation lists requests in
     # routing order, so each rate pairs with the entry at the position it
-    # is put in
+    # is put in, and so does the bandwidth rate/efficiency derived from it
     routing, inst = pair_setup
     rates = [0.0, 0.0]
     for q, rate in zip(ids, (100e9, 50e9)):
         rates[q] = rate
     requests = tuple(replace(req, rate_bps=rate) for req, rate
                      in zip(routing.requests, rates))
-    power, bw = (1e-3, 2e-3), (50e9, 40e9)
-    alloc = replace(hand_allocation(), power_w=power, bandwidth_hz=bw)
-    rep = validate.validate(alloc, replace(routing, requests=requests), inst)
+    routing = replace(routing, requests=requests)
+    power, eff = (1e-3, 2e-3), (2.0, 1.25)
+    alloc = replace(hand_allocation(), power_w=power, efficiency=eff)
+    rep = validate.validate(alloc, routing, inst)
+    bw = [r / c for r, c in zip(rates, eff)]
     assert rep.mean_rate_per_resource == pytest.approx(
         sum(r / (p * b) for r, p, b in zip(rates, power, bw)) / 2, rel=1e-12)
+    ctx = ph.NoiseContext(routing.span_counts, routing.shared_spans, PHYS)
+    channels = channels_of(alloc, routing)
+    assert [ch.bandwidth_hz for ch in channels] == bw
+    assert rep.exact_osnr == tuple(ph.osnr(q, channels, ctx)
+                                   for q in range(2))
 
 
 def test_fit_requirement_for_offtable_efficiency(pair_setup):
@@ -148,7 +160,7 @@ def test_coincident_centers_read_nan(line_setup, formulation):
     inst = replace(inst, scenario=replace(inst.scenario,
                                           formulation=formulation))
     alloc = psa.Allocation((1e-3,) * 3, (100e9, 100e9, 300e9), (2.0,) * 3,
-                           (1.0,) * 3, (50e9,) * 3, 350e9, math.nan)
+                           (1.0,) * 3, 350e9, math.nan)
     rep = validate.validate(alloc, routing, inst)
     assert all(0 < x < math.inf for x in rep.exact_osnr + rep.model_osnr)
     rep = validate.validate(replace(alloc, center_hz=(100e9, 300e9, 100e9)),
@@ -175,28 +187,29 @@ _EFFS = [eff for eff, _ in DEFAULT_MODULATIONS]
 # not a number, infinite, and ones whose powers underflow or overflow
 _EXTREMES = st.sampled_from([0.0, -1.0, math.nan, math.inf, -math.inf,
                              1e-300, 1e300])
+# efficiencies whose bandwidths rate/efficiency are extreme too: NaN (for
+# a zero, negative or non-finite efficiency), inf at 1e-300, tiny at 1e300,
+# and at 1e-289 a finite 1e300 Hz whose square overflows
+_EXTREME_EFFS = _EXTREMES | st.just(1e-289)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(deadline=None, derandomize=True)
 @given(power=st.lists(st.floats(1e-6, 1.0) | _EXTREMES, min_size=3,
                       max_size=3),
-       bandwidth=st.lists(st.floats(1e9, 2e11) | _EXTREMES, min_size=3,
-                          max_size=3),
        centers=st.lists(st.floats(-1e13, 1e13), min_size=3, max_size=3),
        picks=st.lists(st.integers(0, 2), min_size=3, max_size=3),
-       efficiency=st.lists(st.sampled_from(_EFFS) | st.floats(2.0, 12.0)
-                           | _EXTREMES, min_size=3, max_size=3),
+       efficiency=st.lists(st.sampled_from(_EFFS) | st.floats(0.5, 100.0)
+                           | _EXTREME_EFFS, min_size=3, max_size=3),
        formulation=st.integers(1, 6))
-def test_validate_never_raises(line_setup, power, bandwidth, centers, picks,
+def test_validate_never_raises(line_setup, power, centers, picks,
                                efficiency, formulation):
     routing, inst = line_setup
     # requests draw their centers from a pool of three, so repeated picks
     # put channels on one center frequency
     center = tuple(centers[k] for k in picks)
-    alloc = psa.Allocation(
-        tuple(power), center, tuple(efficiency), (1.0,) * 3, tuple(bandwidth),
-        max(w + 0.5 * b for w, b in zip(center, bandwidth)), math.nan)
+    alloc = psa.Allocation(tuple(power), center, tuple(efficiency),
+                           (1.0,) * 3, max(center), math.nan)
     rep = validate.validate(alloc, routing, replace(
         inst, scenario=replace(inst.scenario, formulation=formulation)))
     assert len(rep.exact_osnr) == len(rep.model_osnr) == len(rep.slack) == 3
@@ -225,7 +238,7 @@ def test_guard_shortfall_detected(pair_setup):
 def test_band_and_edge_violations(pair_setup):
     routing, inst = pair_setup
     alloc = psa.Allocation((1e-3, 1e-3), (20e9, PHYS.band_hz), (2.0, 2.0),
-                           (1.0, 1.0), (50e9, 50e9), PHYS.band_hz, math.nan)
+                           (1.0, 1.0), PHYS.band_hz, math.nan)
     rep = validate.validate(alloc, routing, inst)
     kinds = sorted(v.kind for v in rep.violations)
     assert kinds == ["band", "lower-edge"]
@@ -233,7 +246,7 @@ def test_band_and_edge_violations(pair_setup):
 
 def test_empty_allocation(pair_setup):
     _, inst = pair_setup
-    empty = psa.Allocation((), (), (), (), (), 0.0, math.nan)
+    empty = psa.Allocation((), (), (), (), 0.0, math.nan)
     topo = inst.topology
     routing = solve_routing(topo, [], "spr", span_km=PHYS.span_km)
     rep = validate.validate(empty, routing, inst)
@@ -243,7 +256,7 @@ def test_empty_allocation(pair_setup):
 
 def test_size_mismatch_rejected(pair_setup):
     routing, inst = pair_setup
-    empty = psa.Allocation((), (), (), (), (), 0.0, math.nan)
+    empty = psa.Allocation((), (), (), (), 0.0, math.nan)
     with pytest.raises(InstanceError):
         validate.validate(empty, routing, inst)
 
