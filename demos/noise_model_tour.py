@@ -3,6 +3,7 @@
 Every quantity is in SI units: powers in watts, frequencies in hertz.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -43,9 +44,10 @@ def main():
     # center distance d; at 4 bit/s/Hz a 32 GHz channel carries 128 Gb/s
     eff = 4.0
     rates = [ch.bandwidth_hz * eff for ch in channels]
+    # one distance per pair of channels, read by both members' brackets
+    pairs = itertools.combinations(enumerate(channels), 2)
     point = {psa.d_var(q, i): abs(a.center_hz - b.center_hz)
-             for q, a in enumerate(channels) for i, b in enumerate(channels)
-             if q != i}
+             for (q, a), (i, b) in pairs}
     for q, ch in enumerate(channels):
         point[psa.p_var(q)] = ch.power_w
         point[psa.c_var(q)] = eff

@@ -2,8 +2,8 @@
 
 Given routed and ordered requests, the allocation problem picks per-request
 transmit power p, center frequency w, spectral efficiency c and OSNR margin
-factor m, plus pairwise center distances d and the occupied-band upper edge
-tau.  Six geometric-program formulations are built from two ingredients:
+factor m, plus one center distance d per pair of span-sharing requests and
+the occupied-band upper edge tau.  Six geometric-program formulations are built from two ingredients:
 
   required-OSNR fit      "power_law" (coef * c^exp, formulations 1-2),
                          "binomial_int" ((1+s*c)^10 expanded by the binomial
@@ -17,7 +17,11 @@ noise the amplifier + self + cross terms of the approximate noise model, whose
 one copy is `noise_bracket` (`validate` evaluates it too); channel
 nonoverlap is enforced between order-adjacent channels on every link, and
 each distance variable is tied to its frequency gap so the solver cannot
-claim more separation than the spectrum provides.
+claim more separation than the spectrum provides.  The paper writes d[q,i]
+and d[i,q]; both are capped by the same gap and enter everywhere else with
+negative exponents, so they are equal at any optimum, and the program holds
+one d per pair, read by both members' quality rows and weighted twice in
+the goal.
 """
 
 from __future__ import annotations
@@ -65,7 +69,8 @@ def t_var(q: int) -> str:
 
 
 def d_var(q: int, i: int) -> str:
-    return f"d[{q},{i}]"
+    """The one distance variable of the pair {q, i}."""
+    return f"d[{min(q, i)},{max(q, i)}]"
 
 
 TAU = "tau"
@@ -137,9 +142,11 @@ def build_program(routing: RoutingSolution, physics: PhysicsConstants,
             goal.append(_mono(scenario.weight_power, [(p_var(q), 1.0)]))
         if scenario.weight_margin > 0:
             goal.append(_mono(scenario.weight_margin, [(m_var(q), -1.0)]))
+    # each pair's distance stands for both of its members' spacings
     for q, i in routing.pairs:
         if scenario.weight_spacing > 0:
-            goal.append(_mono(scenario.weight_spacing, [(d_var(q, i), -1.0)]))
+            goal.append(_mono(2.0 * scenario.weight_spacing,
+                              [(d_var(q, i), -1.0)]))
     if not goal:
         raise InstanceError("all goal weights are zero")
 

@@ -41,7 +41,7 @@ class RoutingSolution:
     objective: float
     span_counts: tuple[int, ...]
     shared_spans: np.ndarray
-    pairs: tuple[tuple[int, int], ...]        # span-sharing q != i, row-major
+    pairs: tuple[tuple[int, int], ...]        # span-sharing q < i, row-major
     link_order: tuple[tuple[int, tuple[int, ...]], ...]
 
 
@@ -263,7 +263,7 @@ def solve_routing(topology: NetworkTopology, requests, method: str = "spr",
     order = tuple(sorted(range(len(requests)), key=lambda q: -costs[q]))
     rank = tuple(sorted(range(len(requests)), key=order.__getitem__))
     span_counts, shared = span_metrics(paths, topology, span_km)
-    pairs = tuple((q, i) for q, i in np.argwhere(shared > 0).tolist() if q != i)
+    pairs = tuple(map(tuple, np.argwhere(np.triu(shared, 1) > 0).tolist()))
     per_link: dict[int, list[int]] = {}
     for q, path in enumerate(paths):
         for l in path:

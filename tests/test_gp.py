@@ -230,7 +230,7 @@ def cost239_routing(data_dir):
 
 @pytest.fixture(scope="module")
 def cost239_program(cost239_routing):
-    # 135 variables, 197 rows
+    # 116 variables, 178 rows
     inst, routing = cost239_routing
     return psa.build_program(routing, inst.physics, inst.scenario)
 

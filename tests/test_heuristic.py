@@ -181,6 +181,29 @@ def test_rounding_compiles_the_program_once(data_dir, compiles):
     assert len(compiles) == 1
 
 
+def test_a_large_program_is_solved_by_superlu(data_dir, monkeypatch):
+    # 70 Cost239 requests give Newton systems well above gp._DENSE_MAX
+    # rows: the one tier-1 run whose every step goes through SuperLU
+    inst = load_instance(str(data_dir / "cost239_topology.txt"),
+                         str(data_dir / "cost239_traffic.txt"))
+    requests = partition_traffic(inst.demands, 100e9, 70, seed=0)
+    routing = solve_routing(inst.topology, requests, "spr",
+                            span_km=inst.physics.span_km)
+    solves = []
+    solve = gp.solve
+
+    def recording(form, x0):
+        sol = solve(form, x0)
+        solves.append((form.n + 1, form._kkt_perm is not None, sol.status))
+        return sol
+
+    monkeypatch.setattr(gp, "solve", recording)
+    heuristic.assign(routing, inst.physics, inst.scenario)
+    assert solves
+    for rows, sparse, status in solves:
+        assert rows > gp._DENSE_MAX and sparse and status == "optimal"
+
+
 def test_brute_force_compiles_the_program_once(chain, compiles):
     topo, _ = chain
     routing = solve_routing(topo, [TrafficDemand("a", "c", 100e9)], "spr",

@@ -7,7 +7,7 @@ import pytest
 from eongp import gp, physics as ph, psa
 from eongp.model import (
     InstanceError, ModulationTable, PhysicsConstants, ScenarioConfig,
-    TrafficDemand, load_topology,
+    TrafficDemand, load_instance, load_topology, partition_traffic,
 )
 from eongp.routing import solve_routing
 
@@ -37,10 +37,12 @@ def test_program_inventory(chain_routing):
     scen = ScenarioConfig()
     prog = psa.build_program(chain_routing, PHYS, scen)
     pairs = chain_routing.pairs
-    assert len(pairs) == 6  # all three requests pairwise share spans
+    # all three requests pairwise share spans: one d per unordered pair
+    assert pairs == ((0, 1), (0, 2), (1, 2))
     want_vars = {f"{k}[{q}]" for k in "pwcm" for q in range(3)} \
-        | {f"d[{q},{i}]" for q, i in pairs} | {"tau"}
+        | {"d[0,1]", "d[0,2]", "d[1,2]"} | {"tau"}
     assert set(prog.variables) == want_vars
+    assert psa.d_var(2, 1) == psa.d_var(1, 2) == "d[1,2]"
     names = [n for n, _ in prog.constraints]
     # adjacency (0,1) appears on both links but yields one row
     assert names.count("order[0,1]") == 1
@@ -50,12 +52,52 @@ def test_program_inventory(chain_routing):
         for stem in ("qos", "ceiling", "edge", "floor", "cfloor", "cceil"):
             assert f"{stem}[{q}]" in names
     assert "band" in names
-    assert sum(n.startswith("gap") for n in names) == 6
+    assert sorted(n for n in names if n.startswith("gap")) == \
+        ["gap[0,1]", "gap[0,2]", "gap[1,2]"]
+    # the goal weighs each pair's one distance twice, once per member
+    spacing = [t for t in prog.objective.terms
+               if t.exponents[0][0].startswith("d[")]
+    assert [(t.coef, t.exponents) for t in spacing] == \
+        [(2 * scen.weight_spacing, ((psa.d_var(q, i), -1.0),))
+         for q, i in pairs]
     # the fractional fit adds one auxiliary variable and row per request
     prog5 = psa.build_program(chain_routing, PHYS,
                               replace(scen, formulation=5))
     assert set(prog5.variables) - want_vars == {"t[0]", "t[1]", "t[2]"}
     assert sum(n.startswith("aux") for n, _ in prog5.constraints) == 3
+
+
+def test_one_distance_per_span_sharing_pair_on_cost239(data_dir):
+    # Cost239, 46 requests, formulation 1: p, w, c and m per request, tau,
+    # and one d and one gap row per unordered pair of requests whose paths
+    # share a link, read by both members' quality rows in ascending order
+    inst = load_instance(str(data_dir / "cost239_topology.txt"),
+                         str(data_dir / "cost239_traffic.txt"))
+    requests = partition_traffic(inst.demands, 100e9, 46, seed=0)
+    routing = solve_routing(inst.topology, requests, "spr",
+                            span_km=inst.physics.span_km)
+    prog = psa.build_program(routing, inst.physics, inst.scenario)
+    q = len(requests)
+    pairs = [(a, b) for a in range(q) for b in range(a + 1, q)
+             if set(routing.paths[a]) & set(routing.paths[b])]
+    assert list(routing.pairs) == pairs
+    assert len(prog.variables) == 4 * q + 1 + len(pairs)
+    assert [v for v in prog.variables if v.startswith("d[")] == \
+        [psa.d_var(a, b) for a, b in pairs]
+    assert [name for name, _ in prog.constraints if name.startswith("gap")] \
+        == [f"gap[{a},{b}]" for a, b in pairs]
+    rates = [r.rate_bps for r in requests]
+    ctx = ph.NoiseContext(routing.span_counts, routing.shared_spans,
+                          inst.physics)
+    for a in range(q):
+        partners = [b for b in range(q) if (min(a, b), max(a, b)) in pairs]
+        # amplifier and self terms, then one cross term per partner
+        xci = psa.noise_bracket(a, rates, ctx, 1)[2:]
+        assert [exps[-1][0] for _, exps in xci] == \
+            [psa.d_var(a, b) for b in partners]
+        qos = prog.constraint(f"qos[{a}]")
+        assert {v for v in qos.variables if v.startswith("d[")} == \
+            {psa.d_var(a, b) for b in partners}
 
 
 def point_for(routing, eff=4.0, power=3e-4, base_hz=40e9, step_hz=75e9):
@@ -205,8 +247,12 @@ def test_order_and_gap_row_structure(chain_routing):
             + 0.5 * rb / point[psa.c_var(b)]) / point[psa.w_var(b)]
     assert prog.constraint("order[0,1]").value(point) == \
         pytest.approx(want, rel=1e-12)
-    # gap rows cap the distance by the true center gap: exactly 1 here
+    # one gap row per unordered pair caps its distance by the true center
+    # gap: exactly 1 here
+    gaps = [name for name, _ in prog.constraints if name.startswith("gap")]
+    assert gaps == [f"gap[{q},{i}]" for q, i in chain_routing.pairs]
     for q, i in chain_routing.pairs:
+        assert q < i
         assert prog.constraint(f"gap[{q},{i}]").value(point) == \
             pytest.approx(1.0, rel=1e-12)
 
