@@ -224,9 +224,9 @@ def _affine(entries, u):
 # Newton matrices of at most this many rows are factored by dense Cholesky,
 # larger ones by SuperLU in a fill-reducing order.  Timed per step on
 # Cost239 psa forms and their phase-1 forms (one BLAS thread), dense was
-# faster on 23 of 24 forms of up to 289 rows (4x at 136), the two were even
-# from 308 to 347 rows, and SuperLU was faster on 27 of 28 forms from 384
-# rows up (2x at 620).
+# faster on all 26 forms of up to 325 rows (3.3x at 151, 1.14x at 325),
+# the two were within 30% of each other from 340 to 387 rows, and SuperLU
+# was faster on all 18 forms from 408 rows up (2.1x at 738).
 _DENSE_MAX = 300
 
 

@@ -1,10 +1,12 @@
 """CLI artifacts stay byte for byte what the reference run wrote.
 
 `golden/` holds the CSVs of four seeded pipeline commands at their
-defaults.  compare-gpsa at 46 requests covers both Newton paths: at seed 0
-formulations 1-4 have 288-row Newton systems, factored dense, and 5-6 have
-334 rows, factored by SuperLU.  LAPACK's Cholesky gives other floats when
-BLAS runs several threads, so each command runs in a process pinned to one.
+defaults.  Every Newton system they factor is dense: at seed 0
+compare-gpsa's 46 requests give formulations 1-4 237 rows and 5-6 283,
+under `gp._DENSE_MAX`; the SuperLU path is run by
+`test_heuristic.py::test_a_large_program_is_solved_by_superlu`.  LAPACK's
+Cholesky gives other floats when BLAS runs several threads, so each
+command runs in a process pinned to one.
 Only the input paths in the `# config:` header are normalised, to their
 file names, since they depend on where the package lives.
 """
