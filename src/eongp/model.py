@@ -82,7 +82,7 @@ class TrafficDemand:
 
 
 # The most requests a partition builds: the largest run measured, 268
-# requests, has 5665 variables (22 s, 261 MB), and the pair variables grow
+# requests, has 3369 variables (10 s, 210 MB), and the pair variables grow
 # with the square of the request count.
 MAX_REQUESTS = 10_000
 

@@ -3,7 +3,8 @@
 Given routed and ordered requests, the allocation problem picks per-request
 transmit power p, center frequency w, spectral efficiency c and OSNR margin
 factor m, plus one center distance d per pair of span-sharing requests and
-the occupied-band upper edge tau.  Six geometric-program formulations are built from two ingredients:
+the occupied-band upper edge tau.  Six geometric-program formulations are
+built from two ingredients:
 
   required-OSNR fit      "power_law" (coef * c^exp, formulations 1-2),
                          "binomial_int" ((1+s*c)^10 expanded by the binomial

@@ -11,9 +11,9 @@ still complete.  A request's bandwidth is its rate over its efficiency,
 as in the programs, and NaN unless the efficiency is positive and finite;
 a value that cannot be computed for a request (overlapping channels, a
 zero or non-finite power, bandwidth or efficiency) reads NaN, and a NaN
-position or width is a violation.  The requirement is the
-modulation table's: an efficiency that is not a table entry has none, so its
-required OSNR and slack read NaN.
+position or width is a violation.  The requirement is the modulation
+table's: an efficiency that is not a table entry has none, so its required
+OSNR and slack read NaN.
 """
 
 from __future__ import annotations
