@@ -22,7 +22,9 @@ def main():
     # three channels co-propagating over the same 5-span path
     n = 5
     ctx = physics.NoiseContext(span_counts=(n, n, n),
-                               shared_spans=np.full((3, 3), n),
+                               partners=tuple(
+                                   tuple((i, n) for i in range(3) if i != q)
+                                   for q in range(3)),
                                physics=phys)
     channels = [
         physics.ChannelState(1e-4, 193.10e12, 32e9),

@@ -29,7 +29,9 @@ artifacts hold its records as they are, non-finite numbers null.  A run
 that aborts leaves its stage, status and partial trace in trace.json.
 
 Exit codes: 0 success, 2 usage, 3 I/O, 4 input parse or validation,
-5 infeasible instance, 6 solver breakdown.
+5 a solve ended infeasible (the relaxation, or the program pinned in a
+rounding round; this does not prove the instance infeasible), 6 solver
+breakdown.
 """
 
 from __future__ import annotations

@@ -107,12 +107,6 @@ class GpProgram:
         if stray:
             raise GpError(f"undeclared variables {sorted(stray)}")
 
-    def constraint(self, name: str) -> Posynomial:
-        for n, p in self.constraints:
-            if n == name:
-                return p
-        raise GpError(f"no constraint named {name!r}")
-
 
 def assemble(objective: Posynomial, constraints) -> GpProgram:
     """Build a program, inferring variable order from first appearance."""

@@ -53,31 +53,14 @@ class NoiseContext:
     coefficients (`kerr`, `sci_shape`, `ase`) the expressions read.
 
     span_counts[q] is the number of amplified spans on request q's path and
-    shared_spans[q, i] the number of spans the paths of q and i have in
-    common (symmetric, with the diagonal equal to span_counts).  Derived
-    from it, partners[q] lists (i, shared_spans[q, i]) for every other
-    request i that shares a span with q, in ascending i; the counts are
-    Python ints, whose products overflow to inf instead of wrapping.
+    partners[q] lists (i, spans the paths of q and i share) for every other
+    request i that shares a span with q, in ascending i, as
+    `RoutingSolution` holds them; the counts are Python ints, whose
+    products overflow to inf instead of wrapping.
     """
     span_counts: tuple[int, ...]
-    shared_spans: np.ndarray
+    partners: tuple[tuple[tuple[int, int], ...], ...]
     physics: PhysicsConstants
-
-    def __post_init__(self):
-        m = np.asarray(self.shared_spans)
-        if m.shape != (len(self.span_counts),) * 2:
-            raise ValueError("shared_spans shape does not match span_counts")
-        if not np.array_equal(m, m.T):
-            raise ValueError("shared_spans must be symmetric")
-        if not np.array_equal(np.diagonal(m), self.span_counts):
-            raise ValueError("shared_spans diagonal must equal span_counts")
-        partners = [[] for _ in self.span_counts]
-        rows, cols = np.nonzero(m)
-        for q, i, n_shared in zip(rows.tolist(), cols.tolist(),
-                                  m[rows, cols].tolist()):
-            if q != i:
-                partners[q].append((i, n_shared))
-        object.__setattr__(self, "partners", tuple(map(tuple, partners)))
 
 
 def log_ratio_exact(x: float) -> float:

@@ -132,7 +132,7 @@ def build_program(routing: RoutingSolution, physics: PhysicsConstants,
     order = FORMULATION_ORDER[scenario.formulation]
     n = len(routing.requests)
     rates = [r.rate_bps for r in routing.requests]
-    ctx = NoiseContext(routing.span_counts, routing.shared_spans, physics)
+    ctx = NoiseContext(routing.span_counts, routing.partners, physics)
 
     # goal: spectrum edge, total power, inverse margins, inverse spacings
     goal: list[Monomial] = []

@@ -12,6 +12,8 @@ Besides paths, the stage emits the processing order used downstream: requests
 sorted by descending routing cost.  Projecting that global order onto each
 link fixes the relative spectral position of the channels sharing the link,
 which is what turns spectrum nonoverlap into tractable pairwise constraints.
+The stage also lists, once, each request's span-sharing partners and the
+spans they share, the only coupling of two requests in the noise model.
 """
 
 from __future__ import annotations
@@ -28,10 +30,12 @@ from .model import (
 )
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class RoutingSolution:
     """Paths plus the derived ordering and span geometry; requests and
-    links are named by their positions in `requests` and topology.links."""
+    links are named by their positions in `requests` and topology.links.
+    partners[q] lists (i, spans shared by q and i), Python ints, for every
+    request i whose path shares a span with q's, in ascending i."""
     method: str
     requests: tuple[TrafficDemand, ...]
     paths: tuple[tuple[int, ...], ...]        # link ids along each path
@@ -40,8 +44,8 @@ class RoutingSolution:
     rank: tuple[int, ...]                     # each request's position in order
     objective: float
     span_counts: tuple[int, ...]
-    shared_spans: np.ndarray
-    pairs: tuple[tuple[int, int], ...]        # span-sharing q < i, row-major
+    partners: tuple[tuple[tuple[int, int], ...], ...]
+    pairs: tuple[tuple[int, int], ...]        # q < i half, row-major
     link_order: tuple[tuple[int, tuple[int, ...]], ...]
 
 
@@ -108,24 +112,29 @@ def candidate_paths(graph: nx.DiGraph, source: str, dest: str,
         raise InstanceError(f"no path from {source} to {dest}") from None
 
 
-def span_metrics(paths, topology: NetworkTopology,
-                 span_km: float) -> tuple[tuple[int, ...], np.ndarray]:
-    """Per-request span counts and the matrix of pairwise shared spans."""
-    n = len(paths)
-    try:
+def span_metrics(paths, topology: NetworkTopology, span_km: float):
+    """Per-request span counts and partner lists: partners[q] holds
+    (i, spans the paths of q and i share) for every request i that shares
+    a span with q, in ascending i."""
+    try:  # a count beyond float range or beyond int64
         spans_of = [span_count(l.length_km, span_km) for l in topology.links]
-        shared = np.zeros((n, n), dtype=int)
-        for q, path_q in enumerate(paths):
-            links_q = set(path_q)
-            shared[q, q] = sum(spans_of[l] for l in path_q)
-            for i in range(q + 1, n):
-                common = links_q.intersection(paths[i])
-                if common:
-                    shared[q, i] = shared[i, q] = sum(spans_of[l] for l in common)
-    except OverflowError:  # a count beyond float range or beyond int64
+        span_counts = tuple(sum(spans_of[l] for l in path) for path in paths)
+        # a shared count is at most either member's own count
+        if max(span_counts, default=0) > np.iinfo(np.int64).max:
+            raise OverflowError
+    except OverflowError:
         raise InstanceError(f"links too long for int64 counts of {span_km:g} "
                             "km spans") from None
-    return tuple(int(shared[q, q]) for q in range(n)), shared
+    partners = [[] for _ in paths]
+    for q, path_q in enumerate(paths):
+        links_q = set(path_q)
+        for i in range(q + 1, len(paths)):
+            common = links_q.intersection(paths[i])
+            if common:
+                n_shared = sum(spans_of[l] for l in common)
+                partners[q].append((i, n_shared))
+                partners[i].append((q, n_shared))
+    return span_counts, tuple(map(tuple, partners))
 
 
 class _Congestion:
@@ -262,8 +271,9 @@ def solve_routing(topology: NetworkTopology, requests, method: str = "spr",
 
     order = tuple(sorted(range(len(requests)), key=lambda q: -costs[q]))
     rank = tuple(sorted(range(len(requests)), key=order.__getitem__))
-    span_counts, shared = span_metrics(paths, topology, span_km)
-    pairs = tuple(map(tuple, np.argwhere(np.triu(shared, 1) > 0).tolist()))
+    span_counts, partners = span_metrics(paths, topology, span_km)
+    pairs = tuple((q, i) for q, row in enumerate(partners) for i, _ in row
+                  if q < i)
     per_link: dict[int, list[int]] = {}
     for q, path in enumerate(paths):
         for l in path:
@@ -273,7 +283,7 @@ def solve_routing(topology: NetworkTopology, requests, method: str = "spr",
     return RoutingSolution(method=method, requests=requests, paths=paths,
                            costs=costs, order=order, rank=rank,
                            objective=float(objective), span_counts=span_counts,
-                           shared_spans=shared, pairs=pairs,
+                           partners=partners, pairs=pairs,
                            link_order=link_order)
 
 

@@ -117,7 +117,7 @@ def validate(allocation: psa.Allocation, routing: RoutingSolution,
                  for q, c in enumerate(allocation.efficiency)]
     channels = [ph.ChannelState(p, w, b) for p, w, b
                 in zip(allocation.power_w, allocation.center_hz, bandwidth)]
-    ctx = ph.NoiseContext(routing.span_counts, routing.shared_spans, physics)
+    ctx = ph.NoiseContext(routing.span_counts, routing.partners, physics)
     order = psa.FORMULATION_ORDER[scenario.formulation]
     # the program's variables at the allocation, each d at its actual gap
     point = {psa.d_var(q, i): abs(allocation.center_hz[q]

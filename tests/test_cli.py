@@ -439,8 +439,10 @@ def test_negative_formulation_size_exits_4(tmp_path):
 
 def test_infeasible_exit_code(tmp_path):
     tiny = tmp_path / "tiny.json"
-    # guard band alone exceeds the whole usable spectrum, so any pair of
-    # requests sharing a link cannot be separated
+    # in a 20 GHz band the relaxation is solved, but round 2 pins request
+    # 1 from 2.5 to the table's 2.0 bit/s/Hz and that pinned program is
+    # infeasible: exit 5 reports the failed solve, not an instance proven
+    # infeasible
     tiny.write_text(json.dumps({"physics": {"band_thz": 0.02}}))
     assert run_cli("run", "--requests", 3, "--seed", 0,
                    "--config", tiny, "--out", tmp_path) == 5

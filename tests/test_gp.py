@@ -67,9 +67,8 @@ def test_program_validation():
                     [("cap", posy(mono(1.0, z=-1.0)))])
     assert prog.variables == ("x", "y", "z")
     assert program_size(prog) == (3, 1)
-    assert prog.constraint("cap").terms[0].exponents == (("z", -1.0),)
-    with pytest.raises(GpError):
-        prog.constraint("nope")
+    assert dict(prog.constraints)["cap"].terms[0].exponents == \
+        (("z", -1.0),)
 
 
 # ---------------------------------------------------------------- solving

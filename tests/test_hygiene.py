@@ -76,14 +76,14 @@ def test_sources_are_found():
     assert {"gp.py", "test_gp.py", "run.py"} <= {p.name for p in SOURCES}
 
 
-def unreferenced(path, words, exempt=()):
+def unreferenced(path, words):
     """Definitions in `path` whose name occurs in `words` no more often
-    than the package defines it, but those named in `exempt`."""
+    than the package defines it."""
     defs = Counter(name for module in MODULES
                    for name, _ in defined_names(ast.parse(module.read_text())))
     tree = ast.parse(path.read_text(), filename=str(path))
     return [f"{path.name}:{line} {name}" for name, line in defined_names(tree)
-            if words[name] <= defs[name] and name not in exempt]
+            if words[name] <= defs[name]]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
@@ -96,22 +96,36 @@ def test_no_unreferenced_definitions(path, words):
 
 
 @pytest.fixture(scope="module")
-def program_words():
-    """As `words`, over the package, the bench harness and the demos only:
-    the tests of either are left out."""
-    return Counter(word for path in SOURCES
-                   if path.relative_to(REPO).parts[0] != "tests"
-                   and path.name != "test_bench.py"
-                   for word in re.findall(r"\w+", path.read_text()))
+def program_references():
+    """Every name the package, the bench harness and the demos refer to in
+    code: names and attributes read, and names imported.  The tests of
+    either are left out, and so are strings and comments."""
+    refs = set()
+    for path in SOURCES:
+        if path.relative_to(REPO).parts[0] == "tests" or \
+                path.name == "test_bench.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                refs.add(node.id)
+            elif isinstance(node, ast.Attribute) and \
+                    isinstance(node.ctx, ast.Load):
+                refs.add(node.attr)
+            elif isinstance(node, ast.alias):
+                refs.add(node.name)
+    return refs
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
-def test_no_test_only_definitions(path, program_words):
+def test_no_test_only_definitions(path, program_references):
     # a name that only the tests refer to is dead code kept alive by them.
     # The one exception is routing.enumerate_shortest, the exhaustive
     # oracle that the routing tests compare `shortest_path` against.
-    test_only = unreferenced(path, program_words,
-                             exempt={"enumerate_shortest"})
+    tree = ast.parse(path.read_text(), filename=str(path))
+    test_only = [f"{path.name}:{line} {name}"
+                 for name, line in defined_names(tree)
+                 if name not in program_references
+                 and name != "enumerate_shortest"]
     assert not test_only, f"defined for the tests alone: {test_only}"
 
 

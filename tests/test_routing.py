@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from eongp import routing
-from eongp.model import InstanceError, TrafficDemand, load_topology
+from eongp.model import (
+    InstanceError, TrafficDemand, load_topology, span_count,
+)
 from eongp.routing import (
     build_graph, candidate_paths, enumerate_shortest, shortest_path,
     solve_routing, span_metrics,
@@ -89,8 +91,8 @@ def test_spr_solution_fields(tmp_path):
     assert sol.order == (0, 1, 2)  # equal costs fall back to position
     assert sol.objective == 5.0
     assert sol.span_counts == (2, 2, 1)
-    assert sol.shared_spans[0, 1] == 2
-    assert sol.shared_spans[0, 2] == 1
+    assert sol.partners == (((1, 2), (2, 1)), ((0, 2), (2, 1)),
+                            ((0, 1), (1, 1)))
     assert dict(sol.link_order)[2] == (0, 1, 2)
     assert sol.rank[2] == 2
     assert sol.pairs == ((0, 1), (0, 2), (1, 2))  # each unordered pair once
@@ -261,19 +263,59 @@ def test_span_metrics_on_mesh(data_dir):
     assert sol.span_counts[0] == 13
     # 1->2 rides the 410 km link: 6 spans
     assert sol.span_counts[1] == 6
-    assert sol.shared_spans[0, 1] == 0
-    assert np.array_equal(sol.shared_spans, sol.shared_spans.T)
-    assert np.array_equal(np.diagonal(sol.shared_spans), sol.span_counts)
+    assert sol.partners == ((), ())
+    assert sol.pairs == ()
 
 
 def test_shared_spans_bounded_by_own(tmp_path):
     topo = topo_from_text(tmp_path, DIAMOND)
     paths = [(0, 2), (2,), (0,)]
-    counts, shared = span_metrics(paths, topo, span_km=0.6)
+    counts, partners = span_metrics(paths, topo, span_km=0.6)
     assert counts == (4, 2, 2)  # 1 km links at 0.6 km spans: 2 each
-    for q in range(3):
-        for i in range(3):
-            assert shared[q, i] <= min(counts[q], counts[i])
+    # (2,) and (0,) share nothing
+    assert partners == (((1, 2), (2, 2)), ((0, 2),), ((0, 2),))
+    for q, row in enumerate(partners):
+        for i, n_shared in row:
+            assert n_shared <= min(counts[q], counts[i])
+
+
+@pytest.fixture(scope="module")
+def cost239(data_dir):
+    return load_topology(str(data_dir / "cost239_topology.txt"))
+
+
+@settings(deadline=None, derandomize=True, max_examples=40)
+@given(method=st.sampled_from(["spr", "scpr"]),
+       ends=st.lists(st.tuples(st.integers(0, 10), st.integers(1, 10)),
+                     min_size=1, max_size=10),
+       span_km=st.sampled_from([7.5, 80.0, 400.0]))
+def test_partners_match_brute_force(cost239, method, ends, span_km):
+    # request q runs from node s to the node k places further round, so
+    # its ends differ; partners[q] must list every other request whose
+    # path shares a link with q's, in ascending order, with the spans of
+    # the shared links summed, and `pairs` must be its q < i half
+    nodes = cost239.nodes
+    reqs = [req(nodes[s], nodes[(s + k) % len(nodes)]) for s, k in ends]
+    sol = solve_routing(cost239, reqs, method, span_km=span_km)
+    spans = [span_count(l.length_km, span_km) for l in cost239.links]
+    n = len(reqs)
+    assert sol.span_counts == tuple(sum(spans[l] for l in path)
+                                    for path in sol.paths)
+    for q in range(n):
+        want = []
+        for i in range(n):
+            common = set(sol.paths[q]) & set(sol.paths[i])
+            if i != q and common:
+                want.append((i, sum(spans[l] for l in common)))
+        assert sol.partners[q] == tuple(want)
+        assert all(type(n_shared) is int for _, n_shared in sol.partners[q])
+        assert [i for i, _ in sol.partners[q]] == \
+            sorted({i for i, _ in sol.partners[q]})
+    for q, row in enumerate(sol.partners):
+        for i, n_shared in row:
+            assert (q, n_shared) in sol.partners[i]
+    assert sol.pairs == tuple(sorted(
+        (q, i) for q, row in enumerate(sol.partners) for i, _ in row if q < i))
 
 
 def test_link_order_is_projection_of_global_order(tmp_path):

@@ -60,7 +60,7 @@ def test_report_matches_hand_recomputation(pair_setup):
     routing, inst = pair_setup
     alloc = hand_allocation()
     rep = validate.validate(alloc, routing, inst)
-    ctx = ph.NoiseContext(routing.span_counts, routing.shared_spans, PHYS)
+    ctx = ph.NoiseContext(routing.span_counts, routing.partners, PHYS)
     channels = channels_of(alloc, routing)
     assert [ch.bandwidth_hz for ch in channels] == [50e9, 50e9]
     noise = 0.0
@@ -68,7 +68,7 @@ def test_report_matches_hand_recomputation(pair_setup):
         exact = ph.osnr(q, channels, ctx)
         # formulation 1's approximate model, written out: amplifier noise,
         # monomial self interference, linear-kernel cross interference
-        s, n = routing.span_counts[q], int(routing.shared_spans[q, 1 - q])
+        s, ((_, n),) = routing.span_counts[q], routing.partners[q]
         p, b, i = alloc.power_w[q], channels[q].bandwidth_hz, 1 - q
         d = abs(alloc.center_hz[q] - alloc.center_hz[i])
         model = p / (PHYS.ase * s * b + PHYS.kerr * PHYS.sci_shape * s * p ** 3
@@ -105,7 +105,7 @@ def test_rate_per_resource_reads_requests_by_position(pair_setup, ids):
     bw = [r / c for r, c in zip(rates, eff)]
     assert rep.mean_rate_per_resource == pytest.approx(
         sum(r / (p * b) for r, p, b in zip(rates, power, bw)) / 2, rel=1e-12)
-    ctx = ph.NoiseContext(routing.span_counts, routing.shared_spans, PHYS)
+    ctx = ph.NoiseContext(routing.span_counts, routing.partners, PHYS)
     channels = channels_of(alloc, routing)
     assert [ch.bandwidth_hz for ch in channels] == bw
     assert rep.exact_osnr == tuple(ph.osnr(q, channels, ctx)
