@@ -39,7 +39,7 @@ def main():
     print(f"  total power         {report.total_power_w:.3e} W")
     print(f"  total noise         {report.total_noise_w:.3e} W")
     print(f"  rate per resource   {report.mean_rate_per_resource:.3e} bit/s "
-          f"per span-Hz")
+          "per W per Hz")
     worst = max(range(n), key=lambda q: report.model_error[q])
     print(f"  worst model error   {report.model_error[worst]:.2e} "
           f"(request {worst})")

@@ -14,9 +14,9 @@ ten; sweep-margin, compare-rto and compare-gpsa all but the one they vary;
 characterize-approx --config and --out; count-formulations --q --l --v --out.
 
 Configuration layers, later wins: defaults, the --config file, flags.
-The solver tolerances (1e-8), its iteration cap (200), the rounding step
-(0.1 bit/s/Hz) and the clamp of relaxed efficiencies to the table span are
-fixed, not configured.
+The solver tolerances (1e-8 in both phases, and phase 1's 1e-6 margin),
+its iteration cap (200), the rounding step (0.1 bit/s/Hz) and the clamp of
+relaxed efficiencies to the table span are fixed, not configured.
 
 Every CSV artifact opens with a '# config: {...}' comment carrying what the
 command read, so the file alone identifies the run that produced it.

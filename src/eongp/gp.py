@@ -13,11 +13,11 @@ reads only that triangle.  A larger one is factored by SuperLU, the one
 user of scipy.sparse: its fill-reducing order is computed once per form,
 and each step gathers the triangle into the full matrix, already
 permuted.  Both factors accept a matrix exactly when it is positive
-definite.  A phase-1 stage finds a strictly feasible start or certifies
-infeasibility.  Pinning x_j = v shifts each offset by a_j log v and drops
-column j's entries, so `fix_variable` transforms a compiled form: a
-program compiles once, however often it is pinned, and its solution
-reports each pinned variable at its pinned value.
+definite.  A phase-1 stage finds a strictly feasible start or reports
+the program infeasible.  Pinning x_j = v shifts each offset by a_j log v
+and drops column j's entries, so `fix_variable` transforms a compiled
+form: a program compiles once, however often it is pinned, and its
+solution reports each pinned variable at its pinned value.
 
 Contract: a solution with status "optimal" has relative KKT residual at most
 1e-6 and every constraint satisfied to within 1e-8 (iterates are kept
@@ -63,9 +63,9 @@ class Monomial:
 
     @staticmethod
     def make(coef: float, exponents=()) -> "Monomial":
+        """From (variable, exponent) pairs; repeats add, zeros drop."""
         merged: dict[str, float] = {}
-        items = exponents.items() if hasattr(exponents, "items") else exponents
-        for var, exp in items:
+        for var, exp in exponents:
             merged[var] = merged.get(var, 0.0) + float(exp)
         canon = tuple(sorted((v, e) for v, e in merged.items() if e != 0.0))
         return Monomial(float(coef), canon)
@@ -478,9 +478,11 @@ _MU = 3.0
 _ARMIJO = 0.01
 _BACKTRACK = 0.5
 _MAX_STEP = 20.0  # cap on the infinity norm of a Newton step in log space
-# a phase is optimal at this relative gap and dual residual, within the cap
+# a phase is optimal at this relative gap and dual residual, within the cap;
+# phase 1 ends sooner, once every constraint holds with this log-space margin
 _GAP_TOL = 1e-8
 _FEAS_TOL = 1e-8
+_PHASE1_MARGIN = 1e-6
 _MAX_ITERATIONS = 200
 
 
@@ -592,7 +594,7 @@ def _residual_norm(r_dual, lam, F, t):
     return math.sqrt((r_dual ** 2).sum() + (r_cent ** 2).sum())
 
 
-def _pdipm(form: ConvexForm, u, gap_tol, early_stop=None):
+def _pdipm(form: ConvexForm, u, early_stop=None):
     """Primal-dual interior point from a strictly feasible u.
 
     Returns (u, lam, point, status, iterations, kkt), where point is what
@@ -620,7 +622,7 @@ def _pdipm(form: ConvexForm, u, gap_tol, early_stop=None):
         kkt = max(dual_rel, gap_rel)
         if early_stop is not None and early_stop(u, F):
             return u, lam, point, STATUS_OPTIMAL, it, kkt
-        if dual_rel <= _FEAS_TOL and gap_rel <= gap_tol:
+        if dual_rel <= _FEAS_TOL and gap_rel <= _GAP_TOL:
             return u, lam, point, STATUS_OPTIMAL, it, kkt
         t = _MU * m / eta if m else math.inf
         rhs = -g0 - form._jac_t(jdata, 1.0 / (t * (-F)))
@@ -669,12 +671,13 @@ def solve(program, x0=None) -> GpSolution:
     """Solve a geometric program, given as a GpProgram or a compiled form.
 
     x0 maps variable names to positive starting values; missing names start
-    at 1 and names the program lacks are ignored.  A start that is not
-    strictly feasible runs phase 1 first: the `with_slack()` form from
-    there, until the program's constraints hold with a margin of 1e-6.
-    Each phase stops at relative gap and dual residual 1e-8 or after 200
-    iterations, whichever comes first.  The solution reports a pinned
-    form's pins among its variables.
+    at 1 and names the program lacks are ignored.  Unless every constraint
+    row is below -1e-9 at the start, phase 1 runs first: the `with_slack()`
+    form from there, until the program's constraints hold with a margin of
+    1e-6 in log space.  Each phase stops at relative gap and dual residual
+    1e-8 or after 200 iterations, whichever comes first; a phase 1 that
+    stops at the gap without the margin reports the program infeasible.
+    The solution reports a pinned form's pins among its variables.
     """
     form = _compiled(program)
     u = np.zeros(form.n)
@@ -690,17 +693,17 @@ def solve(program, x0=None) -> GpSolution:
         # the program's own constraint values are those of the slack form
         # plus the slack s = us[-1]
         us, _, _, status, p1_iters, _ = _pdipm(
-            form.with_slack(), np.append(u, F.max() + 1.0), gap_tol=1e-9,
-            early_stop=lambda us, Fs: float((Fs + us[-1]).max()) <= -1e-6)
+            form.with_slack(), np.append(u, F.max() + 1.0),
+            early_stop=lambda us, Fs: (Fs + us[-1]).max() <= -_PHASE1_MARGIN)
         u = us[:-1]
-        if float(form.constraint_eval(u)[0].max()) > -1e-6:
+        if float(form.constraint_eval(u)[0].max()) > -_PHASE1_MARGIN:
             # no strictly feasible point: infeasible if phase 1 converged
             # (with nonnegative slack), else phase 1's own status
             return GpSolution(
                 STATUS_INFEASIBLE if status == STATUS_OPTIMAL else status, {},
                 math.inf, (), (), p1_iters, math.inf)
 
-    u, lam, (F, _, F0, *_), status, iters, kkt = _pdipm(form, u, _GAP_TOL)
+    u, lam, (F, _, F0, *_), status, iters, kkt = _pdipm(form, u)
     x = {v: _exp(u[i]) for i, v in enumerate(form.variables)}
     return GpSolution(status, {**x, **form.fixed}, _exp(F0), tuple(lam),
                       tuple(np.exp(F)), p1_iters + iters, kkt)

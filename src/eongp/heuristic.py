@@ -104,7 +104,7 @@ def assign(routing: RoutingSolution, physics: PhysicsConstants,
 
     def solve_or_abort(compiled, x0, stage):
         sol = gp.solve(compiled, x0)
-        if sol.status != "optimal":
+        if sol.status != gp.STATUS_OPTIMAL:
             partial = HeuristicTrace(
                 routing.method, scenario.formulation, tuple(rounds),
                 relaxed_objective, math.nan) if rounds else None

@@ -285,15 +285,3 @@ def solve_routing(topology: NetworkTopology, requests, method: str = "spr",
                            objective=float(objective), span_counts=span_counts,
                            partners=partners, pairs=pairs,
                            link_order=link_order)
-
-
-def enumerate_shortest(graph: nx.DiGraph, source: str, dest: str) -> float:
-    """Oracle: minimum path length by exhaustive simple-path enumeration."""
-    best = math.inf
-    for node_path in nx.all_simple_paths(graph, source, dest):
-        total = sum(graph.edges[u, v]["length"]
-                    for u, v in itertools.pairwise(node_path))
-        best = min(best, total)
-    if math.isinf(best):
-        raise InstanceError(f"no path from {source} to {dest}")
-    return best

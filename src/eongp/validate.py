@@ -197,7 +197,7 @@ def brute_force_psa(routing: RoutingSolution, physics: PhysicsConstants,
     best = None
     for combo in itertools.product(modulations.efficiencies, repeat=n):
         sol = gp.solve(psa.pin(base, dict(enumerate(combo))), start)
-        if sol.status != "optimal":
+        if sol.status != gp.STATUS_OPTIMAL:
             continue
         if best is None or sol.objective < best[0]:
             best = (sol.objective, sol.variables, combo)

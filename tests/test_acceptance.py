@@ -24,9 +24,9 @@ from eongp.model import (
 )
 from eongp.psa import formulation_size
 from eongp.routing import (
-    build_graph, candidate_paths, enumerate_shortest, shortest_path,
-    solve_routing,
+    build_graph, candidate_paths, shortest_path, solve_routing,
 )
+from oracles import enumerate_shortest
 from test_routing import brute_force_congestion
 
 mp.dps = 50

@@ -457,6 +457,19 @@ def test_infeasible_exit_code(tmp_path):
     assert not (tmp_path / "allocation.csv").exists()
 
 
+def test_infeasible_relaxation_exit_code(tmp_path):
+    # in a 5 GHz band the relaxation itself has no strictly feasible point:
+    # phase 1 converges short of its margin, and no round is reached
+    tiny = tmp_path / "tiny.json"
+    tiny.write_text(json.dumps({"physics": {"band_thz": 0.005}}))
+    assert run_cli("run", "--requests", 3, "--config", tiny,
+                   "--out", tmp_path) == 5
+    trace = json.loads((tmp_path / "trace.json").read_text())
+    assert trace["error"]["stage"] == "relaxation"
+    assert trace["error"]["status"] == "infeasible"
+    assert trace["trace"] is None
+
+
 def test_solver_breakdown_exit_code(tmp_path, monkeypatch):
     # one Newton iteration cannot converge: the solve stops at
     # max-iterations, a solver breakdown rather than an infeasible instance

@@ -218,6 +218,7 @@ def test_infeasible_band_aborts_with_stage(chain):
     with pytest.raises(HeuristicError) as err:
         heuristic.assign(routing, tight, ScenarioConfig())
     assert err.value.stage == "relaxation"
+    assert err.value.status == "infeasible"
 
 
 def test_run_pipeline(chain):

@@ -118,14 +118,12 @@ def program_references():
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_test_only_definitions(path, program_references):
-    # a name that only the tests refer to is dead code kept alive by them.
-    # The one exception is routing.enumerate_shortest, the exhaustive
-    # oracle that the routing tests compare `shortest_path` against.
+    # a name that only the tests refer to is dead code kept alive by them;
+    # the tests keep their own oracles (tests/oracles.py)
     tree = ast.parse(path.read_text(), filename=str(path))
     test_only = [f"{path.name}:{line} {name}"
                  for name, line in defined_names(tree)
-                 if name not in program_references
-                 and name != "enumerate_shortest"]
+                 if name not in program_references]
     assert not test_only, f"defined for the tests alone: {test_only}"
 
 

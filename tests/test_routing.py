@@ -11,9 +11,9 @@ from eongp.model import (
     InstanceError, TrafficDemand, load_topology, span_count,
 )
 from eongp.routing import (
-    build_graph, candidate_paths, enumerate_shortest, shortest_path,
-    solve_routing, span_metrics,
+    build_graph, candidate_paths, shortest_path, solve_routing, span_metrics,
 )
+from oracles import enumerate_shortest
 
 
 def topo_from_text(tmp_path, text):
