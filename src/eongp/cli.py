@@ -15,8 +15,10 @@ characterize-approx --config and --out; count-formulations --q --l --v --out.
 
 Configuration layers, later wins: defaults, the --config file, flags.
 The solver tolerances (1e-8 in both phases, and phase 1's 1e-6 margin),
-its iteration cap (200), the rounding step (0.1 bit/s/Hz) and the clamp of
-relaxed efficiencies to the table span are fixed, not configured.
+its iteration cap (200), phase 1's starting slack (0.1 above the largest
+constraint value), the first-fit warm start of the relaxation, the
+rounding step (0.1 bit/s/Hz) and the clamp of relaxed efficiencies to the
+table span are fixed, not configured.
 
 Every CSV artifact opens with a '# config: {...}' comment carrying what the
 command read, so the file alone identifies the run that produced it.

@@ -14,10 +14,12 @@ user of scipy.sparse: its fill-reducing order is computed once per form,
 and each step gathers the triangle into the full matrix, already
 permuted.  Both factors accept a matrix exactly when it is positive
 definite.  A phase-1 stage finds a strictly feasible start or reports
-the program infeasible.  Pinning x_j = v shifts each offset by a_j log v
-and drops column j's entries, so `fix_variable` transforms a compiled
-form: a program compiles once, however often it is pinned, and its
-solution reports each pinned variable at its pinned value.
+the program infeasible; its slack starts 0.1 above the largest constraint
+value, so a start that is nearly feasible leaves it in a few iterations.
+Pinning x_j = v shifts each offset by a_j log v and drops column j's
+entries, so `fix_variable` transforms a compiled form: a program compiles
+once, however often it is pinned, and its solution reports each pinned
+variable at its pinned value.
 
 Contract: a solution with status "optimal" has relative KKT residual at most
 1e-6 and every constraint satisfied to within 1e-8 (iterates are kept
@@ -459,7 +461,8 @@ def fix_variable(program, values: dict[str, float]) -> ConvexForm:
 @dataclass(frozen=True)
 class GpSolution:
     """`variables` maps every variable of the original program to its value,
-    a pinned one to its pinned value; it is empty when phase 1 fails."""
+    a pinned one to its pinned value; it is empty when phase 1 fails.
+    `iterations` counts both phases, `phase1_iterations` phase 1's share."""
     status: str
     variables: dict[str, float]
     objective: float
@@ -467,6 +470,7 @@ class GpSolution:
     constraint_values: tuple[float, ...]
     iterations: int
     kkt: float
+    phase1_iterations: int
 
     def value(self, name: str) -> float:
         return self.variables[name]
@@ -483,6 +487,8 @@ _MAX_STEP = 20.0  # cap on the infinity norm of a Newton step in log space
 _GAP_TOL = 1e-8
 _FEAS_TOL = 1e-8
 _PHASE1_MARGIN = 1e-6
+# phase 1 starts its slack this far above the largest constraint value
+_PHASE1_SLACK = 0.1
 _MAX_ITERATIONS = 200
 
 
@@ -673,11 +679,13 @@ def solve(program, x0=None) -> GpSolution:
     x0 maps variable names to positive starting values; missing names start
     at 1 and names the program lacks are ignored.  Unless every constraint
     row is below -1e-9 at the start, phase 1 runs first: the `with_slack()`
-    form from there, until the program's constraints hold with a margin of
-    1e-6 in log space.  Each phase stops at relative gap and dual residual
-    1e-8 or after 200 iterations, whichever comes first; a phase 1 that
-    stops at the gap without the margin reports the program infeasible.
-    The solution reports a pinned form's pins among its variables.
+    form from there, its slack 0.1 above the largest constraint value,
+    until the program's constraints hold with a margin of 1e-6 in log
+    space.  Each phase stops at relative gap and dual residual 1e-8 or
+    after 200 iterations, whichever comes first; a phase 1 that stops at
+    the gap without the margin reports the program infeasible.  The
+    solution reports a pinned form's pins among its variables, and phase
+    1's share of its iterations.
     """
     form = _compiled(program)
     u = np.zeros(form.n)
@@ -693,7 +701,7 @@ def solve(program, x0=None) -> GpSolution:
         # the program's own constraint values are those of the slack form
         # plus the slack s = us[-1]
         us, _, _, status, p1_iters, _ = _pdipm(
-            form.with_slack(), np.append(u, F.max() + 1.0),
+            form.with_slack(), np.append(u, F.max() + _PHASE1_SLACK),
             early_stop=lambda us, Fs: (Fs + us[-1]).max() <= -_PHASE1_MARGIN)
         u = us[:-1]
         if float(form.constraint_eval(u)[0].max()) > -_PHASE1_MARGIN:
@@ -701,9 +709,9 @@ def solve(program, x0=None) -> GpSolution:
             # (with nonnegative slack), else phase 1's own status
             return GpSolution(
                 STATUS_INFEASIBLE if status == STATUS_OPTIMAL else status, {},
-                math.inf, (), (), p1_iters, math.inf)
+                math.inf, (), (), p1_iters, math.inf, p1_iters)
 
     u, lam, (F, _, F0, *_), status, iters, kkt = _pdipm(form, u)
     x = {v: _exp(u[i]) for i, v in enumerate(form.variables)}
     return GpSolution(status, {**x, **form.fixed}, _exp(F0), tuple(lam),
-                      tuple(np.exp(F)), p1_iters + iters, kkt)
+                      tuple(np.exp(F)), p1_iters + iters, kkt, p1_iters)

@@ -11,7 +11,9 @@ by `psa.pin`, and the program, compiled once, is re-solved with the pinned
 values moved into its offsets.  Each round pins at least one request, so
 the loop runs at most once per request.  The closing solve, with every
 efficiency pinned, reports the efficiencies at their table values beside
-the continuous powers, centers, margins, spacings and spectrum edge.
+the continuous powers, centers, margins, spacings and spectrum edge.  A
+one-value table leaves nothing to relax: every efficiency is pinned before
+the first solve, which is then the closing one, and no round runs.
 
 Rounding failures are not repaired: if any re-solve comes back infeasible
 the run aborts with a stage-tagged error carrying the partial trace.
@@ -113,11 +115,16 @@ def assign(routing: RoutingSolution, physics: PhysicsConstants,
                 stage, partial, status=sol.status)
         return sol
 
-    solution = solve_or_abort(
-        form, psa.warm_start(routing, physics, scenario), "relaxation")
+    start = psa.warm_start(routing, physics, scenario)
+    unfixed = list(routing.order)
+    if len(modulations.efficiencies) == 1:
+        # a one-value table leaves nothing to relax: pin it, round nothing
+        form = psa.pin(form, dict.fromkeys(unfixed,
+                                           modulations.efficiencies[0]))
+        unfixed = []
+    solution = solve_or_abort(form, start, "relaxation")
     relaxed_objective = solution.objective
 
-    unfixed = list(routing.order)
     while unfixed:
         batch = _pick_fixes(solution.variables, unfixed,
                             modulations.efficiencies, _ROUND_STEP)

@@ -229,21 +229,35 @@ def build_program(routing: RoutingSolution, physics: PhysicsConstants,
 
 def warm_start(routing: RoutingSolution, physics: PhysicsConstants,
                scenario: ScenarioConfig) -> dict[str, float]:
-    """Structural starting point: stacked spectrum, balanced powers.
+    """Structural starting point: first-fit spectrum, balanced powers.
 
-    Strict feasibility is not guaranteed; the solver falls back to its
-    phase-1 stage from here when needed.
+    In processing order, each channel sits just above every channel already
+    placed on the links of its own path, with doubled guards.  So every
+    `order`, `gap`, `edge` and `floor` row holds strictly, and while the
+    top channel edge stays below the band, tau lies strictly between the
+    two and `ceiling` and `band` hold strictly too.  The `qos` rows are not
+    guaranteed; the solver falls back to its phase-1 stage from here when
+    any row is not strict.
     """
     n = len(routing.requests)
     rates = [r.rate_bps for r in routing.requests]
     start: dict[str, float] = {}
     margin = 1.05 * scenario.min_margin
     bw = {q: rates[q] / _START_EFFICIENCY for q in range(n)}
-    # stack channels in processing order with doubled guards
-    edge = physics.guard_hz
+    guard = physics.guard_hz
+    # no channel sits above the top of all of them stacked on one link, so
+    # a stack beyond float range is rejected whatever the routing
+    if not guard * (1 + 2 * n) + sum(bw.values()) < math.inf:
+        raise InstanceError("the warm start's stacked channels are beyond "
+                            "float range")
+    # first fit in processing order with doubled guards: the top channel
+    # edge of each link so far, from one guard above zero
+    top: dict[int, float] = {}
     for q in routing.order:
-        start[w_var(q)] = edge + 2.0 * physics.guard_hz + 0.5 * bw[q]
-        edge = start[w_var(q)] + 0.5 * bw[q]
+        below = max(top.get(l, guard) for l in routing.paths[q])
+        start[w_var(q)] = below + 2.0 * guard + 0.5 * bw[q]
+        for l in routing.paths[q]:
+            top[l] = start[w_var(q)] + 0.5 * bw[q]
         start[c_var(q)] = _START_EFFICIENCY
         start[m_var(q)] = margin
         if FORMULATION_FIT[scenario.formulation] == "binomial_frac":
@@ -253,7 +267,10 @@ def warm_start(routing: RoutingSolution, physics: PhysicsConstants,
         noise_lin = physics.ase * routing.span_counts[q] * bw[q]
         noise_cub = physics.kerr * physics.sci_shape * routing.span_counts[q]
         start[p_var(q)] = (noise_lin / (2.0 * noise_cub)) ** (1.0 / 3.0)
-    start[TAU] = min(1.3 * edge, physics.band_hz)
+    # tau strictly between the top channel edge and the band when it fits
+    edge, band = max(top.values(), default=guard), physics.band_hz
+    start[TAU] = min(1.3 * edge, edge + 0.5 * (band - edge)) \
+        if edge < band else band
     for q, i in routing.pairs:
         lo, hi = (q, i) if routing.rank[q] < routing.rank[i] else (i, q)
         start[d_var(q, i)] = 0.9 * (start[w_var(hi)] - start[w_var(lo)])

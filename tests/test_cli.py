@@ -470,6 +470,34 @@ def test_infeasible_relaxation_exit_code(tmp_path):
     assert trace["trace"] is None
 
 
+@pytest.mark.parametrize("formulation", [3, 4])
+def test_infeasible_late_round_exit_code(tmp_path, formulation):
+    # Cost239, 36 requests, seed 2, weight_spectrum 1e-9: round 6 pins a
+    # program with no strictly feasible point, and phase 1 says so
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"scenario": {"weight_spectrum": 1e-9}}))
+    assert run_cli("run", "--requests", 36, "--seed", 2, "--gpsa",
+                   formulation, "--config", config, "--out", tmp_path) == 5
+    trace = json.loads((tmp_path / "trace.json").read_text())
+    assert trace["error"]["stage"] == "round 6"
+    assert trace["error"]["status"] == "infeasible"
+
+
+def test_one_entry_modulation_table_pins_without_rounding(tmp_path):
+    # one table value leaves nothing to relax: every efficiency is pinned
+    # before the first solve, and no rounding round runs
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"modulations": [[4.0, 10.0]]}))
+    assert run_cli("run", "--requests", 3, "--config", config,
+                   "--out", tmp_path) == 0
+    _, rows = cli.read_artifact_csv(tmp_path / "allocation.csv")
+    assert len(rows) == 3
+    assert {float(row["efficiency"]) for row in rows} == {4.0}
+    trace = json.loads((tmp_path / "trace.json").read_text())["trace"]
+    assert trace["rounds"] == []
+    assert trace["final_objective"] == trace["relaxed_objective"]
+
+
 def test_solver_breakdown_exit_code(tmp_path, monkeypatch):
     # one Newton iteration cannot converge: the solve stops at
     # max-iterations, a solver breakdown rather than an infeasible instance

@@ -165,6 +165,19 @@ def test_warm_start_and_bad_start():
         solve(prog, {"x": -1.0})
 
 
+def test_phase1_iterations_are_counted_within_the_total():
+    prog = am_gm_program()
+    assert solve(prog, {"x": 3.0, "y": 3.0}).phase1_iterations == 0
+    cold = solve(prog, {"x": 10.0, "y": 0.01})
+    assert 0 < cold.phase1_iterations < cold.iterations
+    # x <= 1 and x >= 2: phase 1 fails and is the whole run
+    bad = solve(assemble(posy(mono(1.0, x=1.0)),
+                         [("hi", posy(mono(1.0, x=1.0))),
+                          ("lo", posy(mono(2.0, x=-1.0)))]))
+    assert bad.status == "infeasible"
+    assert bad.phase1_iterations == bad.iterations > 0
+
+
 @pytest.fixture
 def no_trial_accepted(monkeypatch):
     # every residual reads infinite, so each line search runs out of steps

@@ -6,8 +6,9 @@ from hypothesis import given, settings, strategies as st
 from eongp import gp, heuristic, psa, validate
 from eongp.heuristic import HeuristicError, _pick_fixes
 from eongp.model import (
-    InstanceError, NetworkInstance, PhysicsConstants, ScenarioConfig,
-    TrafficDemand, load_instance, load_topology, partition_traffic,
+    InstanceError, ModulationTable, NetworkInstance, PhysicsConstants,
+    ScenarioConfig, TrafficDemand, load_instance, load_topology,
+    partition_traffic,
 )
 from eongp.routing import solve_routing
 
@@ -153,6 +154,19 @@ def test_three_requests_near_exhaustive(chain):
     oracle, _ = validate.brute_force_psa(routing, PHYS, scen)
     assert oracle.objective <= alloc.objective * (1 + 1e-6)
     assert alloc.objective <= oracle.objective * 1.02
+
+
+def test_one_entry_table_matches_exhaustive(chain):
+    # a one-value table forces every efficiency: assign pins them all
+    # before its one solve, and the exhaustive search has one combination
+    _, routing = chain
+    table = ModulationTable(((4.0, 10.0),))
+    scen = ScenarioConfig()
+    alloc, trace = heuristic.assign(routing, PHYS, scen, table)
+    oracle, combo = validate.brute_force_psa(routing, PHYS, scen, table)
+    assert trace.rounds == ()
+    assert alloc.efficiency == (4.0,) * 3 and set(combo.values()) == {4.0}
+    assert alloc.objective == pytest.approx(oracle.objective, rel=1e-9)
 
 
 @pytest.fixture

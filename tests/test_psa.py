@@ -2,6 +2,7 @@ import math
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from eongp import gp, physics as ph, psa
 from eongp.model import (
@@ -382,3 +383,50 @@ def test_size_formulas():
     for counts in ((-3, 0, 0), (1, -1, 0), (1, 4, -2)):
         with pytest.raises(InstanceError):
             psa.formulation_size("spr", *counts)
+
+
+# ------------------------------------------------------------ warm start
+
+@pytest.fixture(scope="module")
+def cost239(data_dir):
+    return load_instance(str(data_dir / "cost239_topology.txt"),
+                         str(data_dir / "cost239_traffic.txt"))
+
+
+def cost239_routing(inst, num_requests, seed):
+    requests = partition_traffic(inst.demands, inst.physics.capacity_bps,
+                                 num_requests, seed)
+    return solve_routing(inst.topology, requests, "spr",
+                         span_km=inst.physics.span_km, seed=seed)
+
+
+def test_cost239_relaxation_starts_strictly_feasible(cost239):
+    # 90 requests (one full_scale half in size): the first-fit start fits
+    # in the band and the relaxation runs no phase 1
+    routing = cost239_routing(cost239, 90, 0)
+    prog = psa.build_program(routing, cost239.physics, cost239.scenario)
+    sol = gp.solve(prog, psa.warm_start(routing, cost239.physics,
+                                        cost239.scenario))
+    assert sol.status == "optimal"
+    assert sol.phase1_iterations == 0 < sol.iterations
+
+
+@settings(max_examples=25, deadline=None)
+@given(num_requests=st.integers(1, 90), seed=st.integers(0, 1000),
+       formulation=st.integers(1, 6), band_thz=st.sampled_from([0.5, 2.0]))
+def test_warm_start_meets_its_structural_rows_strictly(
+        cost239, num_requests, seed, formulation, band_thz):
+    physics = replace(cost239.physics, band_thz=band_thz)
+    scen = replace(cost239.scenario, formulation=formulation)
+    routing = cost239_routing(cost239, num_requests, seed)
+    prog = psa.build_program(routing, physics, scen)
+    x0 = psa.warm_start(routing, physics, scen)
+    rates = [r.rate_bps for r in routing.requests]
+    top = max(x0[psa.w_var(q)] + 0.5 * rates[q] / x0[psa.c_var(q)]
+              for q in range(len(rates)))
+    strict = ("order", "gap", "edge", "floor")
+    if top < physics.band_hz:
+        strict += ("ceiling", "band")
+    for name, posy in prog.constraints:
+        if name.startswith(strict):
+            assert posy.value(x0) < 1.0, name
