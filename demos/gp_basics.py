@@ -19,7 +19,7 @@ def main():
                        [("product_floor", posy(mono(1.0, x=-1.0, y=-1.0)))])
     sol = solve(program)
     print(f"am-gm program: status {sol.status}, objective {sol.objective:.9f}")
-    print(f"  x = {sol.value('x'):.6f}, y = {sol.value('y'):.6f}")
+    print(f"  x = {sol.variables['x']:.6f}, y = {sol.variables['y']:.6f}")
     print(f"  dual of the floor constraint: {sol.duals[0]:.4f} "
           f"(raising the floor 1% raises the optimum 0.5%)")
 
@@ -33,7 +33,7 @@ def main():
     sol = solve(box)
     print(f"\nbox program: status {sol.status}, area {sol.objective:.6f}")
     for name in ("w", "d", "h"):
-        print(f"  {name} = {sol.value(name):.6f}")
+        print(f"  {name} = {sol.variables[name]:.6f}")
 
     # programs serialize to a plain text form and parse back
     text = to_text(box)

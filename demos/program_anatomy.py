@@ -6,7 +6,6 @@ v, so program growth is predictable before anything is solved.
 
 from importlib import resources
 
-from eongp.gp import program_size
 from eongp.model import (PhysicsConstants, ScenarioConfig, TrafficDemand,
                          load_topology)
 from eongp.psa import PROBLEM_KINDS, build_program, formulation_size
@@ -33,7 +32,7 @@ def main():
     routing = solve_routing(topo, requests, "spr", span_km=phys.span_km)
     scenario = ScenarioConfig(formulation=5)
     program = build_program(routing, phys, scenario)
-    nv, nc = program_size(program)
+    nv, nc = len(program.variables), len(program.constraints)
     want = formulation_size("gpsa5", len(requests), len(topo.links))
     print(f"\nbuilt gpsa5 for 3 partly co-routed requests: {nv} variables,"
           f" {nc} constraints (dense accounting: {want[0]}, {want[1]})")

@@ -85,12 +85,6 @@ def _settings(physics: PhysicsConstants, scenario: ScenarioConfig,
             "modulations": [[c, o] for c, o in modulations.entries]}
 
 
-def _config(args) -> tuple:
-    """The --config file layered over the defaults."""
-    return load_config(args.config) if args.config else (
-        PhysicsConstants(), ScenarioConfig(), ModulationTable())
-
-
 # --------------------------------------------------------------------------
 # artifact writers
 # --------------------------------------------------------------------------
@@ -179,7 +173,7 @@ def _pipeline(args, field: str | None = None, values=()):
     run that aborts leaves its stage, status and partial trace (null if the
     relaxation failed) in trace.json.
     """
-    physics, scenario, modulations = _config(args)
+    physics, scenario, modulations = load_config(args.config)
     scenario = replace(scenario, **{
         name: getattr(args, flag) for flag, name in _SCENARIO_FLAGS.items()
         if getattr(args, flag, None) is not None})
@@ -278,7 +272,7 @@ def _cmd_compare_gpsa(args) -> None:
 
 def _cmd_characterize_approx(args) -> None:
     # the rows read the modulation table alone, and so does the header
-    config = _config(args)
+    config = load_config(args.config)
     out = _Output(args.out, {"command": args.command,
                              "modulations": _settings(*config)["modulations"]})
     grid = physics.log_kernel_error_grid()

@@ -118,11 +118,6 @@ def assemble(objective: Posynomial, constraints) -> GpProgram:
     return GpProgram(objective, tuple(constraints), tuple(seen))
 
 
-def program_size(program: GpProgram) -> tuple[int, int]:
-    """(number of variables, number of constraints) actually instantiated."""
-    return len(program.variables), len(program.constraints)
-
-
 # --------------------------------------------------------------------------
 # text round trip
 # --------------------------------------------------------------------------
@@ -472,9 +467,6 @@ class GpSolution:
     kkt: float
     phase1_iterations: int
 
-    def value(self, name: str) -> float:
-        return self.variables[name]
-
 
 # gap reduction target per iteration; gentler values take more but cheaper
 # iterations on programs with weakly determined coordinates
@@ -484,8 +476,7 @@ _BACKTRACK = 0.5
 _MAX_STEP = 20.0  # cap on the infinity norm of a Newton step in log space
 # a phase is optimal at this relative gap and dual residual, within the cap;
 # phase 1 ends sooner, once every constraint holds with this log-space margin
-_GAP_TOL = 1e-8
-_FEAS_TOL = 1e-8
+_TOL = 1e-8
 _PHASE1_MARGIN = 1e-6
 # phase 1 starts its slack this far above the largest constraint value
 _PHASE1_SLACK = 0.1
@@ -628,7 +619,7 @@ def _pdipm(form: ConvexForm, u, early_stop=None):
         kkt = max(dual_rel, gap_rel)
         if early_stop is not None and early_stop(u, F):
             return u, lam, point, STATUS_OPTIMAL, it, kkt
-        if dual_rel <= _FEAS_TOL and gap_rel <= _GAP_TOL:
+        if dual_rel <= _TOL and gap_rel <= _TOL:
             return u, lam, point, STATUS_OPTIMAL, it, kkt
         t = _MU * m / eta if m else math.inf
         rhs = -g0 - form._jac_t(jdata, 1.0 / (t * (-F)))

@@ -41,7 +41,7 @@ class HeuristicError(RuntimeError):
     infeasible program from a numerical breakdown.
     """
 
-    def __init__(self, message: str, stage: str, trace=None, status=None):
+    def __init__(self, message: str, stage: str, trace, status):
         super().__init__(message)
         self.stage = stage
         self.trace = trace
@@ -77,15 +77,15 @@ class HeuristicTrace:
         return len(self.rounds)
 
 
-def _pick_fixes(solution_vars, unfixed, candidates, step: float):
+def _pick_fixes(solution_vars, unfixed, candidates):
     """Pin every request within the narrowest admitting window of a table
-    value; the window's multiple of `step` is solved for, not stepped to."""
+    value: the least multiple of `_ROUND_STEP` that admits one."""
     relaxed = {q: solution_vars[psa.c_var(q)] for q in unfixed}
     nearest = min(abs(c - v) for c in relaxed.values() for v in candidates)
-    k = max(0, math.ceil((nearest - 1e-12) / step) - 2)  # admits no request
-    while nearest > round(k * step, 12) + 1e-12:
+    k = 0
+    while nearest > round(k * _ROUND_STEP, 12) + 1e-12:
         k += 1
-    width = round(k * step, 12)
+    width = round(k * _ROUND_STEP, 12)
     batch = []
     for q in unfixed:
         for value in candidates:
@@ -112,7 +112,7 @@ def assign(routing: RoutingSolution, physics: PhysicsConstants,
                 relaxed_objective, math.nan) if rounds else None
             raise HeuristicError(
                 f"assignment solve failed ({sol.status}) at {stage}",
-                stage, partial, status=sol.status)
+                stage, partial, sol.status)
         return sol
 
     start = psa.warm_start(routing, physics, scenario)
@@ -127,7 +127,7 @@ def assign(routing: RoutingSolution, physics: PhysicsConstants,
 
     while unfixed:
         batch = _pick_fixes(solution.variables, unfixed,
-                            modulations.efficiencies, _ROUND_STEP)
+                            modulations.efficiencies)
         rounds.append(RoundingRound(solution.objective, tuple(batch)))
         pins = {rec.request: rec.fixed for rec in batch}
         form = psa.pin(form, pins)

@@ -371,18 +371,21 @@ def _build_section(cls, mapping, what: str):
         raise InstanceError(f"bad {what} section: {exc}") from None
 
 
-def load_config(path) -> tuple[PhysicsConstants, ScenarioConfig,
-                               ModulationTable]:
+def load_config(path=None) -> tuple[PhysicsConstants, ScenarioConfig,
+                                    ModulationTable]:
     """Read a config file as a (physics, scenario, modulations) triple.
 
     The file is JSON with optional physics/scenario/modulations sections;
-    whatever it leaves out keeps its built-in value.
+    whatever it leaves out keeps its built-in value, so no file at all
+    gives the built-in triple.
     """
-    with open(path) as fh:
-        try:
-            raw = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise InstanceError(f"{path}: invalid JSON: {exc}") from None
+    raw = {}
+    if path is not None:
+        with open(path) as fh:
+            try:
+                raw = json.load(fh)
+            except json.JSONDecodeError as exc:
+                raise InstanceError(f"{path}: invalid JSON: {exc}") from None
     if not isinstance(raw, dict):
         raise InstanceError(f"{path}: top level must be an object")
     extra = set(raw) - {"physics", "scenario", "modulations"}
@@ -407,9 +410,7 @@ def load_instance(topology_file, traffic_file, config=None
     `config` is a (physics, scenario, modulations) triple such as
     `load_config` returns; it defaults to the built-in values.
     """
-    if config is None:
-        config = PhysicsConstants(), ScenarioConfig(), ModulationTable()
-    phys, scen, table = config
+    phys, scen, table = load_config() if config is None else config
     topology = load_topology(topology_file)
     demands = demands_from_matrix(load_traffic(traffic_file), topology,
                                   scen.traffic_scale_gbps)

@@ -153,8 +153,7 @@ def log_kernel_error_grid() -> dict[str, np.ndarray]:
     }
 
 
-def osnr_fit_error_table(table: ModulationTable = ModulationTable()
-                         ) -> dict[str, np.ndarray]:
+def osnr_fit_error_table(table: ModulationTable) -> dict[str, np.ndarray]:
     """Fit values and signed relative errors at every modulation-table point."""
     effs = np.array(table.efficiencies)
     exact = np.array([table.required_osnr(c) for c in effs])

@@ -32,7 +32,8 @@ from dataclasses import dataclass
 
 from .gp import ConvexForm, GpProgram, Monomial, Posynomial, fix_variable
 from .model import (
-    InstanceError, ModulationTable, PhysicsConstants, ScenarioConfig,
+    RTO_METHODS, InstanceError, ModulationTable, PhysicsConstants,
+    ScenarioConfig,
 )
 from .physics import (
     OSNR_BINOM_EXP_FRAC, OSNR_BINOM_EXP_INT, OSNR_BINOM_SLOPE, OSNR_POW_COEF,
@@ -149,7 +150,9 @@ def build_program(routing: RoutingSolution, physics: PhysicsConstants,
             goal.append(_mono(2.0 * scenario.weight_spacing,
                               [(d_var(q, i), -1.0)]))
     if not goal:
-        raise InstanceError("all goal weights are zero")
+        raise InstanceError("the goal has no term: every goal weight is "
+                            "zero, or weight_spacing is the only positive "
+                            "one and no two requests share a span")
 
     constraints: list[tuple[str, Posynomial]] = []
 
@@ -272,8 +275,7 @@ def warm_start(routing: RoutingSolution, physics: PhysicsConstants,
     start[TAU] = min(1.3 * edge, edge + 0.5 * (band - edge)) \
         if edge < band else band
     for q, i in routing.pairs:
-        lo, hi = (q, i) if routing.rank[q] < routing.rank[i] else (i, q)
-        start[d_var(q, i)] = 0.9 * (start[w_var(hi)] - start[w_var(lo)])
+        start[d_var(q, i)] = 0.9 * abs(start[w_var(q)] - start[w_var(i)])
     if not all(0 < v < math.inf for v in start.values()):
         raise InstanceError("a warm start value is beyond float range")
     return start
@@ -298,7 +300,7 @@ class Allocation:
 
 
 def extract(solution_vars, routing: RoutingSolution,
-            objective: float = math.nan) -> Allocation:
+            objective: float) -> Allocation:
     """Read an allocation out of solved variable values."""
     n = len(routing.requests)
     return Allocation(
@@ -314,8 +316,8 @@ def extract(solution_vars, routing: RoutingSolution,
 # size accounting
 # --------------------------------------------------------------------------
 
-PROBLEM_KINDS = ("spr", "scpr", "scprr", "minlp",
-                 "gpsa1", "gpsa2", "gpsa3", "gpsa4", "gpsa5", "gpsa6")
+PROBLEM_KINDS = (*RTO_METHODS, "minlp",
+                 *(f"gpsa{f}" for f in sorted(FORMULATION_FIT)))
 
 
 def formulation_size(kind: str, num_requests: int, num_links: int = 0,
@@ -332,12 +334,12 @@ def formulation_size(kind: str, num_requests: int, num_links: int = 0,
     if min(q, l, v) < 0:
         raise InstanceError(f"counts must be nonnegative, got q={q}, l={l}, "
                             f"v={v}")
-    if kind in ("spr", "scpr", "scprr"):
+    if kind in RTO_METHODS:
         return q * l, 2 * q + q * v
     if kind == "minlp":
         return 4 * q + 1, 3 * q + q * l + 1
-    if kind in ("gpsa1", "gpsa2", "gpsa3", "gpsa4"):
-        return q * q + 4 * q + 1, 3 * q + 3 * q * l + 1
-    if kind in ("gpsa5", "gpsa6"):
-        return q * q + 5 * q + 1, 4 * q + 3 * q * l + 1
-    raise InstanceError(f"unknown problem kind {kind!r}")
+    if kind not in PROBLEM_KINDS:
+        raise InstanceError(f"unknown problem kind {kind!r}")
+    # the fractional binomial fit adds t and its row per request
+    aux = int(FORMULATION_FIT[int(kind[4:])] == "binomial_frac")
+    return q * q + (4 + aux) * q + 1, (3 + aux) * q + 3 * q * l + 1

@@ -107,9 +107,6 @@ def validate(allocation: psa.Allocation, routing: RoutingSolution,
     n = len(allocation.power_w)
     if n != len(routing.requests):
         raise InstanceError("allocation and routing sizes differ")
-    if n == 0:
-        return ValidationReport((), (), (), (), (), 0.0, 0.0, math.nan,
-                                allocation.spectrum_edge_hz, 0, ())
 
     physics = instance.physics
     rates = [req.rate_bps for req in routing.requests]
@@ -149,8 +146,8 @@ def validate(allocation: psa.Allocation, routing: RoutingSolution,
                     for q in range(n)]
     return ValidationReport(
         tuple(exact), tuple(model), tuple(required), tuple(slack), tuple(gap),
-        sum(allocation.power_w), noise,
-        sum(rate_density) / n, allocation.spectrum_edge_hz,
+        sum(allocation.power_w, 0.0), noise,
+        _ratio(sum(rate_density), n), allocation.spectrum_edge_hz,
         sum(routing.span_counts), tuple(violations))
 
 

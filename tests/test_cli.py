@@ -432,6 +432,19 @@ def test_non_finite_flag_exits_4(tmp_path, no_solve, argv):
     assert run_cli(*argv, "--requests", 3, "--out", tmp_path) == 4
 
 
+def test_goal_without_terms_exits_4(tmp_path, capsys):
+    # weight_spacing alone is positive, but one request shares no span with
+    # another, so the goal has no term
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"scenario": {
+        "weight_spectrum": 0, "weight_power": 0, "weight_margin": 0}}))
+    assert run_cli("run", "--requests", 1, "--config", config,
+                   "--out", tmp_path) == 4
+    assert ("the goal has no term: every goal weight is zero, or "
+            "weight_spacing is the only positive one and no two requests "
+            "share a span") in capsys.readouterr().err
+
+
 def test_negative_formulation_size_exits_4(tmp_path):
     assert run_cli("count-formulations", "--q", -3, "--out", tmp_path) == 4
     assert not (tmp_path / "sizes.csv").exists()

@@ -11,7 +11,7 @@ from hypothesis import assume, given, settings, strategies as st
 from eongp import gp, psa
 from eongp.gp import (
     ConvexForm, GpError, GpProgram, GpSolution, Monomial, Posynomial, assemble,
-    fix_variable, from_text, program_size, solve, to_text,
+    fix_variable, from_text, solve, to_text,
 )
 from eongp.model import load_instance, partition_traffic
 from eongp.routing import solve_routing
@@ -66,7 +66,7 @@ def test_program_validation():
     prog = assemble(posy(mono(1.0, x=1.0), mono(1.0, y=1.0)),
                     [("cap", posy(mono(1.0, z=-1.0)))])
     assert prog.variables == ("x", "y", "z")
-    assert program_size(prog) == (3, 1)
+    assert (len(prog.variables), len(prog.constraints)) == (3, 1)
     assert dict(prog.constraints)["cap"].terms[0].exponents == \
         (("z", -1.0),)
 
@@ -83,8 +83,8 @@ def test_am_gm_minimum():
     sol = solve(am_gm_program())
     assert sol.status == "optimal"
     assert sol.objective == pytest.approx(2.0, abs=1e-6)
-    assert sol.value("x") == pytest.approx(1.0, abs=1e-5)
-    assert sol.value("y") == pytest.approx(1.0, abs=1e-5)
+    assert sol.variables["x"] == pytest.approx(1.0, abs=1e-5)
+    assert sol.variables["y"] == pytest.approx(1.0, abs=1e-5)
     assert sol.kkt <= 1e-6
     assert all(v <= 1 + 1e-8 for v in sol.constraint_values)
     assert all(l >= 0 for l in sol.duals)
@@ -98,7 +98,7 @@ def test_weighted_am_gm_analytic():
     sol = solve(prog)
     assert sol.status == "optimal"
     assert sol.objective == pytest.approx(4.0 * math.sqrt(3.0), rel=1e-6)
-    assert sol.value("x") == pytest.approx(2.0 * math.sqrt(3.0), rel=1e-5)
+    assert sol.variables["x"] == pytest.approx(2.0 * math.sqrt(3.0), rel=1e-5)
 
 
 def test_asymmetric_against_grid_search():
@@ -126,7 +126,7 @@ def test_unconstrained_newton():
     sol = solve(prog)
     assert sol.status == "optimal"
     assert sol.objective == pytest.approx(4.0, rel=1e-8)
-    assert sol.value("x") == pytest.approx(2.0, rel=1e-6)
+    assert sol.variables["x"] == pytest.approx(2.0, rel=1e-6)
 
 
 def test_infeasible_program():
@@ -189,15 +189,14 @@ def test_stall_at_a_converged_start_is_optimal(no_trial_accepted,
                                                monkeypatch):
     # min x + 4/x from x = 2 e^1e-8: the KKT residual is about 1e-8, above
     # the zero tolerances yet within the 1e-6 that a stall accepts
-    monkeypatch.setattr(gp, "_GAP_TOL", 0.0)
-    monkeypatch.setattr(gp, "_FEAS_TOL", 0.0)
+    monkeypatch.setattr(gp, "_TOL", 0.0)
     start = 2.0 * math.exp(1e-8)
     sol = solve(assemble(posy(mono(1.0, x=1.0), mono(4.0, x=-1.0)), []),
                 {"x": start})
     assert sol.status == "optimal"
     assert sol.iterations == 1
     assert 1e-12 < sol.kkt <= 1e-6
-    assert sol.value("x") == math.exp(math.log(start))
+    assert sol.variables["x"] == math.exp(math.log(start))
 
 
 def test_stall_recenters_the_duals_twice_then_fails(no_trial_accepted):
@@ -298,7 +297,7 @@ def test_one_variable_program_against_closed_form(a, b, alpha, beta, lo_exp,
     # optimum within a few percent of a bound the multiplier is near zero
     # and the iterates converge in x like sqrt(gap), up to 4e-4 relative
     if min(abs(math.log(free / lo)), abs(math.log(free / hi))) >= 0.1:
-        assert sol.value("x") == pytest.approx(best, rel=1e-6)
+        assert sol.variables["x"] == pytest.approx(best, rel=1e-6)
 
 
 @pytest.mark.parametrize("program, status, objective", [
@@ -707,7 +706,7 @@ def test_small_forms_compute_no_sparse_order(cost239_program, monkeypatch):
     sol = solve(form)
     assert sol.status == "optimal"
     name = form.variables[0]
-    assert solve(fix_variable(form, {name: sol.value(name)})).status == \
+    assert solve(fix_variable(form, {name: sol.variables[name]})).status == \
         "optimal"
     assert calls == []
 
@@ -748,10 +747,10 @@ def test_pin_that_crosses_the_dense_bound_factors_dense(cost239_program,
     # a loose solve stops strictly inside every constraint, so the pinned
     # form starts there without a phase-1 form (N = n + 1, sparse)
     with monkeypatch.context() as loose:
-        loose.setattr(gp, "_GAP_TOL", 1e-4)
+        loose.setattr(gp, "_TOL", 1e-4)
         sol = solve(base)
     name = base.variables[0]
-    pins = {name: sol.value(name)}
+    pins = {name: sol.variables[name]}
     calls = recording_splu(monkeypatch)
     pinned = fix_variable(base, pins)
     assert pinned._kkt_dense is not None
@@ -887,16 +886,16 @@ def test_pinned_solution_reports_every_pin():
     sol = solve(twice)
     assert sol.status == "optimal"
     assert set(sol.variables) == set(prog.variables)
-    assert sol.value("a") == 2.0 and sol.value("b") == 4.0
+    assert sol.variables["a"] == 2.0 and sol.variables["b"] == 4.0
     assert sol.objective == pytest.approx(6.75, rel=1e-8)
-    assert sol.value("x") == pytest.approx(0.5, rel=1e-6)
-    assert sol.value("y") == pytest.approx(0.25, rel=1e-6)
+    assert sol.variables["x"] == pytest.approx(0.5, rel=1e-6)
+    assert sol.variables["y"] == pytest.approx(0.25, rel=1e-6)
     # the free variables are those of the same pinned form solved without
     # the record of its pins
     bare = copy.copy(twice)
     bare.fixed = {}
-    assert solve(bare).variables == {"x": sol.value("x"),
-                                     "y": sol.value("y")}
+    assert solve(bare).variables == {"x": sol.variables["x"],
+                                     "y": sol.variables["y"]}
 
 
 def test_fix_keeps_constant_objective_terms():

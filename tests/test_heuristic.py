@@ -34,34 +34,34 @@ def vars_for(values):
 
 
 def test_window_snaps_exact_value_immediately():
-    batch = _pick_fixes(vars_for([4.0]), [0], TABLE, 0.1)
+    batch = _pick_fixes(vars_for([4.0]), [0], TABLE)
     assert [(r.request, r.fixed, r.width) for r in batch] == [(0, 4.0, 0.0)]
 
 
 def test_window_grows_to_first_hit():
     # 3.97 misses at width 0..0.09 steps and lands on 4 at width 0.1
-    batch = _pick_fixes(vars_for([3.97]), [0], TABLE, 0.1)
+    batch = _pick_fixes(vars_for([3.97]), [0], TABLE)
     assert [(r.request, r.fixed, r.width) for r in batch] == [(0, 4.0, 0.1)]
 
 
 def test_window_tie_prefers_smaller_value():
     # 3.0 is equidistant from 2 and 4; the ascending scan stops at 2
-    batch = _pick_fixes(vars_for([3.0]), [0], TABLE, 0.5)
+    batch = _pick_fixes(vars_for([3.0]), [0], TABLE)
     assert [(r.fixed, r.width) for r in batch] == [(2.0, 1.0)]
 
 
 def test_window_fixes_whole_batch():
-    batch = _pick_fixes(vars_for([2.04, 11.93, 7.0]), [0, 1, 2], TABLE, 0.1)
+    batch = _pick_fixes(vars_for([2.04, 11.93, 7.0]), [0, 1, 2], TABLE)
     assert [(r.request, r.fixed) for r in batch] == [(0, 2.0), (1, 12.0)]
     assert all(r.width == pytest.approx(0.1) for r in batch)
 
 
 def test_window_scans_in_given_order():
-    batch = _pick_fixes(vars_for([5.0, 6.0]), [1, 0], TABLE, 0.1)
+    batch = _pick_fixes(vars_for([5.0, 6.0]), [1, 0], TABLE)
     assert [r.request for r in batch] == [1]
 
 
-def reference_fixes(solution_vars, unfixed, candidates, step):
+def reference_fixes(solution_vars, unfixed, candidates):
     # the window recurrence the computed width must reproduce
     width = 0.0
     while True:
@@ -74,14 +74,13 @@ def reference_fixes(solution_vars, unfixed, candidates, step):
                     break
         if batch:
             return batch
-        width = round(width + step, 12)
+        width = round(width + heuristic._ROUND_STEP, 12)
 
 
 @settings(max_examples=300, deadline=None)
-@given(data=st.data(), thousandths=st.integers(1, 3000),
-       size=st.integers(1, 3))
-def test_computed_window_matches_the_recurrence(data, thousandths, size):
-    step = thousandths / 1000
+@given(data=st.data(), size=st.integers(1, 3))
+def test_computed_window_matches_the_recurrence(data, size):
+    step = heuristic._ROUND_STEP
     # relaxed values anywhere within 18 of the table, or a whole number of
     # steps off a table value, where the window edge decides
     near_edge = st.builds(lambda v, k, nudge: v + k * step + nudge,
@@ -90,15 +89,8 @@ def test_computed_window_matches_the_recurrence(data, thousandths, size):
     values = data.draw(st.lists(st.floats(0.0, 30.0) | near_edge.filter(
         lambda c: 0 <= c <= 30), min_size=size, max_size=size))
     unfixed = data.draw(st.permutations(range(size)))
-    assert _pick_fixes(vars_for(values), unfixed, TABLE, step) == \
-        reference_fixes(vars_for(values), unfixed, TABLE, step)
-
-
-def test_window_at_the_smallest_step_is_computed():
-    # 4.5 is 0.5 from the table: about 5e11 steps of 1e-12, which the
-    # recurrence would take one by one; the 1e-12 slack admits it a step early
-    [record] = _pick_fixes(vars_for([4.5]), [0], TABLE, 1e-12)
-    assert (record.fixed, record.width) == (4.0, 0.499999999999)
+    assert _pick_fixes(vars_for(values), unfixed, TABLE) == \
+        reference_fixes(vars_for(values), unfixed, TABLE)
 
 
 # ---------------------------------------------------------------- full runs

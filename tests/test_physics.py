@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from eongp import physics as ph
-from eongp.model import PhysicsConstants
+from eongp.model import ModulationTable, PhysicsConstants
 
 PHYS = PhysicsConstants()
 
@@ -163,7 +163,7 @@ def test_fit_anchor_values():
 
 
 def test_fit_error_ordering_over_table():
-    cols = ph.osnr_fit_error_table()
+    cols = ph.osnr_fit_error_table(ModulationTable())
     worst = {fit: abs(cols[f"rel_err_{fit}"]).max() for fit in ph.OSNR_FITS}
     assert worst["binomial_frac"] <= worst["binomial_int"] <= worst["power_law"]
     assert worst["binomial_frac"] == pytest.approx(0.228, abs=0.01)

@@ -6,8 +6,9 @@ from hypothesis import given, settings, strategies as st
 
 from eongp import gp, physics as ph, psa
 from eongp.model import (
-    InstanceError, ModulationTable, PhysicsConstants, ScenarioConfig,
-    TrafficDemand, load_instance, load_topology, partition_traffic,
+    RTO_METHODS, InstanceError, ModulationTable, PhysicsConstants,
+    ScenarioConfig, TrafficDemand, load_instance, load_topology,
+    partition_traffic,
 )
 from eongp.routing import solve_routing
 
@@ -383,6 +384,14 @@ def test_size_formulas():
     for counts in ((-3, 0, 0), (1, -1, 0), (1, 4, -2)):
         with pytest.raises(InstanceError):
             psa.formulation_size("spr", *counts)
+
+
+def test_problem_kinds_follow_the_method_and_formulation_tables():
+    # sizes.csv lists the kinds in this order
+    assert psa.PROBLEM_KINDS == (*RTO_METHODS, "minlp", *(
+        f"gpsa{f}" for f in sorted(psa.FORMULATION_FIT)))
+    assert psa.PROBLEM_KINDS == ("spr", "scpr", "scprr", "minlp", "gpsa1",
+                                 "gpsa2", "gpsa3", "gpsa4", "gpsa5", "gpsa6")
 
 
 # ------------------------------------------------------------ warm start

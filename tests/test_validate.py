@@ -250,8 +250,14 @@ def test_empty_allocation(pair_setup):
     topo = inst.topology
     routing = solve_routing(topo, [], "spr", span_km=PHYS.span_km)
     rep = validate.validate(empty, routing, inst)
-    assert rep.exact_osnr == () and rep.violations == ()
-    assert rep.total_power_w == 0.0
+    assert rep.exact_osnr == rep.model_osnr == rep.required_osnr == ()
+    assert rep.slack == rep.model_error == rep.violations == ()
+    assert type(rep.total_power_w) is type(rep.total_noise_w) is float
+    assert rep.total_power_w == rep.total_noise_w == 0.0
+    assert math.isnan(rep.mean_rate_per_resource)
+    assert rep.spectrum_edge_hz == 0.0
+    assert rep.span_usage == 0
+    assert rep.admissible
 
 
 def test_size_mismatch_rejected(pair_setup):
