@@ -6,7 +6,10 @@ sum_l length_l * n_l * load_l, with n_l the number of requests crossing link
 l and load_l the sum of their weights.  "scpr" weighs every request 1, so
 load_l = n_l and stacking requests on a link costs quadratically; "scprr"
 weighs a request by its bit rate in Gb/s, so congestion counts traffic
-volume.
+volume.  All three draw paths from one search, `candidate_paths`, which
+lists simple paths shortest first and breaks a tie in length toward the
+path earlier in topology node order: "spr" takes the first, the congestion
+methods choose among the first 8.
 
 Besides paths, the stage emits the processing order used downstream: requests
 sorted by descending routing cost.  Projecting that global order onto each
@@ -18,11 +21,10 @@ spans they share, the only coupling of two requests in the noise model.
 
 from __future__ import annotations
 
-import itertools
+import heapq
 import math
 from dataclasses import dataclass
 
-import networkx as nx
 import numpy as np
 
 from .model import (
@@ -49,67 +51,50 @@ class RoutingSolution:
     link_order: tuple[tuple[int, tuple[int, ...]], ...]
 
 
-def build_graph(topology: NetworkTopology) -> nx.DiGraph:
-    """Directed graph with link ids on the edges (shorter parallel link wins)."""
-    graph = nx.DiGraph()
-    graph.add_nodes_from(topology.nodes)
-    for l, link in enumerate(topology.links):
-        old = graph.get_edge_data(link.begin, link.end)
-        if old is None or link.length_km < old["length"]:
-            graph.add_edge(link.begin, link.end, length=link.length_km,
-                           link_id=l)
-    return graph
-
-
-def _link_ids(graph: nx.DiGraph, node_path) -> tuple[int, ...]:
-    return tuple(graph.edges[u, v]["link_id"]
-                 for u, v in itertools.pairwise(node_path))
-
-
-def shortest_path(graph: nx.DiGraph, topology: NetworkTopology,
-                  source: str, dest: str) -> tuple[int, ...]:
-    """Shortest path by length; ties resolved toward earlier-listed nodes.
-
-    Among all shortest paths the one chosen is lexicographically smallest in
-    the topology's node order, found by walking the tight edges.
-    """
-    try:
-        dist_fwd = nx.single_source_dijkstra_path_length(graph, source,
-                                                         weight="length")
-        dist_bwd = nx.single_source_dijkstra_path_length(graph.reverse(copy=False),
-                                                         dest, weight="length")
-    except nx.NodeNotFound:
-        raise InstanceError(f"unknown endpoint on demand {source}->{dest}") from None
-    if dest not in dist_fwd:
-        raise InstanceError(f"no path from {source} to {dest}")
-    best = dist_fwd[dest]
-    tol = 1e-9 * max(1.0, best)
-    rank = {n: i for i, n in enumerate(topology.nodes)}
-    # links far shorter than `tol` close cycles of tight edges, so the walk
-    # enters each node once and backs out of a dead end
-    path, seen = [source], {source}
-    while path[-1] != dest:
-        node = path[-1]
-        ahead = [v for v in graph.successors(node)
-                 if v not in seen and v in dist_bwd
-                 and abs(dist_fwd[node] + graph.edges[node, v]["length"]
-                         + dist_bwd[v] - best) <= tol]
-        if ahead:
-            path.append(min(ahead, key=rank.__getitem__))
-            seen.add(path[-1])
-        else:
-            path.pop()
-    return _link_ids(graph, path)
-
-
-def candidate_paths(graph: nx.DiGraph, source: str, dest: str,
+def candidate_paths(topology: NetworkTopology, source: str, dest: str,
                     limit: int) -> list[tuple[int, ...]]:
-    """Up to `limit` shortest simple paths, shortest first."""
-    gen = nx.shortest_simple_paths(graph, source, dest, weight="length")
-    try:
-        return [_link_ids(graph, p) for p in itertools.islice(gen, limit)]
-    except nx.NetworkXNoPath:
-        raise InstanceError(f"no path from {source} to {dest}") from None
+    """Up to `limit` shortest simple paths as link ids: shortest first,
+    equal lengths (as float sums) in topology node order, lexicographically.
+
+    Best-first (A*) search over simple path prefixes, each keyed by its
+    length plus the exact remaining length to `dest` from one reverse
+    Dijkstra.  Of parallel links the shortest, then the first listed, is used.
+    """
+    rank = {n: i for i, n in enumerate(topology.nodes)}
+    if source not in rank or dest not in rank:
+        raise InstanceError(f"unknown endpoint on demand {source}->{dest}")
+    s, t = rank[source], rank[dest]
+    out = [{} for _ in rank]  # out[u][v] = (length, link id)
+    for l, link in enumerate(topology.links):
+        u, v = rank[link.begin], rank[link.end]
+        if v not in out[u] or link.length_km < out[u][v][0]:
+            out[u][v] = (link.length_km, l)
+    into = [[] for _ in rank]
+    for u, edges in enumerate(out):
+        for v, (length, _) in edges.items():
+            into[v].append((u, length))
+    remaining, heap = {t: 0.0}, [(0.0, t)]
+    while heap:
+        dist, v = heapq.heappop(heap)
+        if dist == remaining[v]:
+            for u, length in into[v]:
+                if dist + length < remaining.get(u, math.inf):
+                    remaining[u] = dist + length
+                    heapq.heappush(heap, (dist + length, u))
+    if s not in remaining:
+        raise InstanceError(f"no path from {source} to {dest}")
+    found, heap = [], [(remaining[s], (s,), 0.0, ())]
+    while heap and len(found) < limit:
+        _, nodes, done, path = heapq.heappop(heap)
+        if nodes[-1] == t:
+            found.append(path)
+            continue
+        for v, (length, l) in out[nodes[-1]].items():
+            if v in remaining and v not in nodes:
+                heapq.heappush(heap, (done + length + remaining[v],
+                                      nodes + (v,), done + length,
+                                      path + (l,)))
+    return found
 
 
 def span_metrics(paths, topology: NetworkTopology, span_km: float):
@@ -183,20 +168,27 @@ def _search_congestion(topology, weights, candidates, seed):
     """
     n = len(candidates)
     if math.prod(len(c) for c in candidates) <= _EXHAUSTIVE_LIMIT:
+        # requests without a choice go in first, so the recursion nests
+        # only over the (at most 17) requests that have one
         state = _Congestion(topology, weights)
+        free = [q for q, c in enumerate(candidates) if len(c) > 1]
+        for q, c in enumerate(candidates):
+            if len(c) == 1:
+                state.add(q, c[0])
         best_val, best_choice = math.inf, None
         choice = [0] * n
 
-        def descend(q):
+        def descend(k):
             nonlocal best_val, best_choice
-            if q == n:
+            if k == len(free):
                 if state.value < best_val - 1e-12:
                     best_val, best_choice = state.value, tuple(choice)
                 return
+            q = free[k]
             for j, path in enumerate(candidates[q]):
                 choice[q] = j
                 state.add(q, path)
-                descend(q + 1)
+                descend(k + 1)
                 state.remove(q, path)
 
         descend(0)
@@ -241,23 +233,21 @@ def solve_routing(topology: NetworkTopology, requests, method: str = "spr",
     if method not in RTO_METHODS:
         raise InstanceError(f"unknown routing method {method!r}")
     requests = tuple(requests)
-    graph = build_graph(topology)
-    length = [l.length_km for l in topology.links]
+    limit = 1 if method == "spr" else _MAX_CANDIDATES
+    cache: dict[tuple[str, str], list] = {}
+    candidates = []
+    for r in requests:
+        key = (r.source, r.dest)
+        if key not in cache:
+            cache[key] = candidate_paths(topology, r.source, r.dest, limit)
+        candidates.append(cache[key])
 
     if method == "spr":
-        paths = tuple(shortest_path(graph, topology, r.source, r.dest)
-                      for r in requests)
+        length = [l.length_km for l in topology.links]
+        paths = tuple(c[0] for c in candidates)
         costs = tuple(sum(length[l] for l in p) for p in paths)
         objective = float(sum(costs))
     else:
-        cache: dict[tuple[str, str], list] = {}
-        candidates = []
-        for r in requests:
-            key = (r.source, r.dest)
-            if key not in cache:
-                cache[key] = candidate_paths(graph, r.source, r.dest,
-                                             _MAX_CANDIDATES)
-            candidates.append(cache[key])
         # Gb/s keeps the rate-weighted sums tame
         weights = [r.rate_bps / 1e9 if method == "scprr" else 1
                    for r in requests]

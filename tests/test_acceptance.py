@@ -23,9 +23,7 @@ from eongp.model import (
     partition_traffic,
 )
 from eongp.psa import formulation_size
-from eongp.routing import (
-    build_graph, candidate_paths, shortest_path, solve_routing,
-)
+from eongp.routing import candidate_paths, solve_routing
 from oracles import enumerate_shortest
 from test_routing import brute_force_congestion
 
@@ -187,15 +185,16 @@ def test_criterion_5_routing_optimality(cost239, monkeypatch):
     topology, _, phys = cost239
     monkeypatch.setattr("eongp.routing._MAX_CANDIDATES", 4)
     started = time.perf_counter()
-    graph = build_graph(topology)
     length = [l.length_km for l in topology.links]
     pairs = 0
     for s in topology.nodes:
         for t in topology.nodes:
             if s == t:
                 continue
-            got = sum(length[l] for l in shortest_path(graph, topology, s, t))
-            assert math.isclose(got, enumerate_shortest(graph, s, t)), (s, t)
+            [path] = candidate_paths(topology, s, t, 1)
+            got = sum(length[l] for l in path)
+            assert math.isclose(got, enumerate_shortest(topology, s, t)), \
+                (s, t)
             pairs += 1
 
     rng = np.random.default_rng(11)
@@ -210,7 +209,8 @@ def test_criterion_5_routing_optimality(cost239, monkeypatch):
                     for s, t in sorted(endpoints)]
         method = "scpr" if trial % 2 == 0 else "scprr"
         sol = solve_routing(topology, requests, method, span_km=phys.span_km)
-        sets = [candidate_paths(graph, r.source, r.dest, 4) for r in requests]
+        sets = [candidate_paths(topology, r.source, r.dest, 4)
+                for r in requests]
         want = brute_force_congestion(topology, requests, sets,
                                       rate_weighted=method == "scprr")
         assert sol.objective == pytest.approx(want, rel=1e-9), trial

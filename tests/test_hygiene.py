@@ -1,9 +1,13 @@
 """Source hygiene of the package: no module imports a name it never uses,
-and no function, class or method is defined that nothing refers to, or
-that only the tests refer to."""
+no function, class or method is defined that nothing refers to, or that
+only the tests refer to, and loading the package leaves the test-only
+dependencies unloaded."""
 
 import ast
+import os
 import re
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -157,6 +161,17 @@ def referrers(node, name, owner=None):
         yield owner
     for child in ast.iter_child_nodes(node):
         yield from referrers(child, name, owner)
+
+
+def test_package_loads_without_networkx():
+    # networkx is a test dependency, the tests' path oracle; a fresh
+    # interpreter that loads the command line must not load it
+    env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, eongp.cli; sys.exit('networkx' in sys.modules)"],
+        env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr or "networkx was loaded"
 
 
 def test_efficiencies_are_pinned_in_one_place():

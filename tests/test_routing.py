@@ -8,12 +8,11 @@ from hypothesis import given, settings, strategies as st
 
 from eongp import routing
 from eongp.model import (
-    InstanceError, TrafficDemand, load_topology, span_count,
+    InstanceError, Link, NetworkTopology, TrafficDemand, load_topology,
+    span_count,
 )
-from eongp.routing import (
-    build_graph, candidate_paths, shortest_path, solve_routing, span_metrics,
-)
-from oracles import enumerate_shortest
+from eongp.routing import candidate_paths, solve_routing, span_metrics
+from oracles import enumerate_shortest, simple_paths
 
 
 def topo_from_text(tmp_path, text):
@@ -56,30 +55,27 @@ def req(s, t, gbps=100.0):
 
 def test_spr_tie_break_prefers_earlier_nodes(tmp_path):
     topo = topo_from_text(tmp_path, DIAMOND)
-    graph = build_graph(topo)
     # two length-2 routes a->d; the one through b (listed first) wins
-    assert shortest_path(graph, topo, "a", "d") == (0, 2)
-    assert shortest_path(graph, topo, "d", "a") == (3, 1)
+    assert candidate_paths(topo, "a", "d", 1) == [(0, 2)]
+    assert candidate_paths(topo, "d", "a", 1) == [(3, 1)]
 
 
 def test_spr_backs_out_of_a_cycle_of_near_zero_links(tmp_path):
-    # a 1e-12 km link is tight both ways at 100 km: the walk neither loops
+    # a 1e-12 km link is tight both ways at 100 km: the search neither loops
     # nor stops at the dead end a
     topo = topo_from_text(
         tmp_path, "node a\nnode b\nnode c\nlink a b 1e-12\nlink b c 100\n")
-    graph = build_graph(topo)
-    assert shortest_path(graph, topo, "b", "c") == (2,)
-    assert shortest_path(graph, topo, "a", "c") == (0, 2)
+    assert candidate_paths(topo, "b", "c", 1) == [(2,)]
+    assert candidate_paths(topo, "a", "c", 1) == [(0, 2)]
 
 
 def test_spr_matches_enumeration_on_mesh(data_dir):
     topo = load_topology(str(data_dir / "cost239_topology.txt"))
-    graph = build_graph(topo)
     length = [l.length_km for l in topo.links]
     for s, t in [("1", "8"), ("3", "10"), ("5", "11"), ("2", "9"), ("7", "4")]:
-        path = shortest_path(graph, topo, s, t)
+        [path] = candidate_paths(topo, s, t, 1)
         assert math.isclose(sum(length[l] for l in path),
-                            enumerate_shortest(graph, s, t))
+                            enumerate_shortest(topo, s, t))
 
 
 def test_spr_solution_fields(tmp_path):
@@ -114,11 +110,41 @@ def test_unreachable_raises(tmp_path):
 
 def test_candidates_sorted_shortest_first(tmp_path):
     topo = topo_from_text(tmp_path, TRIDENT)
-    graph = build_graph(topo)
-    cands = candidate_paths(graph, "s", "t", 8)
+    cands = candidate_paths(topo, "s", "t", 8)
     length = [l.length_km for l in topo.links]
     totals = [sum(length[l] for l in p) for p in cands]
     assert totals == [10.0, 12.0, 14.0]
+
+
+def test_candidates_tie_break_prefers_earlier_nodes(tmp_path):
+    topo = topo_from_text(tmp_path, DIAMOND)
+    # via b and via c both have length 2; b is listed first; a->d is 3
+    assert candidate_paths(topo, "a", "d", 8) == [(0, 2), (4, 6), (8,)]
+
+
+@settings(deadline=None, derandomize=True, max_examples=80)
+@given(n=st.integers(2, 6),
+       arcs=st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5),
+                               st.integers(1, 3)), min_size=4, max_size=16),
+       limit=st.integers(1, 8))
+def test_candidates_match_sorted_simple_paths(n, arcs, limit):
+    # small integer lengths make ties, and repeated arcs make parallel
+    # links: the search must list the first `limit` simple paths sorted
+    # by (length, node ranks), as exhaustive enumeration does
+    nodes = tuple("abcdef"[:n])
+    topo = NetworkTopology(nodes, tuple(
+        Link(nodes[u % n], nodes[v % n], float(km))
+        for u, v, km in arcs if u % n != v % n))
+    for s in nodes:
+        for t in nodes:
+            if s == t:
+                continue
+            want = [ids for _, _, ids in simple_paths(topo, s, t)[:limit]]
+            if not want:
+                with pytest.raises(InstanceError, match="no path"):
+                    candidate_paths(topo, s, t, limit)
+            else:
+                assert candidate_paths(topo, s, t, limit) == want, (s, t)
 
 
 def test_scpr_spreads_congestion(tmp_path):
@@ -160,9 +186,8 @@ def brute_force_congestion(topo, reqs, candidates, rate_weighted):
 
 def test_scprr_matches_brute_force(tmp_path):
     topo = topo_from_text(tmp_path, TRIDENT)
-    graph = build_graph(topo)
     reqs = [req("s", "t", 10.0), req("s", "t", 1.0), req("s", "t", 1.0)]
-    cands = [candidate_paths(graph, "s", "t", 8)] * 3
+    cands = [candidate_paths(topo, "s", "t", 8)] * 3
     want = brute_force_congestion(topo, reqs, cands, rate_weighted=True)
     sol = solve_routing(topo, reqs, "scprr", span_km=80.0)
     assert sol.objective == pytest.approx(want) == pytest.approx(126.0)
@@ -211,14 +236,21 @@ def test_random_instances_local_equals_exhaustive(data_dir, monkeypatch):
         assert local.objective == pytest.approx(exact.objective, rel=0.02)
 
 
+
+def test_exhaustive_search_skips_requests_without_a_choice(tmp_path):
+    # 1,100 requests on the one a->b link each have one candidate: the
+    # exhaustive search must not nest a call per request
+    topo = topo_from_text(tmp_path, "node a\nnode b\nlink a b 100\n")
+    sol = solve_routing(topo, [req("a", "b")] * 1100, "scpr", span_km=80.0)
+    assert sol.objective == 100 * 1100 ** 2
+
 @pytest.fixture(scope="module")
 def mesh_candidates(data_dir):
     topo = load_topology(str(data_dir / "cost239_topology.txt"))
-    graph = build_graph(topo)
     ends = [("1", "8"), ("3", "10"), ("5", "11"), ("2", "9"), ("7", "4")]
     reqs = [TrafficDemand(s, t, (q + 1) * 37.5e9)
             for q, (s, t) in enumerate(ends)]
-    return topo, reqs, [candidate_paths(graph, s, t, 8) for s, t in ends]
+    return topo, reqs, [candidate_paths(topo, s, t, 8) for s, t in ends]
 
 
 @settings(deadline=None, derandomize=True, max_examples=60)
